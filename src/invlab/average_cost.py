@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .dp_core import GridMDP, infinite_horizon_vi
-
-TIE_TOL = 1e-9
+from .dp_core import TIE_TOL, GridMDP, _argmin_sets, infinite_horizon_vi
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
 
@@ -102,10 +100,8 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
     that tolerance.
     """
     u = np.asarray(u, dtype=float)
-    idx = np.array([mdp.action_index(a) for a in np.asarray(phi, dtype=float)])
-    states = np.arange(mdp.n_states)
-    rows = mdp.P[states, idx, :]
-    slack = w + u - mdp.cost[states, idx] - rows @ u
+    idx = mdp.policy_index(phi)
+    slack = w + u - mdp.cost[np.arange(mdp.n_states), idx] - mdp.policy_expected_next(idx, u)
     return float(slack.min())
 
 
@@ -125,17 +121,9 @@ def greedy_policy(mdp: GridMDP, u: np.ndarray, w_upper: float | None = None, *, 
     """
     u = np.asarray(u, dtype=float)
     q = mdp.cost + mdp.expected_next(u)
-    vmin = q.min(axis=1)
-    actions = np.empty(mdp.n_states)
-    ties = []
-    a_star = [] if w_upper is not None else None
-    for i in range(mdp.n_states):
-        tied = mdp.actions[q[i] <= vmin[i] + tie_tol]
-        ties.append(tied)
-        actions[i] = tied[0]
-        if a_star is not None:
-            a_star.append(mdp.actions[q[i] <= w_upper + u[i] + tie_tol])
-    return GreedyPolicyResult(actions, ties, a_star)
+    ties = _argmin_sets(mdp, q, q.min(axis=1), tie_tol)
+    a_star = None if w_upper is None else _argmin_sets(mdp, q, w_upper + u, tie_tol)
+    return GreedyPolicyResult(np.array([t[0] for t in ties]), ties, a_star)
 
 
 @dataclass
@@ -194,13 +182,11 @@ def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"horizon must be positive, got {N}")
-    idx = np.array([mdp.action_index(a) for a in np.asarray(phi, dtype=float)])
-    states = np.arange(mdp.n_states)
-    rows = mdp.P[states, idx, :]
-    c = mdp.cost[states, idx]
+    idx = mdp.policy_index(phi)
+    c = mdp.cost[np.arange(mdp.n_states), idx]
     if not np.all(np.isfinite(c)):
         raise ValueError("policy takes an infeasible action")
     v = np.zeros(mdp.n_states)
     for _ in range(N):
-        v = c + rows @ v
+        v = c + mdp.policy_expected_next(idx, v)
     return v / N

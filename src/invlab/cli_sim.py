@@ -38,12 +38,20 @@ from .pomdp import (
     belief_value_iteration,
     make_belief,
     pomdp_simulate,
+    replication_uniforms,
     summarize_samples,
 )
 
 REPORT_SCHEMA = "invctl-report/1"
 
 SIM_COMMANDS = {"simulate", "pomdp-simulate"}
+
+
+def _seed_errors(seed) -> list[str]:
+    # replication streams are keyed by two uint64 words, (seed, replication)
+    if seed is None or 0 <= seed < 2**64:
+        return []
+    return [f"seed: must lie in [0, 2**64), got {seed}"]
 
 
 @dataclass
@@ -190,6 +198,11 @@ def load_config(path) -> RunConfig:
     seed = raw.get("seed")
     if seed is not None:
         seed = int(seed)
+    errors += _seed_errors(seed)
+
+    sim = raw.get("sim", {})
+    if "reps" in sim and int(sim["reps"]) < 1:
+        errors.append(f"sim: reps must be a positive integer, got {sim['reps']!r}")
 
     if errors:
         raise ValidationErrors(errors)
@@ -204,7 +217,7 @@ def load_config(path) -> RunConfig:
         solver=solver,
         mass_tol=float(raw.get("mass_tol", 1.0)),
         seed=seed,
-        sim=raw.get("sim", {}),
+        sim=sim,
         pomdp_containers=pomdp_containers,
         pomdp_prior=pomdp_prior,
         pomdp_horizon=pomdp_horizon,
@@ -292,6 +305,11 @@ def _mdp_warnings(mdp: GridMDP) -> list:
     return warnings
 
 
+def _write_policy(out: Path, grid: np.ndarray, argmin_sets) -> None:
+    rows = [(x, s[0], ";".join(_cell(a) for a in s)) for x, s in zip(grid, argmin_sets)]
+    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], rows)
+
+
 def _cap_warnings(mdp: GridMDP, argmin_sets) -> list:
     warnings = []
     cap = float(mdp.actions[-1])
@@ -313,16 +331,13 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     Replications evolve in lockstep for speed; the per-replication streams
     make the result independent of that layout.
     """
-    phi_idx = np.array([mdp.action_index(a) for a in np.asarray(phi, dtype=float)])
+    phi_idx = mdp.policy_index(phi)
     n_atoms = mdp.shock_probs.size
     cum = np.cumsum(mdp.shock_probs)
     if N == 0:
         zeros = np.zeros(reps)
         return summarize_samples(zeros), summarize_samples(zeros.copy())
-    u = np.empty((reps, N))
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
-        u[rep] = rng.random(N)
+    u = replication_uniforms(seed, reps, N)
     shocks = np.searchsorted(cum, u * cum[-1]).clip(0, n_atoms - 1)
     x = np.full(reps, mdp.state_index(x0))
     disc = np.zeros(reps)
@@ -362,11 +377,7 @@ def _run_solve_finite(config: RunConfig, out: Path) -> RunReport:
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
     final = sols[-1]
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, final.values))
-    policy_rows = [
-        (x, s[0], ";".join(_cell(a) for a in s))
-        for x, s in zip(mdp.grid, final.argmin_sets or [])
-    ]
-    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], policy_rows)
+    _write_policy(out, mdp.grid, final.argmin_sets or [])
     rows = _thresholds_from_solutions(config, mdp, sols, alpha)
     write_csv(out / "thresholds.csv", ["t", "s", "S"], rows)
     warnings = _mdp_warnings(mdp) + (_cap_warnings(mdp, final.argmin_sets) if final.argmin_sets else [])
@@ -379,11 +390,7 @@ def _run_solve_discounted(config: RunConfig, out: Path) -> RunReport:
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, sol.values))
-    policy_rows = [
-        (x, s[0], ";".join(_cell(a) for a in s))
-        for x, s in zip(mdp.grid, sol.argmin_sets)
-    ]
-    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], policy_rows)
+    _write_policy(out, mdp.grid, sol.argmin_sets)
     outputs = {
         "alpha": alpha,
         "eps": eps,
@@ -412,11 +419,7 @@ def _run_solve_average(config: RunConfig, out: Path) -> RunReport:
     greedy = average_cost.greedy_policy(mdp, rv.u, rv.w_upper)
     slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
     slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
-    policy_rows = [
-        (x, a, ";".join(_cell(v) for v in s))
-        for x, a, s in zip(mdp.grid, greedy.actions, greedy.tie_sets)
-    ]
-    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], policy_rows)
+    _write_policy(out, mdp.grid, greedy.tie_sets)
     diag = average_cost.assumption_B_diagnostic(ladder, config.cost)
     rates = ladder.rates()
     outputs = {
@@ -509,19 +512,19 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
     return RunReport("simulate", config.raw, outputs, _mdp_warnings(mdp))
 
 
-def _pomdp_pieces(config: RunConfig):
+def _solve_pomdp(config: RunConfig):
     mdp = config.build_mdp()
     part = config.build_partition(mdp)
     prior = make_belief([(float(x), float(p)) for x, p in config.pomdp_prior], mdp.grid)
-    return mdp, part, prior
-
-
-def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
-    mdp, part, prior = _pomdp_pieces(config)
     sol = belief_value_iteration(
         mdp, part, prior, config.pomdp_horizon, config.solver.alpha,
         max_nodes=config.pomdp_max_nodes,
     )
+    return mdp, part, prior, sol
+
+
+def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
+    mdp, _, _, sol = _solve_pomdp(config)
     outputs = {
         "value": sol.value,
         "root_actions": sol.root_actions.tolist(),
@@ -533,11 +536,7 @@ def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
 
 
 def _run_pomdp_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
-    mdp, part, prior = _pomdp_pieces(config)
-    sol = belief_value_iteration(
-        mdp, part, prior, config.pomdp_horizon, config.solver.alpha,
-        max_nodes=config.pomdp_max_nodes,
-    )
+    mdp, part, prior, sol = _solve_pomdp(config)
     reps = int(config.sim.get("reps", 1000))
     result = pomdp_simulate(
         mdp, part, TreePolicy(sol, mdp, part), prior,
@@ -576,6 +575,7 @@ def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
     seed = config.seed if seed is None else seed
     if command in SIM_COMMANDS and seed is None:
         errors.append(f"{command}: a seed is required for simulation")
+    errors += _seed_errors(seed)
     if errors:
         raise ValidationErrors(errors)
     out = Path(out_dir) if out_dir is not None else Path(config.output or ".")

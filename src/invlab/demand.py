@@ -19,6 +19,19 @@ PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
 
 
+def _lattice_offsets(values: np.ndarray, step: float) -> np.ndarray:
+    """Lattice offsets of demand atoms, rejecting a nonpositive step and negative or off-lattice atoms."""
+    if not (step > 0):
+        raise InvLabError("OFF_LATTICE", f"lattice step must be positive, got {step}")
+    if np.any(values < -LATTICE_TOL * step):
+        raise InvLabError("NEGATIVE_VALUE", f"demand atom at {float(values.min())} is negative")
+    offsets = np.rint(values / step)
+    off = np.abs(values - offsets * step) > LATTICE_TOL * max(step, 1.0)
+    if np.any(off):
+        raise InvLabError("OFF_LATTICE", f"demand atom at {float(values[off][0])} is not a multiple of step {step}")
+    return offsets
+
+
 @dataclass(frozen=True)
 class DemandDistribution:
     """Finite demand law with atoms at nonnegative multiples of ``step``.
@@ -43,15 +56,7 @@ class DemandDistribution:
             raise InvLabError("EMPTY_INPUT", "a demand law needs at least one atom")
         if values.shape != probs.shape:
             raise ValueError("values and probs must have matching shapes")
-        if not (self.step > 0):
-            raise InvLabError("OFF_LATTICE", f"lattice step must be positive, got {self.step}")
-        if np.any(values < -LATTICE_TOL * self.step):
-            bad = float(values[values < -LATTICE_TOL * self.step][0])
-            raise InvLabError("NEGATIVE_VALUE", f"demand atom at {bad} is negative")
-        offsets = np.rint(values / self.step)
-        if np.any(np.abs(values - offsets * self.step) > LATTICE_TOL * max(self.step, 1.0)):
-            off = float(values[np.abs(values - offsets * self.step) > LATTICE_TOL * max(self.step, 1.0)][0])
-            raise InvLabError("OFF_LATTICE", f"demand atom at {off} is not a multiple of step {self.step}")
+        offsets = _lattice_offsets(values, self.step)
         if values.size > 1 and np.any(np.diff(offsets) <= 0):
             raise ValueError("atoms must be sorted by value with no duplicates")
         if np.any(probs <= 0):
@@ -103,14 +108,7 @@ def from_atoms(pairs, step: float) -> DemandDistribution:
         raise InvLabError("EMPTY_INPUT", "no demand atoms given")
     values = np.asarray([p[0] for p in pairs], dtype=float)
     masses = np.asarray([p[1] for p in pairs], dtype=float)
-    if not (step > 0):
-        raise InvLabError("OFF_LATTICE", f"lattice step must be positive, got {step}")
-    if np.any(values < -LATTICE_TOL * step):
-        raise InvLabError("NEGATIVE_VALUE", f"demand atom at {float(values.min())} is negative")
-    offsets = np.rint(values / step)
-    if np.any(np.abs(values - offsets * step) > LATTICE_TOL * max(step, 1.0)):
-        bad = float(values[np.argmax(np.abs(values - offsets * step))])
-        raise InvLabError("OFF_LATTICE", f"demand atom at {bad} is not a multiple of step {step}")
+    offsets = _lattice_offsets(values, step)
     if np.any(masses < 0):
         raise InvLabError("PROB_SUM", "negative atom probability")
     total = float(masses.sum())

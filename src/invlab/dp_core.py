@@ -15,6 +15,7 @@ pick the infinite entries.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,17 @@ ROW_TOL = 1e-12
 TIE_TOL = 1e-9
 
 
+def _lattice_index(points: np.ndarray, x, step: float) -> int | None:
+    """Index of ``x`` on the uniform lattice ``points``, or None when ``x`` is off it.
+
+    Off means no lattice point within ``1e-9 * max(1, step)`` of ``x``.
+    """
+    i = int(round((float(x) - float(points[0])) / step))
+    if 0 <= i < len(points) and abs(float(points[i]) - float(x)) <= 1e-9 * max(1.0, step):
+        return i
+    return None
+
+
 class Dynamics(enum.Enum):
     BACKORDER = "backorder"     # next = x + a - D
     LOST_SALES = "lost_sales"   # next = max(x + a - D, 0)
@@ -38,17 +50,17 @@ class Dynamics(enum.Enum):
 class GridMDP:
     """Finite MDP on a state lattice.
 
-    ``P[i, j]`` is the probability row over states after action ``j`` in
-    state ``i``; rows sum to one with clamped mass folded onto the edges and
-    recorded in ``mass_loss``.  ``next_idx[i, j, k]`` is the successor state
-    index under shock atom ``k``, which is both the sampling table for
-    simulation and the fast path for Bellman backups.
+    Transitions are the successor table plus the shock law: action ``j`` in
+    state ``i`` moves to ``next_idx[i, j, k]`` with probability
+    ``shock_probs[k]``, with off-grid successors clamped onto the edges and
+    the clamped mass recorded in ``mass_loss``.  Backups, policy checks,
+    belief predictions and sampling all read this table; ``P`` is a dense
+    view of the same rows, built only on request.
     """
 
     grid: np.ndarray
     step: float
     actions: np.ndarray
-    P: np.ndarray
     cost: np.ndarray
     mass_loss: np.ndarray
     shock_probs: np.ndarray
@@ -56,7 +68,7 @@ class GridMDP:
     dynamics: Dynamics
     shift_kernel: bool  # next state depends on (x, a) only through x + a
     _y_next: np.ndarray | None = None  # (n, n_atoms) successor of each post-order level
-    _y_of: np.ndarray | None = None    # (n, n_a) index of x + a, clipped
+    _y_of: np.ndarray | None = None    # (n, n_a) post-order level of x + a, a row of _y_next
 
     @property
     def n_states(self) -> int:
@@ -70,30 +82,51 @@ class GridMDP:
     def min_finite_cost(self) -> float:
         return float(self.cost[np.isfinite(self.cost)].min())
 
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        """Dense ``(n, n_a, n)`` transition rows, built from the successor table on first access."""
+        n, n_a = self.n_states, self.n_actions
+        P = np.zeros((n, n_a, n))
+        flat = self.next_idx + (np.arange(n)[:, None, None] * n_a + np.arange(n_a)[None, :, None]) * n
+        np.add.at(P.reshape(-1), flat.ravel(), np.broadcast_to(self.shock_probs, self.next_idx.shape).ravel())
+        return P
+
     def state_index(self, x) -> int:
-        i = int(round((float(x) - float(self.grid[0])) / self.step))
-        if not (0 <= i < self.n_states) or abs(self.grid[i] - float(x)) > 1e-9 * max(1.0, self.step):
+        i = _lattice_index(self.grid, x, self.step)
+        if i is None:
             raise ValueError(f"state {x} is not on the grid")
         return i
 
     def action_index(self, a) -> int:
-        j = int(round(float(a) / self.step))
-        if not (0 <= j < self.n_actions) or abs(self.actions[j] - float(a)) > 1e-9 * max(1.0, self.step):
+        j = _lattice_index(self.actions, a, self.step)
+        if j is None:
             raise ValueError(f"action {a} is not on the action lattice")
         return j
+
+    def policy_index(self, phi) -> np.ndarray:
+        """Action index at every state of the stationary policy ``phi``."""
+        return np.array([self.action_index(a) for a in np.asarray(phi, dtype=float)])
 
     def expected_next(self, v: np.ndarray) -> np.ndarray:
         """``E v(next)`` for every (state, action) pair.
 
-        Uses the shock table directly when the kernel is a pure shift
-        (identical sums to the dense contraction, just factored), and the
-        dense rows otherwise.
+        When the kernel is a pure shift the successor depends only on
+        ``y = x + a``, so the sum runs once per post-order level and is
+        gathered back onto the pairs.
         """
         if self.shift_kernel:
-            # successor index depends only on y = x + a: table rows repeat
             wv = v[self._y_next] @ self.shock_probs
             return wv[self._y_of]
         return (v[self.next_idx] * self.shock_probs).sum(axis=2)
+
+    def policy_expected_next(self, phi_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``E v(next)`` at every state under the action indices ``phi_idx``."""
+        return np.asarray(v, dtype=float)[self.next_idx[np.arange(self.n_states), phi_idx]] @ self.shock_probs
+
+    def predictive(self, z: np.ndarray, j: int) -> np.ndarray:
+        """Next-state law ``sum_i z_i P(i, j, .)`` of the state law ``z`` under action index ``j``."""
+        weights = z[:, None] * self.shock_probs
+        return np.bincount(self.next_idx[:, j].ravel(), weights=weights.ravel(), minlength=self.n_states)
 
 
 @dataclass
@@ -169,26 +202,20 @@ def build_mdp(
         shift = False
         y_next = None
     else:
-        y_off = np.rint((grid - grid[0]) / step).astype(np.int64)  # 0..n-1
-        base = y_off[:, None] + np.arange(n_a)[None, :]            # index of x + a, may exceed n-1
-        post = base[:, :, None] - shock_off[None, None, :]         # x + a - D in offset units
-        if dynamics is Dynamics.LOST_SALES:
-            zero_idx = int(round((0.0 - grid[0]) / step))
-            if not (0 <= zero_idx < n) or abs(grid[zero_idx]) > 1e-9:
-                raise ValueError("lost-sales dynamics needs 0 on the grid")
-            post = np.maximum(post, zero_idx)
-        raw_idx = post
-        shift = True
-        # successor table per post-order level, covering the extended range
-        # grid_lo .. grid_hi + a_max so the factored backup agrees with the
-        # dense rows even on infeasible pairs
+        # successor offsets per post-order level y = x + a, over the extended
+        # range grid_lo .. grid_hi + a_max so infeasible pairs have rows too
         y_post = np.arange(n + n_a - 1)[:, None] - shock_off[None, :]
         if dynamics is Dynamics.LOST_SALES:
+            zero_idx = _lattice_index(grid, 0.0, step)
+            if zero_idx is None:
+                raise ValueError("lost-sales dynamics needs 0 on the grid")
             y_post = np.maximum(y_post, zero_idx)
+        base = np.arange(n)[:, None] + np.arange(n_a)[None, :]  # index of x + a
+        raw_idx = y_post[base]
+        shift = True
         y_next = np.clip(y_post, 0, n - 1)
 
-    clamped_low = raw_idx < 0
-    clamped_high = raw_idx > n - 1
+    clamped = (raw_idx < 0) | (raw_idx > n - 1)
     next_idx = np.clip(raw_idx, 0, n - 1)
 
     cost = np.empty((n, n_a))
@@ -202,7 +229,6 @@ def build_mdp(
         bad = int(np.nonzero(~finite.any(axis=1))[0][0])
         raise InvLabError("NO_FINITE_ACTION", f"state {grid[bad]} has no finite-cost action")
 
-    clamped = clamped_low | clamped_high
     mass_loss = (clamped * shock_probs[None, None, :]).sum(axis=2)
     offending = clamped & (shock_probs[None, None, :] > mass_tol) & finite[:, :, None]
     if offending.any():
@@ -213,15 +239,10 @@ def build_mdp(
             f"from state {grid[i]} under action {actions[j]}",
         )
 
-    P = np.zeros((n, n_a, n))
-    flat = next_idx + (np.arange(n)[:, None, None] * n_a + np.arange(n_a)[None, :, None]) * n
-    np.add.at(P.reshape(-1), flat.ravel(), np.broadcast_to(shock_probs, next_idx.shape).ravel())
-
     return GridMDP(
         grid=grid,
         step=step,
         actions=actions,
-        P=P,
         cost=cost,
         mass_loss=mass_loss,
         shock_probs=np.asarray(shock_probs, dtype=float),
@@ -355,10 +376,8 @@ def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, al
     A small residual certifies that ``phi`` attains the minimum in the
     optimality equation when ``v`` is (close to) the fixed point.
     """
-    phi = np.asarray(phi, dtype=float)
-    idx = np.array([mdp.action_index(a) for a in phi])
-    rows = mdp.P[np.arange(mdp.n_states), idx, :]
-    rhs = mdp.cost[np.arange(mdp.n_states), idx] + alpha * rows @ np.asarray(v, dtype=float)
+    idx = mdp.policy_index(phi)
+    rhs = mdp.cost[np.arange(mdp.n_states), idx] + alpha * mdp.policy_expected_next(idx, v)
     return float(np.max(np.abs(np.asarray(v) - rhs)))
 
 

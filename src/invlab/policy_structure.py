@@ -19,10 +19,8 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, expected_holding, regime_constants
 from .demand import DemandDistribution
-from .dp_core import Dynamics, GridMDP, ValueSolution, infinite_horizon_vi
+from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi
 from .errors import InvLabError
-
-TIE_TOL = 1e-9
 
 
 class Regime(enum.Enum):
@@ -40,15 +38,10 @@ class PolicyStructure:
 
 
 def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel, d: DemandDistribution) -> np.ndarray:
-    """Order-up-to objective on the grid, with the continuation clamped like the transition rows."""
-    v = np.asarray(v, dtype=float)
-    offs = d.offsets()
-    idx = np.arange(mdp.n_states)[:, None] - offs[None, :]
-    if mdp.dynamics is Dynamics.LOST_SALES:
-        zero_idx = mdp.state_index(0.0)
-        idx = np.maximum(idx, zero_idx)
-    idx = np.clip(idx, 0, mdp.n_states - 1)
-    continuation = v[idx] @ d.probs
+    """Order-up-to objective on the grid; ``d`` must be the demand law ``mdp`` was built from."""
+    if not mdp.shift_kernel:
+        raise ValueError("G-functions need backorder or lost-sales dynamics")
+    continuation = np.asarray(v, dtype=float)[mdp._y_next[: mdp.n_states]] @ mdp.shock_probs
     return c.c_unit * mdp.grid + expected_holding(c.holding, mdp.grid, d) + alpha * continuation
 
 
@@ -164,7 +157,6 @@ def v0_terminal(mdp_k0: GridMDP, alpha: float, eps: float) -> np.ndarray:
 
 @dataclass
 class ThresholdLimitReport:
-    bounded: bool
     envelope: tuple  # (s_min, s_max, S_min, S_max)
     candidates: list  # recurring tail pairs, in order of first appearance
     tail: list = field(repr=False, default_factory=list)
@@ -201,4 +193,4 @@ def threshold_limits(pairs: list[tuple[float, float]], step: float) -> Threshold
             candidates.append((k[0] * step, k[1] * step))
     if not candidates and len(tail) == 1:
         candidates = [tail[0]]
-    return ThresholdLimitReport(True, envelope, candidates, tail)
+    return ThresholdLimitReport(envelope, candidates, tail)

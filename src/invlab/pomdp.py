@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import GridMDP
+from .dp_core import TIE_TOL, GridMDP, _lattice_index
 from .errors import InvLabError
 
 BELIEF_TOL = 1e-12
-TIE_TOL = 1e-9
 MERGE_DECIMALS = 10
 
 
@@ -96,7 +95,8 @@ class ContainerPartition:
                 rep = float(cont.rep)
             if not (cont.lo < rep < cont.hi):
                 raise ValueError(f"representative {rep} is not strictly inside [{cont.lo}, {cont.hi})")
-            if not np.any(np.abs(members - rep) <= 1e-9 * max(1.0, self.step)):
+            i = _lattice_index(grid, rep, self.step)
+            if i is None or assignment[i] != k:
                 raise ValueError(f"representative {rep} is not a lattice state of its container")
             reps.append(rep)
             fixed.append(Container(cont.lo, cont.hi, False, rep))
@@ -133,19 +133,16 @@ class ContainerPartition:
         self.labels = labels
 
     @property
-    def boundaries(self) -> list[float]:
-        return [c.lo for c in self.containers] + [self.containers[-1].hi]
-
-    @property
     def n_obs(self) -> int:
         return self.obs_values.size
 
     def obs_id_of_value(self, y: float) -> int:
         """Resolve an emitted observation value back to its id."""
-        hits = np.nonzero(np.abs(self.obs_values - float(y)) <= 1e-9 * max(1.0, self.step))[0]
-        if hits.size == 0:
+        # y is emittable when the state at y emits y itself
+        i = _lattice_index(self.grid, y, self.step)
+        if i is None or _lattice_index(self.grid, self.obs_values[self.state_obs[i]], self.step) != i:
             raise InvLabError("IMPOSSIBLE_OBSERVATION", f"{y} is not an emittable observation")
-        return int(hits[0])
+        return int(self.state_obs[i])
 
 
 def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
@@ -153,8 +150,8 @@ def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
     z = np.zeros(len(grid))
     step = float(grid[1] - grid[0])
     for x, p in atoms:
-        i = int(round((float(x) - float(grid[0])) / step))
-        if not (0 <= i < len(grid)) or abs(grid[i] - float(x)) > 1e-9:
+        i = _lattice_index(grid, x, step)
+        if i is None:
             raise ValueError(f"belief atom {x} is not on the grid")
         z[i] += p
     return validate_belief(z)
@@ -171,22 +168,16 @@ def validate_belief(z: np.ndarray) -> np.ndarray:
 
 def observe_psi(part: ContainerPartition, x: float) -> float:
     """Observation emitted by a hidden state: itself, or its container's representative."""
-    grid = part.grid
-    step = part.step
-    i = int(round((float(x) - float(grid[0])) / step))
-    if not (0 <= i < grid.size) or abs(grid[i] - float(x)) > 1e-9 * max(1.0, step):
+    i = _lattice_index(part.grid, x, part.step)
+    if i is None:
         raise ValueError(f"state {x} is not on the grid")
     return float(part.obs_values[part.state_obs[i]])
-
-
-def _predictive(mdp: GridMDP, z: np.ndarray, a_idx: int) -> np.ndarray:
-    return z @ mdp.P[:, a_idx, :]
 
 
 def observation_marginal(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float) -> np.ndarray:
     """Distribution of the next observation, aligned with ``part.obs_values``."""
     z = validate_belief(z)
-    pred = _predictive(mdp, z, mdp.action_index(a))
+    pred = mdp.predictive(z, mdp.action_index(a))
     return np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
 
 
@@ -199,7 +190,7 @@ def bayes_filter(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float
     """
     z = validate_belief(z)
     obs_id = part.obs_id_of_value(y)
-    pred = _predictive(mdp, z, mdp.action_index(a))
+    pred = mdp.predictive(z, mdp.action_index(a))
     masked = np.where(part.state_obs == obs_id, pred, 0.0)
     denom = float(masked.sum())
     if denom <= 0.0:
@@ -278,7 +269,7 @@ def belief_value_iteration(
                 continue
             total = cbar
             if remaining > 1:  # depth-0 children carry value 0 and are never replayed
-                pred = _predictive(mdp, z, j)
+                pred = mdp.predictive(z, j)
                 marg = np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
                 cont = 0.0
                 for obs_id in np.nonzero(marg > 0)[0]:
@@ -334,6 +325,14 @@ class SimulationResult:
     ci_high: float
 
 
+def replication_uniforms(seed: int, reps: int, n: int) -> np.ndarray:
+    """``(reps, n)`` uniforms; row ``r`` is drawn from the Philox stream keyed ``(seed, r)``."""
+    u = np.empty((reps, n))
+    for rep in range(reps):
+        u[rep] = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))).random(n)
+    return u
+
+
 def summarize_samples(samples: np.ndarray) -> SimulationResult:
     samples = np.asarray(samples, dtype=float)
     mean = float(samples.mean())
@@ -366,9 +365,9 @@ def pomdp_simulate(
     is_tree = isinstance(policy, TreePolicy)
     samples = np.empty(reps)
     n = mdp.n_states
+    draws = replication_uniforms(seed, reps, horizon + 1)
     for rep in range(reps):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
-        u = rng.random(horizon + 1)
+        u = draws[rep]
         x_idx = int(np.searchsorted(np.cumsum(p0), u[0] * p0.sum()))
         x_idx = min(x_idx, n - 1)
         total = 0.0
@@ -382,7 +381,8 @@ def pomdp_simulate(
                 a = float(policy(belief, t))
             j = mdp.action_index(a)
             total += disc * float(mdp.cost[x_idx, j])
-            row_cum = np.cumsum(mdp.P[x_idx, j, :])
+            # inverse transform over the state-ordered row; sampling atoms would change the draws
+            row_cum = np.cumsum(np.bincount(mdp.next_idx[x_idx, j], weights=mdp.shock_probs, minlength=n))
             x_idx = int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1]))
             x_idx = min(x_idx, n - 1)
             y = float(part.obs_values[part.state_obs[x_idx]])

@@ -265,6 +265,23 @@ class TestMainExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["pomdp-solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    def test_out_of_range_seed_is_2(self, tmp_path, capsys):
+        for seed in (-1, 2**64):
+            path = write_config(tmp_path, base_config(seed=seed))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert f"seed: must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "seed: must lie in [0, 2**64), got -1" in capsys.readouterr().err
+
+    def test_zero_reps_is_2(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["sim"]["reps"] = 0
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "sim: reps must be a positive integer, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_from_cli(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["seed"]

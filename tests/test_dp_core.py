@@ -19,6 +19,7 @@ from invlab.dp_core import (
     min_action_policy,
 )
 from invlab.errors import InvLabError
+from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 ABS = CostModel(0.0, 1.0, HoldingCost.linear(1.0, 1.0))
@@ -127,6 +128,19 @@ class TestBuildMdp:
         )
         assert m.P[m.state_index(2), 0, m.state_index(1)] == 1.0
         assert m.P[m.state_index(0), 0, m.state_index(0)] == 1.0
+
+    def test_dense_rows_built_only_on_request(self):
+        m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3, 1)), UNIT, -6, 4)
+        alpha = 0.9
+        sol = infinite_horizon_vi(m, alpha, 1e-6)
+        phi = min_action_policy(sol)
+        check_stationary_optimality(m, phi, sol.values, alpha)
+        part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
+        prior = make_belief([(0.0, 1.0)], m.grid)
+        tree = belief_value_iteration(m, part, prior, 3, alpha)
+        pomdp_simulate(m, part, TreePolicy(tree, m, part), prior, 3, 20, 1, alpha)
+        assert "P" not in m.__dict__
+        assert m.P.shape == (m.n_states, m.n_actions, m.n_states)
 
     def test_custom_replicates_builtin_backorder(self):
         d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -260,11 +274,27 @@ class TestStationaryCheck:
 
     def test_dense_rows_match_fast_expectation(self):
         d = from_atoms([(0, 0.2), (1, 0.5), (3, 0.3)], step=1)
-        m = make_inventory_mdp(CostModel(1.0, 0.8, HoldingCost.linear(2, 1)), d, -5, 5)
-        v = np.random.default_rng(0).normal(size=m.n_states)
-        fast = m.expected_next(v)
-        dense = np.einsum("ijk,k->ij", m.P, v)
-        assert np.allclose(fast, dense, atol=1e-12)
+        cost = CostModel(1.0, 0.8, HoldingCost.linear(2, 1))
+        mdps = [
+            make_inventory_mdp(cost, d, -5, 5),
+            make_inventory_mdp(cost, d, -5, 5, dynamics=Dynamics.LOST_SALES),
+            build_mdp(
+                Dynamics.CUSTOM, d, -5, 5, 3, lambda x, a: a,
+                custom_next=lambda x, a, s: min(max(x + a - 2 * s, -5.0), 5.0),
+            ),
+        ]
+        rng = np.random.default_rng(0)
+        for m in mdps:
+            v = rng.normal(size=m.n_states)
+            fast = m.expected_next(v)
+            dense = np.einsum("ijk,k->ij", m.P, v)
+            assert np.allclose(fast, dense, atol=1e-12)
+            phi_idx = rng.integers(0, m.n_actions, size=m.n_states)
+            policy = m.policy_expected_next(phi_idx, v)
+            assert np.allclose(policy, dense[np.arange(m.n_states), phi_idx], atol=1e-12)
+            z = rng.dirichlet(np.ones(m.n_states))
+            for j in range(m.n_actions):
+                assert np.allclose(m.predictive(z, j), z @ m.P[:, j, :], atol=1e-12)
 
 
 @st.composite
