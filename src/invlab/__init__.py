@@ -34,6 +34,7 @@ from .dp_core import (
     k0_clone,
     make_inventory_mdp,
     min_action_policy,
+    policy_values,
 )
 from .errors import InvLabError, ValidationErrors
 from .policy_structure import (

@@ -54,6 +54,18 @@ def _seed_errors(seed) -> list[str]:
     return [f"seed: must lie in [0, 2**64), got {seed}"]
 
 
+def _number(errors: list[str], label: str, value, kind):
+    """``value`` as ``kind`` (``int`` or ``float``), or None with an error listed under ``label``."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and isinstance(value, float) and out != value):
+        errors.append(f"{label} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        return None
+    return out
+
+
 @dataclass
 class SolverParams:
     alpha: float = 0.9
@@ -160,16 +172,16 @@ def load_config(path) -> RunConfig:
 
     ssec = raw.get("solver", {})
     solver = SolverParams(
-        alpha=float(ssec.get("alpha", 0.9)),
-        eps=float(ssec.get("eps", 1e-6)),
-        horizon=int(ssec.get("horizon", 10)),
+        alpha=_number(errors, "solver: alpha", ssec.get("alpha", 0.9), float),
+        eps=_number(errors, "solver: eps", ssec.get("eps", 1e-6), float),
+        horizon=_number(errors, "solver: horizon", ssec.get("horizon", 10), int),
         ladder=tuple(ssec.get("ladder", average_cost.DEFAULT_LADDER)),
     )
-    if not (0 <= solver.alpha < 1):
+    if solver.alpha is not None and not (0 <= solver.alpha < 1):
         errors.append("solver: alpha must lie in [0, 1)")
-    if solver.eps <= 0:
+    if solver.eps is not None and not (solver.eps > 0):
         errors.append("solver: eps must be positive")
-    if solver.horizon < 0:
+    if solver.horizon is not None and solver.horizon < 0:
         errors.append("solver: horizon must be nonnegative")
 
     psec = raw.get("pomdp")
@@ -178,8 +190,8 @@ def load_config(path) -> RunConfig:
     if psec is not None:
         pomdp_containers = psec.get("containers")
         pomdp_prior = psec.get("prior")
-        pomdp_horizon = int(psec.get("horizon", 3))
-        pomdp_max_nodes = int(psec.get("max_nodes", 1_000_000))
+        pomdp_horizon = _number(errors, "pomdp: horizon", psec.get("horizon", 3), int)
+        pomdp_max_nodes = _number(errors, "pomdp: max_nodes", psec.get("max_nodes", 1_000_000), int)
         if not pomdp_containers:
             errors.append("pomdp: needs a containers list")
         elif grid_lo is not None and grid_hi is not None and step is not None:
@@ -197,12 +209,14 @@ def load_config(path) -> RunConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _number(errors, "seed:", seed, int)
     errors += _seed_errors(seed)
 
     sim = raw.get("sim", {})
-    if "reps" in sim and int(sim["reps"]) < 1:
-        errors.append(f"sim: reps must be a positive integer, got {sim['reps']!r}")
+    if "reps" in sim:
+        reps = _number(errors, "sim: reps", sim["reps"], int)
+        if reps is not None and reps < 1:
+            errors.append(f"sim: reps must be a positive integer, got {sim['reps']!r}")
 
     if errors:
         raise ValidationErrors(errors)

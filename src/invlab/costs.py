@@ -153,7 +153,8 @@ def is_K_convex(g: np.ndarray, K: float, tol: float = INEQ_TOL) -> KConvexityRes
     Checks ``g(m) <= (1-lam) g(x) + lam g(y) + lam K`` with
     ``lam = (m-x)/(y-x)`` for every triple of grid indices.  Cubic in the
     grid size, which is fine at desk scale and matches the definition
-    exactly.
+    exactly.  Every row is scanned, so ``slack`` is the deepest violation
+    even when ``violation`` is an earlier, shallower one.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 3:
@@ -172,12 +173,11 @@ def is_K_convex(g: np.ndarray, K: float, tol: float = INEQ_TOL) -> KConvexityRes
         margin = np.where(ys[None, :] > ms[:, None], margin, np.inf)
         bad = margin < -tol
         if bad.any():
-            m_off, y_off = np.argwhere(bad)[0]
             if first is None:
+                m_off, y_off = np.argwhere(bad)[0]
                 first = (ix, int(ms[m_off]), int(ys[y_off]))
             worst = min(worst, float(margin[bad].min()))
-            return KConvexityResult(False, first, worst)
-    return KConvexityResult(True, None, worst)
+    return KConvexityResult(first is None, first, worst)
 
 
 def f_t_alpha(c: CostModel, d: DemandDistribution, t: int, alpha: float, x):

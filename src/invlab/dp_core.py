@@ -27,6 +27,7 @@ from .errors import InvLabError
 
 ROW_TOL = 1e-12
 TIE_TOL = 1e-9
+PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
 
 
 def _lattice_index(points: np.ndarray, x, step: float) -> int | None:
@@ -329,12 +330,35 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray, 
     return sols
 
 
-def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: float = TIE_TOL) -> ValueSolution:
-    """Value iteration from zero until the contraction bound certifies ``eps``.
+def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact discounted value of the stationary policy with action indices ``phi_idx``.
 
-    Stops once the sup-norm successive difference drops to
-    ``eps (1 - alpha) / (2 alpha)``, which bounds the distance to the fixed
-    point by ``eps / 2``.  ``alpha = 0`` is a single exact minimization.
+    Solves ``(I - alpha P_phi) v = c_phi``.  The ``n x n`` matrix is summed
+    from the successor table and scaled in place, so no more than two such
+    arrays (it and the solver's copy) are live at once.
+    """
+    n = mdp.n_states
+    rows = np.arange(n)
+    succ = mdp.next_idx[rows, phi_idx]
+    flat = (rows[:, None] * n + succ).ravel()
+    weights = np.broadcast_to(mdp.shock_probs, succ.shape).ravel()
+    A = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    A *= -alpha
+    A.flat[:: n + 1] += 1.0
+    return np.linalg.solve(A, mdp.cost[rows, phi_idx])
+
+
+def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: float = TIE_TOL) -> ValueSolution:
+    """Value iteration from a policy-iteration start until the contraction bound certifies ``eps``.
+
+    The start is the exact value of the policy that Howard policy iteration
+    reaches from the myopic policy within ``PI_MAX_STEPS`` improvements
+    (each keeps the current action unless another beats it by more than
+    ``tie_tol``).  Sweeps then stop once the sup-norm successive difference
+    drops to ``eps (1 - alpha) / (2 alpha)``, which bounds the distance to
+    the fixed point by ``eps / 2`` from any start.  ``iterations`` counts the
+    improvement backups plus the sweeps.  ``alpha = 0`` is a single exact
+    minimization.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -346,8 +370,17 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: floa
         q, v = _backup(mdp, np.zeros(mdp.n_states), 0.0)
         return ValueSolution(v, _argmin_sets(mdp, q, v, tie_tol), 0.0, 1)
     threshold = eps * (1.0 - alpha) / (2.0 * alpha)
-    v = np.zeros(mdp.n_states)
+    rows = np.arange(mdp.n_states)
+    phi = mdp.cost.argmin(axis=1)
     iterations = 0
+    for _ in range(PI_MAX_STEPS):
+        v = policy_values(mdp, phi, alpha)
+        q, vmin = _backup(mdp, v, alpha)
+        iterations += 1
+        improve = q[rows, phi] > vmin + tie_tol
+        if not improve.any():
+            break
+        phi = np.where(improve, q.argmin(axis=1), phi)
     delta = math.inf
     max_iter = None
     while delta > threshold:

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from invlab import average_cost
 from invlab.average_cost import (
     check_optimality_inequality,
     greedy_policy,
@@ -23,6 +24,7 @@ from invlab.cli_sim import simulate_policy
 from invlab.costs import CostModel, HoldingCost, N_alpha, f_t_alpha, is_K_convex, regime_constants
 from invlab.demand import from_atoms
 from invlab.dp_core import (
+    GridMDP,
     check_stationary_optimality,
     finite_horizon_vi,
     infinite_horizon_vi,
@@ -385,3 +387,29 @@ def test_criterion_8_monte_carlo_consistency(gb_suite):
             assert disc.ci_low - allowance <= target <= disc.ci_high + allowance, (
                 idx, disc.ci_low, target, disc.ci_high,
             )
+
+
+def test_deep_ladder_backup_budget(monkeypatch):
+    """Every deep-ladder rung starts from policy-iteration values, so it needs few Bellman backups."""
+    calls = []
+    expected_next = GridMDP.expected_next
+
+    def counted(self, v):
+        calls.append(1)
+        return expected_next(self, v)
+
+    per_rung = []
+
+    def rung(mdp, alpha, eps):
+        before = len(calls)
+        sol = infinite_horizon_vi(mdp, alpha, eps)
+        per_rung.append(len(calls) - before)
+        return sol
+
+    monkeypatch.setattr(GridMDP, "expected_next", counted)
+    monkeypatch.setattr(average_cost, "infinite_horizon_vi", rung)
+    for seed in range(5):
+        cost, demand, lo, hi = small_scale_gb_instance(seed)
+        solve_ladder(make_inventory_mdp(cost, demand, lo, hi), DEEP_LADDER, EPS)
+    assert len(per_rung) == 5 * len(DEEP_LADDER)
+    assert max(per_rung) < 100, per_rung

@@ -290,3 +290,53 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "7"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["outputs"]["reps"] == 50
+
+
+NUMERIC_FIELDS = [
+    (("seed",), "abc", "seed: must be an integer, got 'abc'"),
+    (("sim", "reps"), "many", "sim: reps must be an integer, got 'many'"),
+    (("solver", "alpha"), "high", "solver: alpha must be a number, got 'high'"),
+    (("solver", "eps"), "tiny", "solver: eps must be a number, got 'tiny'"),
+    (("solver", "horizon"), "ten", "solver: horizon must be an integer, got 'ten'"),
+    (("pomdp", "horizon"), "three", "pomdp: horizon must be an integer, got 'three'"),
+    (("pomdp", "max_nodes"), "lots", "pomdp: max_nodes must be an integer, got 'lots'"),
+]
+
+
+def set_field(cfg, path, value):
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("path, value, message", NUMERIC_FIELDS, ids=[".".join(f[0]) for f in NUMERIC_FIELDS])
+    def test_non_numeric_field_is_2(self, tmp_path, capsys, path, value, message):
+        cfg = base_config(pomdp=pomdp_section())
+        set_field(cfg, path, value)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "solver error" not in err
+        assert not out.exists()
+
+    def test_every_non_numeric_field_listed_at_once(self, tmp_path):
+        cfg = base_config(pomdp=pomdp_section())
+        for path, value, _ in NUMERIC_FIELDS:
+            set_field(cfg, path, value)
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert sorted(err.value.errors) == sorted(message for _, _, message in NUMERIC_FIELDS)
+
+    def test_fractional_horizon_is_2(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["solver"]["horizon"] = 2.5
+        assert main(["solve-finite", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == 2
+        assert "solver: horizon must be an integer, got 2.5" in capsys.readouterr().err
+
+    def test_integral_float_horizon_accepted(self, tmp_path):
+        cfg = base_config()
+        cfg["solver"]["horizon"] = 5.0
+        assert load_config(write_config(tmp_path, cfg)).solver.horizon == 5

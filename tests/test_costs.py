@@ -157,6 +157,14 @@ class TestKConvexity:
         # midpoint inequality holds with equality at K = 4: 2 <= 0.5 * 4
         assert is_K_convex(np.array([0.0, 2.0, 0.0]), 3.999999999).ok
 
+    def test_slack_is_deepest_violation_over_all_rows(self):
+        # (0, 1, 2) fails first by 1; (2, 3, 4) fails later by 5, hidden from x = 0 by g(0)
+        g = np.array([40.0, 21.0, 0.0, 5.0, 0.0])
+        res = is_K_convex(g, 0.0)
+        assert not res.ok
+        assert res.violation == (0, 1, 2)
+        assert res.slack == pytest.approx(-5.0)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=3, max_size=12),
         st.floats(0, 5),

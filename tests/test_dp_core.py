@@ -1,6 +1,7 @@
 """Grid MDP construction and value iteration against hand and brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import (
+    TIE_TOL,
     Dynamics,
     build_mdp,
     check_stationary_optimality,
@@ -17,6 +19,7 @@ from invlab.dp_core import (
     infinite_horizon_vi,
     make_inventory_mdp,
     min_action_policy,
+    policy_values,
 )
 from invlab.errors import InvLabError
 from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
@@ -326,3 +329,82 @@ class TestBuildProperties:
         assert np.isfinite(m.cost).any(axis=1).all()
         assert np.all(m.mass_loss >= 0)
         assert np.all(m.mass_loss <= 1 + 1e-12)
+
+
+def from_zero_vi(mdp, alpha, eps):
+    """Reference: plain value iteration from zero, same stopping rule and final backup."""
+    threshold = eps * (1 - alpha) / (2 * alpha)
+    v = np.zeros(mdp.n_states)
+    delta = np.inf
+    while delta > threshold:
+        vnew = (mdp.cost + alpha * mdp.expected_next(v)).min(axis=1)
+        delta = np.max(np.abs(vnew - v))
+        v = vnew
+    q = mdp.cost + alpha * mdp.expected_next(v)
+    vmin = q.min(axis=1)
+    return vmin, [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
+
+
+def half_backlog_mdp():
+    """Custom dynamics: stock carries over, half of any shortfall is backlogged."""
+    d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
+    h = HoldingCost.linear(3.0, 1.0)
+
+    def next_state(x, a, s):
+        y = x + a - s
+        return max(y if y >= 0 else -((-y) // 2), -4.0)
+
+    def cost_fn(x, a):
+        return math.inf if x + a > 6 else (1.5 if a > 0 else 0.0) + a + d.probs @ h(x + a - d.values)
+
+    return build_mdp(Dynamics.CUSTOM, d, -4, 6, 10, cost_fn, custom_next=next_state, mass_tol=1.0)
+
+
+class TestPolicyIterationStart:
+    @pytest.mark.parametrize("kind", ["backorder", "lost_sales", "custom"])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.9999])
+    def test_matches_value_iteration_from_zero(self, kind, alpha):
+        if kind == "custom":
+            m = half_backlog_mdp()
+        else:
+            d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+            cost = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
+            m = make_inventory_mdp(cost, d, -6 if kind == "backorder" else 0, 8, dynamics=Dynamics(kind))
+        eps = 1e-6
+        sol = infinite_horizon_vi(m, alpha, eps)
+        ref_values, ref_sets = from_zero_vi(m, alpha, eps)
+        assert np.max(np.abs(sol.values - ref_values)) <= eps
+        for got, want in zip(sol.argmin_sets, ref_sets):
+            assert np.array_equal(got, want)
+
+    def test_policy_values_match_dense_solve(self):
+        rng = np.random.default_rng(7)
+        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
+        cost = CostModel(1.0, 1.0, HoldingCost.linear(2, 1))
+        for m in (
+            make_inventory_mdp(cost, d, -5, 5),
+            make_inventory_mdp(cost, d, 0, 6, dynamics=Dynamics.LOST_SALES),
+            half_backlog_mdp(),
+        ):
+            phi_idx = np.array([rng.choice(np.nonzero(np.isfinite(row))[0]) for row in m.cost])
+            for alpha in (0.5, 0.99):
+                assert np.allclose(policy_values(m, phi_idx, alpha), evaluate_stationary(m, phi_idx, alpha), atol=1e-9)
+
+    def test_matches_exhaustive_policy_enumeration_near_one(self):
+        m = make_inventory_mdp(ABS, UNIT, -2, 2)
+        alpha, eps = 0.99, 1e-6
+        sol = infinite_horizon_vi(m, alpha, eps)
+        feasible = [np.nonzero(np.isfinite(m.cost[i]))[0] for i in range(m.n_states)]
+        values = [evaluate_stationary(m, np.array(combo), alpha) for combo in itertools.product(*feasible)]
+        best = np.min(values, axis=0)
+        assert np.max(np.abs(sol.values - best)) <= eps
+        phi_idx = m.policy_index(min_action_policy(sol))
+        assert np.max(np.abs(evaluate_stationary(m, phi_idx, alpha) - best)) <= eps
+
+    def test_every_action_tied_terminates(self):
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        alpha = 0.9999
+        sol = infinite_horizon_vi(m, alpha, 1e-6)
+        assert sol.iterations <= 3
+        assert np.allclose(sol.values, 1 / (1 - alpha), atol=1e-6)
+        assert all(np.array_equal(s, m.actions) for s in sol.argmin_sets)
