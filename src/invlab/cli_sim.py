@@ -25,6 +25,8 @@ from .demand import DemandDistribution, from_atoms, quantize
 from .dp_core import (
     Dynamics,
     GridMDP,
+    _lattice,
+    _lattice_index,
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
@@ -150,16 +152,27 @@ def load_config(path) -> RunConfig:
             errors.append(f"cost: {exc}")
 
     gsec = raw.get("grid", {})
-    grid_lo = gsec.get("lo")
-    grid_hi = gsec.get("hi")
-    if grid_lo is None or grid_hi is None or not (float(grid_lo) < float(grid_hi)):
+    grid_lo = grid_hi = None
+    if gsec.get("lo") is None or gsec.get("hi") is None:
         errors.append("grid: needs lo < hi")
-    elif step is not None and gsec.get("step") is not None and abs(float(gsec["step"]) - float(step)) > 1e-12:
-        errors.append("grid: step must match demand step")
+    else:
+        grid_lo = _number(errors, "grid: lo", gsec["lo"], float)
+        grid_hi = _number(errors, "grid: hi", gsec["hi"], float)
+    grid_ok = grid_lo is not None and grid_hi is not None and -math.inf < grid_lo < grid_hi < math.inf
+    if grid_lo is not None and grid_hi is not None and not grid_ok:
+        errors.append("grid: needs lo < hi")
+    elif grid_ok and demand is not None and gsec.get("step") is not None:
+        grid_step = _number(errors, "grid: step", gsec["step"], float)
+        if grid_step is not None and not abs(grid_step - demand.step) <= 1e-12:
+            errors.append("grid: step must match demand step")
 
     a_max = raw.get("actions", {}).get("a_max")
-    if a_max is not None and float(a_max) < 0:
-        errors.append("actions: a_max must be nonnegative")
+    if a_max is not None:
+        a_max = _number(errors, "actions: a_max", a_max, float)
+        if a_max is not None and not 0 <= a_max < math.inf:
+            errors.append("actions: a_max must be nonnegative and finite")
+
+    mass_tol = _number(errors, "mass_tol:", raw.get("mass_tol", 1.0), float)
 
     dyn_name = raw.get("dynamics", "backorder")
     try:
@@ -171,11 +184,16 @@ def load_config(path) -> RunConfig:
         dynamics = Dynamics.BACKORDER
 
     ssec = raw.get("solver", {})
+    ladder = ssec.get("ladder", average_cost.DEFAULT_LADDER)
+    if isinstance(ladder, (list, tuple)):
+        ladder = tuple(_number(errors, f"solver: ladder[{i}]", v, float) for i, v in enumerate(ladder))
+    else:
+        errors.append(f"solver: ladder must be a list of discount factors, got {ladder!r}")
     solver = SolverParams(
         alpha=_number(errors, "solver: alpha", ssec.get("alpha", 0.9), float),
         eps=_number(errors, "solver: eps", ssec.get("eps", 1e-6), float),
         horizon=_number(errors, "solver: horizon", ssec.get("horizon", 10), int),
-        ladder=tuple(ssec.get("ladder", average_cost.DEFAULT_LADDER)),
+        ladder=ladder,
     )
     if solver.alpha is not None and not (0 <= solver.alpha < 1):
         errors.append("solver: alpha must lie in [0, 1)")
@@ -217,6 +235,20 @@ def load_config(path) -> RunConfig:
         reps = _number(errors, "sim: reps", sim["reps"], int)
         if reps is not None and reps < 1:
             errors.append(f"sim: reps must be a positive integer, got {sim['reps']!r}")
+    if "horizon" in sim:
+        horizon = _number(errors, "sim: horizon", sim["horizon"], int)
+        if horizon is not None and horizon < 0:
+            errors.append(f"sim: horizon must be nonnegative, got {sim['horizon']!r}")
+    if "x0" in sim:
+        x0 = _number(errors, "sim: x0", sim["x0"], float)
+        if x0 is not None and grid_ok and demand is not None:
+            try:
+                grid = _lattice(grid_lo, grid_hi, demand.step)
+            except ValueError as exc:  # fewer than two lattice points
+                errors.append(f"grid: {exc}")
+            else:
+                if not math.isfinite(x0) or _lattice_index(grid, x0, demand.step) is None:
+                    errors.append(f"sim: x0 {x0!r} is not on the grid [{grid_lo}, {grid_hi}] at step {demand.step}")
 
     if errors:
         raise ValidationErrors(errors)
@@ -224,12 +256,12 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         demand=demand,
         cost=cost,
-        grid_lo=float(grid_lo),
-        grid_hi=float(grid_hi),
-        a_max=float(a_max) if a_max is not None else float(grid_hi) - float(grid_lo),
+        grid_lo=grid_lo,
+        grid_hi=grid_hi,
+        a_max=a_max if a_max is not None else grid_hi - grid_lo,
         dynamics=dynamics,
         solver=solver,
-        mass_tol=float(raw.get("mass_tol", 1.0)),
+        mass_tol=mass_tol,
         seed=seed,
         sim=sim,
         pomdp_containers=pomdp_containers,
@@ -342,8 +374,10 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     Replication ``r`` consumes ``N`` uniform draws from a counter-based
     stream keyed by ``(seed, r)``; shocks are realized by inverse transform
     through the transition tables, so the path law is exactly the row law.
-    Replications evolve in lockstep for speed; the per-replication streams
-    make the result independent of that layout.
+    Replications evolve in lockstep, one block of about 4 MiB of draws at a
+    time, so memory is one block (draws, their transposed copy, shocks)
+    plus O(reps); the per-replication streams make the result independent
+    of that layout.
     """
     phi_idx = mdp.policy_index(phi)
     n_atoms = mdp.shock_probs.size
@@ -351,19 +385,29 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     if N == 0:
         zeros = np.zeros(reps)
         return summarize_samples(zeros), summarize_samples(zeros.copy())
-    u = replication_uniforms(seed, reps, N)
-    shocks = np.searchsorted(cum, u * cum[-1]).clip(0, n_atoms - 1)
-    x = np.full(reps, mdp.state_index(x0))
+    x_start = mdp.state_index(x0)
     disc = np.zeros(reps)
     total = np.zeros(reps)
-    power = 1.0
-    for t in range(N):
-        a = phi_idx[x]
-        step_cost = mdp.cost[x, a]
-        disc += power * step_cost
-        total += step_cost
-        x = mdp.next_idx[x, a, shocks[:, t]]
-        power *= alpha
+    block = max(1, 2**19 // N)
+    for first in range(0, reps, block):
+        m = min(block, reps - first)
+        u = replication_uniforms(seed, m, N, first=first)
+        u *= cum[-1]
+        # (N, m): shocks[t] is one contiguous row per step
+        shocks = np.searchsorted(cum, u.T)
+        shocks.clip(0, n_atoms - 1, out=shocks)
+        x = np.full(m, x_start)
+        d = disc[first:first + m]
+        s = total[first:first + m]
+        power = 1.0
+        for t in range(N):
+            a = phi_idx[x]
+            step_cost = mdp.cost[x, a]
+            d += power * step_cost
+            s += step_cost
+            x = mdp.next_idx[x, a, shocks[t]]
+            power *= alpha
+        del shocks  # before the next block is drawn
     return summarize_samples(disc), summarize_samples(total / N)
 
 

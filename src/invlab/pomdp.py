@@ -325,11 +325,31 @@ class SimulationResult:
     ci_high: float
 
 
-def replication_uniforms(seed: int, reps: int, n: int) -> np.ndarray:
-    """``(reps, n)`` uniforms; row ``r`` is drawn from the Philox stream keyed ``(seed, r)``."""
+def replication_uniforms(seed: int, reps: int, n: int, first: int = 0) -> np.ndarray:
+    """``(reps, n)`` uniforms; row ``i`` is drawn from the Philox stream keyed ``(seed, first + i)``.
+
+    Row ``i`` equals ``Generator(Philox(key=[seed, first + i])).random(n)``.
+    One bit generator is re-keyed per row (zero counter, empty buffer)
+    instead of building one per row, which would also seed an unused
+    ``SeedSequence`` from OS entropy each time.
+    """
     u = np.empty((reps, n))
-    for rep in range(reps):
-        u[rep] = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))).random(n)
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    key = [seed, first]
+    # the state setter copies these values, so one dict serves every row
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in range(reps):
+        key[1] = first + i
+        bits.state = state
+        gen.random(out=u[i])
     return u
 
 

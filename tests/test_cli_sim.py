@@ -1,15 +1,18 @@
 """Config ingestion, command dispatch, determinism, and Monte Carlo consistency."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invlab import cli_sim
 from invlab.cli_sim import load_config, main, run, simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import infinite_horizon_vi, make_inventory_mdp, min_action_policy
 from invlab.errors import InvLabError, ValidationErrors
+from invlab.pomdp import replication_uniforms
 
 
 def base_config(**overrides):
@@ -340,3 +343,124 @@ class TestNumericFields:
         cfg = base_config()
         cfg["solver"]["horizon"] = 5.0
         assert load_config(write_config(tmp_path, cfg)).solver.horizon == 5
+
+
+BOUNDARY_FIELDS = [
+    (("grid", "lo"), "low", "grid: lo must be a number, got 'low'"),
+    (("grid", "hi"), "high", "grid: hi must be a number, got 'high'"),
+    (("grid", "step"), "one", "grid: step must be a number, got 'one'"),
+    (("actions", "a_max"), "lots", "actions: a_max must be a number, got 'lots'"),
+    (("mass_tol",), "some", "mass_tol: must be a number, got 'some'"),
+    (("solver", "ladder"), [0.9, "x"], "solver: ladder[1] must be a number, got 'x'"),
+    (("solver", "ladder"), 0.9, "solver: ladder must be a list of discount factors, got 0.9"),
+    (("sim", "horizon"), 2.5, "sim: horizon must be an integer, got 2.5"),
+    (("sim", "horizon"), -3, "sim: horizon must be nonnegative, got -3"),
+    (("sim", "horizon"), "abc", "sim: horizon must be an integer, got 'abc'"),
+    (("sim", "x0"), "abc", "sim: x0 must be a number, got 'abc'"),
+    (("sim", "x0"), 0.5, "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0"),
+    (("sim", "x0"), 100.0, "sim: x0 100.0 is not on the grid [-12.0, 8.0] at step 1.0"),
+]
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "path, value, message", BOUNDARY_FIELDS, ids=[f"{'.'.join(f[0])}={f[1]!r}" for f in BOUNDARY_FIELDS]
+    )
+    def test_bad_field_is_2(self, tmp_path, capsys, path, value, message):
+        cfg = base_config()
+        set_field(cfg, path, value)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "solver error" not in err
+        assert not out.exists()
+
+    def test_every_bad_field_listed_at_once(self, tmp_path):
+        cfg = base_config()
+        cfg["grid"]["step"] = "one"
+        cfg["actions"]["a_max"] = "lots"
+        cfg["mass_tol"] = "some"
+        cfg["solver"]["ladder"] = [0.9, "x"]
+        cfg["sim"] = {"x0": 0.5, "reps": 10, "horizon": -3}
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert sorted(err.value.errors) == sorted([
+            "grid: step must be a number, got 'one'",
+            "actions: a_max must be a number, got 'lots'",
+            "mass_tol: must be a number, got 'some'",
+            "solver: ladder[1] must be a number, got 'x'",
+            "sim: horizon must be nonnegative, got -3",
+            "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0",
+        ])
+
+    def test_valid_fields_are_converted(self, tmp_path):
+        cfg = base_config(mass_tol=0.5)
+        cfg["solver"]["ladder"] = [0.8, 0.9]
+        cfg["sim"] = {"x0": -3, "reps": 10, "horizon": 0}
+        config = load_config(write_config(tmp_path, cfg))
+        assert (config.grid_lo, config.grid_hi, config.a_max, config.mass_tol) == (-12.0, 8.0, 20.0, 0.5)
+        assert config.solver.ladder == (0.8, 0.9)
+        report = run(config, "simulate", out_dir=tmp_path / "out")
+        assert (report.outputs["x0"], report.outputs["horizon"]) == (-3.0, 0)
+
+
+class TestReplicationBlocks:
+    def setup_method(self):
+        demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
+        self.mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), demand, -12, 8)
+        self.alpha = 0.9
+        self.phi = min_action_policy(infinite_horizon_vi(self.mdp, self.alpha, 1e-6))
+
+    @pytest.mark.parametrize("seed", [0, 20240601, 2**64 - 1])
+    def test_rows_are_the_keyed_philox_streams(self, seed):
+        first, reps, n = 1000, 6, 13
+        u = replication_uniforms(seed, reps, n, first=first)
+        for i in range(reps):
+            stream = np.random.Generator(np.random.Philox(key=np.array([seed, first + i], dtype=np.uint64)))
+            assert u[i].tobytes() == stream.random(n).tobytes()
+        assert replication_uniforms(seed, 2, n, first=first + 4).tobytes() == u[4:].tobytes()
+
+    def test_blocks_do_not_change_the_samples(self, monkeypatch):
+        N = 200
+        reps = 3 * 2**20 // N + 1  # more than three blocks of at most 2**20 draws
+        firsts = []
+
+        def spy(seed, m, n, first=0):
+            firsts.append((first, m))
+            return replication_uniforms(seed, m, n, first=first)
+
+        monkeypatch.setattr(cli_sim, "replication_uniforms", spy)
+        disc, avg = simulate_policy(self.mdp, self.phi, 0.0, N, self.alpha, reps, seed=9)
+        assert len(firsts) >= 3
+        assert [f for f, _ in firsts] == [0] + list(np.cumsum([m for _, m in firsts[:-1]]))
+        assert sum(m for _, m in firsts) == reps
+        k = firsts[1][0] + 7  # a prefix that ends inside the second block
+        short_disc, short_avg = simulate_policy(self.mdp, self.phi, 0.0, N, self.alpha, k, seed=9)
+        assert disc.samples[:k].tobytes() == short_disc.samples.tobytes()
+        assert avg.samples[:k].tobytes() == short_avg.samples.tobytes()
+
+        # reference: every replication's draws held at once, stepped in lockstep
+        phi_idx = self.mdp.policy_index(self.phi)
+        cum = np.cumsum(self.mdp.shock_probs)
+        shocks = np.searchsorted(cum, replication_uniforms(9, k, N) * cum[-1]).clip(0, cum.size - 1)
+        x = np.full(k, self.mdp.state_index(0.0))
+        ref_disc, ref_total, power = np.zeros(k), np.zeros(k), 1.0
+        for t in range(N):
+            a = phi_idx[x]
+            ref_disc += power * self.mdp.cost[x, a]
+            ref_total += self.mdp.cost[x, a]
+            x = self.mdp.next_idx[x, a, shocks[:, t]]
+            power *= self.alpha
+        assert ref_disc.tobytes() == short_disc.samples.tobytes()
+        assert (ref_total / N).tobytes() == short_avg.samples.tobytes()
+
+    def test_peak_memory_is_one_block(self):
+        reps, N = 20_000, 200
+        tracemalloc.start()
+        try:
+            simulate_policy(self.mdp, self.phi, 0.0, N, self.alpha, reps, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * reps * N / 4  # a quarter of the whole float64 draws plus int64 shocks
