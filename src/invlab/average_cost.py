@@ -100,8 +100,8 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
     that tolerance.
     """
     u = np.asarray(u, dtype=float)
-    idx = mdp.policy_index(phi)
-    slack = w + u - mdp.cost[np.arange(mdp.n_states), idx] - mdp.policy_expected_next(idx, u)
+    cost_phi, succ = mdp.policy_rows(mdp.policy_index(phi))
+    slack = w + u - cost_phi - u[succ] @ mdp.shock_probs
     return float(slack.min())
 
 
@@ -182,11 +182,10 @@ def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"horizon must be positive, got {N}")
-    idx = mdp.policy_index(phi)
-    c = mdp.cost[np.arange(mdp.n_states), idx]
+    c, succ = mdp.policy_rows(mdp.policy_index(phi))
     if not np.all(np.isfinite(c)):
         raise ValueError("policy takes an infeasible action")
     v = np.zeros(mdp.n_states)
     for _ in range(N):
-        v = c + mdp.policy_expected_next(idx, v)
+        v = c + v[succ] @ mdp.shock_probs
     return v / N

@@ -68,6 +68,34 @@ def _number(errors: list[str], label: str, value, kind):
     return out
 
 
+def _section(errors: list[str], raw: dict, name: str, *, required: bool = False) -> dict | None:
+    """Section ``name`` of the config, ``{}`` when an optional one is absent, or None with an error listed."""
+    sec = raw.get(name)
+    if isinstance(sec, dict) or (sec is None and not required):
+        return sec or {}
+    errors.append(f"{name}: section missing" if sec is None else f"{name}: must be a JSON object, got {sec!r}")
+    return None
+
+
+def _container(errors: list[str], i: int, entry) -> Container | None:
+    """Container ``i`` of the pomdp section, or None with its errors listed."""
+    label = f"pomdp: containers[{i}]"
+    if not (isinstance(entry, dict) and {"lo", "hi", "transparent"} <= entry.keys()):
+        errors.append(f"{label} must be an object with lo, hi and transparent, got {entry!r}")
+        return None
+    lo = _number(errors, f"{label}.lo", entry["lo"], float)
+    hi = _number(errors, f"{label}.hi", entry["hi"], float)
+    rep = entry.get("rep")
+    if rep is not None:
+        rep = _number(errors, f"{label}.rep", rep, float)
+    if not isinstance(entry["transparent"], bool):
+        errors.append(f"{label}.transparent must be true or false, got {entry['transparent']!r}")
+        return None
+    if lo is None or hi is None or (rep is None and entry.get("rep") is not None):
+        return None
+    return Container(lo, hi, entry["transparent"], rep)
+
+
 @dataclass
 class SolverParams:
     alpha: float = 0.9
@@ -102,11 +130,7 @@ class RunConfig:
         )
 
     def build_partition(self, mdp: GridMDP) -> ContainerPartition:
-        containers = [
-            Container(float(c["lo"]), float(c["hi"]), bool(c["transparent"]), c.get("rep"))
-            for c in self.pomdp_containers
-        ]
-        return ContainerPartition(containers, mdp.grid, mdp.step)
+        return ContainerPartition(self.pomdp_containers, mdp.grid, mdp.step)
 
 
 def load_config(path) -> RunConfig:
@@ -119,14 +143,13 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise InvLabError("PARSE_ERROR", f"{path} is not valid JSON: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ValidationErrors([f"config: must be a JSON object, got {raw!r}"])
     errors: list[str] = []
     demand = cost = None
-    step = None
 
-    dsec = raw.get("demand")
-    if not isinstance(dsec, dict):
-        errors.append("demand: section missing")
-    else:
+    dsec = _section(errors, raw, "demand", required=True)
+    if dsec is not None:
         step = dsec.get("step")
         try:
             if step is None:
@@ -140,10 +163,8 @@ def load_config(path) -> RunConfig:
         except (InvLabError, ValueError, TypeError) as exc:
             errors.append(f"demand: {exc}")
 
-    csec = raw.get("cost")
-    if not isinstance(csec, dict):
-        errors.append("cost: section missing")
-    else:
+    csec = _section(errors, raw, "cost", required=True)
+    if csec is not None:
         try:
             hsec = csec["holding"]
             holding = HoldingCost(np.asarray(hsec["breakpoints"], float), np.asarray(hsec["slopes"], float))
@@ -151,11 +172,11 @@ def load_config(path) -> RunConfig:
         except (KeyError, ValueError, TypeError, InvLabError) as exc:
             errors.append(f"cost: {exc}")
 
-    gsec = raw.get("grid", {})
+    gsec = _section(errors, raw, "grid")
     grid_lo = grid_hi = None
-    if gsec.get("lo") is None or gsec.get("hi") is None:
+    if gsec is not None and (gsec.get("lo") is None or gsec.get("hi") is None):
         errors.append("grid: needs lo < hi")
-    else:
+    elif gsec is not None:
         grid_lo = _number(errors, "grid: lo", gsec["lo"], float)
         grid_hi = _number(errors, "grid: hi", gsec["hi"], float)
     grid_ok = grid_lo is not None and grid_hi is not None and -math.inf < grid_lo < grid_hi < math.inf
@@ -165,8 +186,18 @@ def load_config(path) -> RunConfig:
         grid_step = _number(errors, "grid: step", gsec["step"], float)
         if grid_step is not None and not abs(grid_step - demand.step) <= 1e-12:
             errors.append("grid: step must match demand step")
+    grid = None
+    if grid_ok and demand is not None:
+        try:
+            grid = _lattice(grid_lo, grid_hi, demand.step)
+        except ValueError as exc:  # fewer than two lattice points
+            errors.append(f"grid: {exc}")
 
-    a_max = raw.get("actions", {}).get("a_max")
+    def check_on_grid(label: str, x: float) -> None:
+        if grid is not None and (not math.isfinite(x) or _lattice_index(grid, x, demand.step) is None):
+            errors.append(f"{label} {x!r} is not on the grid [{grid_lo}, {grid_hi}] at step {demand.step}")
+
+    a_max = (_section(errors, raw, "actions") or {}).get("a_max")
     if a_max is not None:
         a_max = _number(errors, "actions: a_max", a_max, float)
         if a_max is not None and not 0 <= a_max < math.inf:
@@ -183,10 +214,14 @@ def load_config(path) -> RunConfig:
         errors.append(f"dynamics: unknown kind {dyn_name!r}")
         dynamics = Dynamics.BACKORDER
 
-    ssec = raw.get("solver", {})
+    ssec = _section(errors, raw, "solver") or {}
     ladder = ssec.get("ladder", average_cost.DEFAULT_LADDER)
     if isinstance(ladder, (list, tuple)):
         ladder = tuple(_number(errors, f"solver: ladder[{i}]", v, float) for i, v in enumerate(ladder))
+        if not ladder:
+            errors.append("solver: ladder needs at least one discount factor")
+        elif None not in ladder and not (0 <= ladder[0] and ladder[-1] < 1 and all(np.diff(ladder) > 0)):
+            errors.append(f"solver: ladder must be strictly increasing inside [0, 1), got {list(ladder)!r}")
     else:
         errors.append(f"solver: ladder must be a list of discount factors, got {ladder!r}")
     solver = SolverParams(
@@ -202,35 +237,48 @@ def load_config(path) -> RunConfig:
     if solver.horizon is not None and solver.horizon < 0:
         errors.append("solver: horizon must be nonnegative")
 
-    psec = raw.get("pomdp")
+    psec = _section(errors, raw, "pomdp", required=True) if raw.get("pomdp") is not None else None
     pomdp_containers = pomdp_prior = None
     pomdp_horizon, pomdp_max_nodes = 3, 1_000_000
     if psec is not None:
-        pomdp_containers = psec.get("containers")
-        pomdp_prior = psec.get("prior")
         pomdp_horizon = _number(errors, "pomdp: horizon", psec.get("horizon", 3), int)
         pomdp_max_nodes = _number(errors, "pomdp: max_nodes", psec.get("max_nodes", 1_000_000), int)
-        if not pomdp_containers:
+        entries = psec.get("containers")
+        if not (isinstance(entries, list) and entries):
             errors.append("pomdp: needs a containers list")
-        elif grid_lo is not None and grid_hi is not None and step is not None:
-            spans = sorted((float(c["lo"]), float(c["hi"])) for c in pomdp_containers)
-            cursor = float(grid_lo)
+        else:
+            pomdp_containers = [_container(errors, i, c) for i, c in enumerate(entries)]
+        if grid_ok and pomdp_containers and None not in pomdp_containers:
+            spans = sorted((c.lo, c.hi) for c in pomdp_containers)
+            cursor = grid_lo
             for lo_c, hi_c in spans:
                 if lo_c > cursor + 1e-9:
                     errors.append(f"pomdp: containers leave a gap on [{cursor}, {lo_c}]")
                     break
                 cursor = max(cursor, hi_c)
-            if cursor < float(grid_hi) - 1e-9:
+            if cursor < grid_hi - 1e-9:
                 errors.append(f"pomdp: containers leave a gap on [{cursor}, {grid_hi}]")
-        if not pomdp_prior:
+        atoms = psec.get("prior")
+        if not (isinstance(atoms, list) and atoms):
             errors.append("pomdp: needs a prior")
+        else:
+            pomdp_prior = []
+            for i, atom in enumerate(atoms):
+                if not (isinstance(atom, list) and len(atom) == 2):
+                    errors.append(f"pomdp: prior[{i}] must be a [state, prob] pair, got {atom!r}")
+                    continue
+                x = _number(errors, f"pomdp: prior[{i}] state", atom[0], float)
+                p = _number(errors, f"pomdp: prior[{i}] prob", atom[1], float)
+                if x is not None:
+                    check_on_grid(f"pomdp: prior[{i}] state", x)
+                pomdp_prior.append((x, p))
 
     seed = raw.get("seed")
     if seed is not None:
         seed = _number(errors, "seed:", seed, int)
     errors += _seed_errors(seed)
 
-    sim = raw.get("sim", {})
+    sim = _section(errors, raw, "sim") or {}
     if "reps" in sim:
         reps = _number(errors, "sim: reps", sim["reps"], int)
         if reps is not None and reps < 1:
@@ -241,14 +289,8 @@ def load_config(path) -> RunConfig:
             errors.append(f"sim: horizon must be nonnegative, got {sim['horizon']!r}")
     if "x0" in sim:
         x0 = _number(errors, "sim: x0", sim["x0"], float)
-        if x0 is not None and grid_ok and demand is not None:
-            try:
-                grid = _lattice(grid_lo, grid_hi, demand.step)
-            except ValueError as exc:  # fewer than two lattice points
-                errors.append(f"grid: {exc}")
-            else:
-                if not math.isfinite(x0) or _lattice_index(grid, x0, demand.step) is None:
-                    errors.append(f"sim: x0 {x0!r} is not on the grid [{grid_lo}, {grid_hi}] at step {demand.step}")
+        if x0 is not None:
+            check_on_grid("sim: x0", x0)
 
     if errors:
         raise ValidationErrors(errors)
@@ -379,7 +421,7 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     plus O(reps); the per-replication streams make the result independent
     of that layout.
     """
-    phi_idx = mdp.policy_index(phi)
+    cost_phi, succ_phi = mdp.policy_rows(mdp.policy_index(phi))
     n_atoms = mdp.shock_probs.size
     cum = np.cumsum(mdp.shock_probs)
     if N == 0:
@@ -401,11 +443,10 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
         s = total[first:first + m]
         power = 1.0
         for t in range(N):
-            a = phi_idx[x]
-            step_cost = mdp.cost[x, a]
+            step_cost = cost_phi[x]
             d += power * step_cost
             s += step_cost
-            x = mdp.next_idx[x, a, shocks[t]]
+            x = succ_phi[x, shocks[t]]
             power *= alpha
         del shocks  # before the next block is drawn
     return summarize_samples(disc), summarize_samples(total / N)
@@ -573,7 +614,7 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
 def _solve_pomdp(config: RunConfig):
     mdp = config.build_mdp()
     part = config.build_partition(mdp)
-    prior = make_belief([(float(x), float(p)) for x, p in config.pomdp_prior], mdp.grid)
+    prior = make_belief(config.pomdp_prior, mdp.grid)
     sol = belief_value_iteration(
         mdp, part, prior, config.pomdp_horizon, config.solver.alpha,
         max_nodes=config.pomdp_max_nodes,

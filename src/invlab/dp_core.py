@@ -51,12 +51,12 @@ class Dynamics(enum.Enum):
 class GridMDP:
     """Finite MDP on a state lattice.
 
-    Transitions are the successor table plus the shock law: action ``j`` in
-    state ``i`` moves to ``next_idx[i, j, k]`` with probability
-    ``shock_probs[k]``, with off-grid successors clamped onto the edges and
-    the clamped mass recorded in ``mass_loss``.  Backups, policy checks,
-    belief predictions and sampling all read this table; ``P`` is a dense
-    view of the same rows, built only on request.
+    Transitions are a level table plus the shock law: pair ``(i, j)`` sits
+    on level ``_y_of[i, j]``, which moves to ``_y_next[level, k]`` with
+    probability ``shock_probs[k]``; off-grid successors are clamped onto the
+    edges, the clamped mass kept per pair in ``mass_loss``.  A level is the
+    post-order inventory ``x + a`` for backorder and lost sales, and one pair
+    for custom dynamics.  ``next_idx`` and ``P`` are views built on request.
     """
 
     grid: np.ndarray
@@ -65,11 +65,10 @@ class GridMDP:
     cost: np.ndarray
     mass_loss: np.ndarray
     shock_probs: np.ndarray
-    next_idx: np.ndarray
     dynamics: Dynamics
-    shift_kernel: bool  # next state depends on (x, a) only through x + a
-    _y_next: np.ndarray | None = None  # (n, n_atoms) successor of each post-order level
-    _y_of: np.ndarray | None = None    # (n, n_a) post-order level of x + a, a row of _y_next
+    shift_kernel: bool   # levels are the post-order inventories x + a
+    _y_next: np.ndarray  # (levels, n_atoms) clamped successor of each level
+    _y_of: np.ndarray    # (n, n_a) level of each (state, action) pair
 
     @property
     def n_states(self) -> int:
@@ -84,13 +83,17 @@ class GridMDP:
         return float(self.cost[np.isfinite(self.cost)].min())
 
     @functools.cached_property
+    def next_idx(self) -> np.ndarray:
+        """Per-pair successors ``(n, n_a, n_atoms)``, built from the level table on first access."""
+        return self._y_next[self._y_of]
+
+    @functools.cached_property
     def P(self) -> np.ndarray:
-        """Dense ``(n, n_a, n)`` transition rows, built from the successor table on first access."""
-        n, n_a = self.n_states, self.n_actions
-        P = np.zeros((n, n_a, n))
-        flat = self.next_idx + (np.arange(n)[:, None, None] * n_a + np.arange(n_a)[None, :, None]) * n
-        np.add.at(P.reshape(-1), flat.ravel(), np.broadcast_to(self.shock_probs, self.next_idx.shape).ravel())
-        return P
+        """Dense ``(n, n_a, n)`` transition rows, built from the level table on first access."""
+        levels = self._y_next.shape[0]
+        rows = np.zeros((levels, self.n_states))
+        np.add.at(rows, (np.arange(levels)[:, None], self._y_next), self.shock_probs)
+        return rows[self._y_of]
 
     def state_index(self, x) -> int:
         i = _lattice_index(self.grid, x, self.step)
@@ -108,26 +111,23 @@ class GridMDP:
         """Action index at every state of the stationary policy ``phi``."""
         return np.array([self.action_index(a) for a in np.asarray(phi, dtype=float)])
 
-    def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """``E v(next)`` for every (state, action) pair.
+    def policy_rows(self, phi_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cost ``(n,)`` and successor rows ``(n, n_atoms)`` of the stationary policy with action indices ``phi_idx``."""
+        rows = np.arange(self.n_states)
+        return self.cost[rows, phi_idx], self._y_next[self._y_of[rows, phi_idx]]
 
-        When the kernel is a pure shift the successor depends only on
-        ``y = x + a``, so the sum runs once per post-order level and is
-        gathered back onto the pairs.
-        """
-        if self.shift_kernel:
-            wv = v[self._y_next] @ self.shock_probs
-            return wv[self._y_of]
-        return (v[self.next_idx] * self.shock_probs).sum(axis=2)
+    def expected_next(self, v: np.ndarray) -> np.ndarray:
+        """``E v(next)`` for every (state, action) pair: one sum per level, gathered onto the pairs."""
+        return (v[self._y_next] @ self.shock_probs)[self._y_of]
 
     def policy_expected_next(self, phi_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``E v(next)`` at every state under the action indices ``phi_idx``."""
-        return np.asarray(v, dtype=float)[self.next_idx[np.arange(self.n_states), phi_idx]] @ self.shock_probs
+        return np.asarray(v, dtype=float)[self.policy_rows(phi_idx)[1]] @ self.shock_probs
 
     def predictive(self, z: np.ndarray, j: int) -> np.ndarray:
         """Next-state law ``sum_i z_i P(i, j, .)`` of the state law ``z`` under action index ``j``."""
         weights = z[:, None] * self.shock_probs
-        return np.bincount(self.next_idx[:, j].ravel(), weights=weights.ravel(), minlength=self.n_states)
+        return np.bincount(self._y_next[self._y_of[:, j]].ravel(), weights=weights.ravel(), minlength=self.n_states)
 
 
 @dataclass
@@ -193,31 +193,25 @@ def build_mdp(
     if dynamics is Dynamics.CUSTOM:
         if custom_next is None:
             raise ValueError("CUSTOM dynamics needs a next-state function (x, a, shock) -> value")
-        raw = np.empty((n, n_a, shock_values.size))
+        raw = np.empty((n * n_a, shock_values.size))
         for i, x in enumerate(grid):
             for j, a in enumerate(actions):
-                raw[i, j, :] = [custom_next(float(x), float(a), float(s)) for s in shock_values]
-        raw_idx = np.rint((raw - grid[0]) / step).astype(np.int64)
-        if np.any(np.abs(raw - (grid[0] + raw_idx * step)) > 1e-9 * max(1.0, step)):
+                raw[i * n_a + j, :] = [custom_next(float(x), float(a), float(s)) for s in shock_values]
+        y_raw = np.rint((raw - grid[0]) / step).astype(np.int64)
+        if np.any(np.abs(raw - (grid[0] + y_raw * step)) > 1e-9 * max(1.0, step)):
             raise InvLabError("OFF_LATTICE", "custom next states must sit on the state lattice")
-        shift = False
-        y_next = None
+        y_of = np.arange(n * n_a).reshape(n, n_a)  # every pair is its own level
     else:
-        # successor offsets per post-order level y = x + a, over the extended
+        # one level per post-order inventory y = x + a, over the extended
         # range grid_lo .. grid_hi + a_max so infeasible pairs have rows too
-        y_post = np.arange(n + n_a - 1)[:, None] - shock_off[None, :]
+        y_raw = np.arange(n + n_a - 1)[:, None] - shock_off[None, :]
         if dynamics is Dynamics.LOST_SALES:
             zero_idx = _lattice_index(grid, 0.0, step)
             if zero_idx is None:
                 raise ValueError("lost-sales dynamics needs 0 on the grid")
-            y_post = np.maximum(y_post, zero_idx)
-        base = np.arange(n)[:, None] + np.arange(n_a)[None, :]  # index of x + a
-        raw_idx = y_post[base]
-        shift = True
-        y_next = np.clip(y_post, 0, n - 1)
-
-    clamped = (raw_idx < 0) | (raw_idx > n - 1)
-    next_idx = np.clip(raw_idx, 0, n - 1)
+            y_raw = np.maximum(y_raw, zero_idx)
+        y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
+    clamped = (y_raw < 0) | (y_raw > n - 1)
 
     cost = np.empty((n, n_a))
     for i, x in enumerate(grid):
@@ -230,10 +224,12 @@ def build_mdp(
         bad = int(np.nonzero(~finite.any(axis=1))[0][0])
         raise InvLabError("NO_FINITE_ACTION", f"state {grid[bad]} has no finite-cost action")
 
-    mass_loss = (clamped * shock_probs[None, None, :]).sum(axis=2)
-    offending = clamped & (shock_probs[None, None, :] > mass_tol) & finite[:, :, None]
+    mass_loss = (clamped * shock_probs).sum(axis=1)[y_of]
+    too_narrow = clamped & (shock_probs > mass_tol)
+    offending = too_narrow.any(axis=1)[y_of] & finite
     if offending.any():
-        i, j, k = np.argwhere(offending)[0]
+        i, j = np.argwhere(offending)[0]
+        k = int(np.argmax(too_narrow[y_of[i, j]]))
         raise InvLabError(
             "GRID_TOO_NARROW",
             f"shock atom {shock_values[k]} (p={shock_probs[k]}) clamps at the grid edge "
@@ -247,11 +243,10 @@ def build_mdp(
         cost=cost,
         mass_loss=mass_loss,
         shock_probs=np.asarray(shock_probs, dtype=float),
-        next_idx=next_idx,
         dynamics=dynamics,
-        shift_kernel=shift,
-        _y_next=y_next,
-        _y_of=base if shift else None,
+        shift_kernel=dynamics is not Dynamics.CUSTOM,
+        _y_next=np.clip(y_raw, 0, n - 1),
+        _y_of=y_of,
     )
 
 
@@ -338,14 +333,13 @@ def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray
     arrays (it and the solver's copy) are live at once.
     """
     n = mdp.n_states
-    rows = np.arange(n)
-    succ = mdp.next_idx[rows, phi_idx]
-    flat = (rows[:, None] * n + succ).ravel()
+    cost_phi, succ = mdp.policy_rows(phi_idx)
+    flat = (np.arange(n)[:, None] * n + succ).ravel()
     weights = np.broadcast_to(mdp.shock_probs, succ.shape).ravel()
     A = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
     A *= -alpha
     A.flat[:: n + 1] += 1.0
-    return np.linalg.solve(A, mdp.cost[rows, phi_idx])
+    return np.linalg.solve(A, cost_phi)
 
 
 def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: float = TIE_TOL) -> ValueSolution:
@@ -409,8 +403,8 @@ def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, al
     A small residual certifies that ``phi`` attains the minimum in the
     optimality equation when ``v`` is (close to) the fixed point.
     """
-    idx = mdp.policy_index(phi)
-    rhs = mdp.cost[np.arange(mdp.n_states), idx] + alpha * mdp.policy_expected_next(idx, v)
+    cost_phi, succ = mdp.policy_rows(mdp.policy_index(phi))
+    rhs = cost_phi + alpha * (np.asarray(v, dtype=float)[succ] @ mdp.shock_probs)
     return float(np.max(np.abs(np.asarray(v) - rhs)))
 
 

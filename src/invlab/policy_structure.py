@@ -41,7 +41,7 @@ def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel, d: Deman
     """Order-up-to objective on the grid; ``d`` must be the demand law ``mdp`` was built from."""
     if not mdp.shift_kernel:
         raise ValueError("G-functions need backorder or lost-sales dynamics")
-    continuation = np.asarray(v, dtype=float)[mdp._y_next[: mdp.n_states]] @ mdp.shock_probs
+    continuation = mdp.policy_expected_next(np.zeros(mdp.n_states, dtype=np.int64), v)  # order nothing: y = x
     return c.c_unit * mdp.grid + expected_holding(c.holding, mdp.grid, d) + alpha * continuation
 
 

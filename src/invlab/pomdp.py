@@ -385,6 +385,7 @@ def pomdp_simulate(
     is_tree = isinstance(policy, TreePolicy)
     samples = np.empty(reps)
     n = mdp.n_states
+    point = np.eye(n)  # one-hot state laws, so predictive gives one state's row
     draws = replication_uniforms(seed, reps, horizon + 1)
     for rep in range(reps):
         u = draws[rep]
@@ -402,7 +403,7 @@ def pomdp_simulate(
             j = mdp.action_index(a)
             total += disc * float(mdp.cost[x_idx, j])
             # inverse transform over the state-ordered row; sampling atoms would change the draws
-            row_cum = np.cumsum(np.bincount(mdp.next_idx[x_idx, j], weights=mdp.shock_probs, minlength=n))
+            row_cum = np.cumsum(mdp.predictive(point[x_idx], j))
             x_idx = int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1]))
             x_idx = min(x_idx, n - 1)
             y = float(part.obs_values[part.state_obs[x_idx]])

@@ -1,10 +1,16 @@
 """Config ingestion, command dispatch, determinism, and Monte Carlo consistency."""
 
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from invlab import cli_sim
 from invlab.cli_sim import load_config, main, run, simulate_policy
@@ -464,3 +470,155 @@ class TestReplicationBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * reps * N / 4  # a quarter of the whole float64 draws plus int64 shocks
+
+
+SHAPE_FIELDS = [
+    (("demand",), [1], "demand: must be a JSON object, got [1]"),
+    (("cost",), "x", "cost: must be a JSON object, got 'x'"),
+    (("grid",), 5, "grid: must be a JSON object, got 5"),
+    (("actions",), 3, "actions: must be a JSON object, got 3"),
+    (("solver",), [0.9], "solver: must be a JSON object, got [0.9]"),
+    (("sim",), "abc", "sim: must be a JSON object, got 'abc'"),
+    (("pomdp",), [], "pomdp: must be a JSON object, got []"),
+    (("pomdp", "containers"), {"lo": 0}, "pomdp: needs a containers list"),
+    (
+        ("pomdp", "containers", 0),
+        {"hi": 0.0, "transparent": False},
+        "pomdp: containers[0] must be an object with lo, hi and transparent, got {'hi': 0.0, 'transparent': False}",
+    ),
+    (("pomdp", "containers", 1), 7, "pomdp: containers[1] must be an object with lo, hi and transparent, got 7"),
+    (("pomdp", "containers", 0, "transparent"), "no", "pomdp: containers[0].transparent must be true or false, got 'no'"),
+    (("pomdp", "prior"), 1.0, "pomdp: needs a prior"),
+    (("pomdp", "prior", 0), [0.0], "pomdp: prior[0] must be a [state, prob] pair, got [0.0]"),
+]
+
+BOUND_AND_ATOM_FIELDS = [
+    (("pomdp", "containers", 0, "lo"), "x", "pomdp: containers[0].lo must be a number, got 'x'"),
+    (("pomdp", "containers", 1, "hi"), "top", "pomdp: containers[1].hi must be a number, got 'top'"),
+    (("pomdp", "containers", 0, "rep"), "mid", "pomdp: containers[0].rep must be a number, got 'mid'"),
+    (("pomdp", "prior", 0, 0), "x", "pomdp: prior[0] state must be a number, got 'x'"),
+    (("pomdp", "prior", 0, 1), "all", "pomdp: prior[0] prob must be a number, got 'all'"),
+    (("pomdp", "prior", 0, 0), 0.5, "pomdp: prior[0] state 0.5 is not on the grid [-12.0, 8.0] at step 1.0"),
+    (("pomdp", "prior", 0, 0), 9.0, "pomdp: prior[0] state 9.0 is not on the grid [-12.0, 8.0] at step 1.0"),
+]
+
+LADDER_FIELDS = [
+    (("solver", "ladder"), [], "solver: ladder needs at least one discount factor"),
+    (
+        ("solver", "ladder"),
+        [0.99, 0.9, 0.95],
+        "solver: ladder must be strictly increasing inside [0, 1), got [0.99, 0.9, 0.95]",
+    ),
+    (("solver", "ladder"), [0.9, 0.9], "solver: ladder must be strictly increasing inside [0, 1), got [0.9, 0.9]"),
+    (("solver", "ladder"), [0.9, 1.0], "solver: ladder must be strictly increasing inside [0, 1), got [0.9, 1.0]"),
+    (("solver", "ladder"), [-0.5, 0.9], "solver: ladder must be strictly increasing inside [0, 1), got [-0.5, 0.9]"),
+]
+
+CONFIG_SHAPE_FIELDS = SHAPE_FIELDS + BOUND_AND_ATOM_FIELDS + LADDER_FIELDS
+
+
+class TestConfigShape:
+    @pytest.mark.parametrize(
+        "path, value, message",
+        CONFIG_SHAPE_FIELDS,
+        ids=[f"{'.'.join(map(str, f[0]))}={f[1]!r}" for f in CONFIG_SHAPE_FIELDS],
+    )
+    def test_bad_field_is_2(self, tmp_path, capsys, path, value, message):
+        cfg = base_config(pomdp=pomdp_section())
+        set_field(cfg, path, value)
+        out = tmp_path / "out"
+        assert main(["pomdp-solve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "solver error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [[1, 2], 5, "config", None])
+    def test_config_that_is_not_an_object_is_2(self, tmp_path, capsys, raw):
+        out = tmp_path / "out"
+        assert main(["solve-finite", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+        assert f"error: config: must be a JSON object, got {raw!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_shape_error_listed_at_once(self, tmp_path):
+        cfg = base_config(pomdp=pomdp_section())
+        cfg["grid"] = 5
+        cfg["sim"] = "abc"
+        cfg["solver"]["ladder"] = [0.99, 0.9]
+        cfg["pomdp"]["containers"][0] = {"hi": 0.0, "transparent": False}
+        cfg["pomdp"]["containers"][1]["lo"] = "x"
+        cfg["pomdp"]["prior"] = [["a", 0.5], [0.0, "b"]]
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert sorted(err.value.errors) == sorted([
+            "grid: must be a JSON object, got 5",
+            "sim: must be a JSON object, got 'abc'",
+            "solver: ladder must be strictly increasing inside [0, 1), got [0.99, 0.9]",
+            "pomdp: containers[0] must be an object with lo, hi and transparent, got {'hi': 0.0, 'transparent': False}",
+            "pomdp: containers[1].lo must be a number, got 'x'",
+            "pomdp: prior[0] state must be a number, got 'a'",
+            "pomdp: prior[1] prob must be a number, got 'b'",
+        ])
+
+    def test_valid_containers_and_prior_are_converted(self, tmp_path):
+        cfg = base_config(pomdp=pomdp_section())
+        cfg["pomdp"]["containers"][0]["rep"] = -6
+        cfg["pomdp"]["prior"] = [[0, 0.5], [-3, 0.5]]
+        config = load_config(write_config(tmp_path, cfg))
+        assert [(c.lo, c.hi, c.transparent, c.rep) for c in config.pomdp_containers] == [
+            (-12.0, 0.0, False, -6.0),
+            (0.0, 8.0, True, None),
+        ]
+        assert config.pomdp_prior == [(0.0, 0.5), (-3.0, 0.5)]
+        assert run(config, "pomdp-solve", out_dir=tmp_path / "out").outputs["nodes"] > 0
+
+
+def json_kind(value) -> str:
+    if value is None or isinstance(value, (bool, str, list, dict)):
+        return type(value).__name__
+    return "number"
+
+
+def field_paths(node, prefix=()):
+    """Every key or index path below ``node``, sections before their fields."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def get_field(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+README_POMDP_PATHS = list(field_paths(base_config(pomdp=pomdp_section())))
+
+# strings, lists, objects and null with no numbers inside, not even a string that parses as one
+# (such as "9e9"), so no mutant can ask for a larger instance
+WORDS = st.text(alphabet="xyz ", max_size=3)
+NON_NUMERIC = st.recursive(
+    st.none() | WORDS,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(WORDS, inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(README_POMDP_PATHS),
+    value=NON_NUMERIC,
+    command=st.sampled_from(["pomdp-solve", "solve-average", "simulate"]),
+)
+def test_retyped_field_never_ends_in_a_traceback(path, value, command):
+    cfg = base_config(pomdp=pomdp_section())
+    assume(json_kind(get_field(cfg, path)) != json_kind(value))
+    set_field(cfg, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config_path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

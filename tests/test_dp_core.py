@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab.average_cost import check_optimality_inequality, long_run_average
+from invlab.cli_sim import simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import (
@@ -22,6 +24,7 @@ from invlab.dp_core import (
     policy_values,
 )
 from invlab.errors import InvLabError
+from invlab.policy_structure import g_function
 from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
 
 UNIT = from_atoms([(1, 1.0)], step=1)
@@ -145,6 +148,30 @@ class TestBuildMdp:
         assert "P" not in m.__dict__
         assert m.P.shape == (m.n_states, m.n_actions, m.n_states)
 
+    def test_per_pair_successors_built_only_on_request(self):
+        cost = CostModel(2.0, 1.0, HoldingCost.linear(3, 1))
+        m = make_inventory_mdp(cost, UNIT, -6, 4)
+        alpha = 0.9
+        part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
+        prior = make_belief([(0.0, 1.0)], m.grid)
+        sol = infinite_horizon_vi(m, alpha, 1e-6)
+        phi = min_action_policy(sol)
+        tree = belief_value_iteration(m, part, prior, 3, alpha)
+        steps = {
+            "stationary check": lambda: check_stationary_optimality(m, phi, sol.values, alpha),
+            "OI check": lambda: check_optimality_inequality(m, sol.values - sol.values.min(), 1.0, phi),
+            "long-run average": lambda: long_run_average(m, phi, 5),
+            "G-function": lambda: g_function(m, sol.values, alpha, cost, UNIT),
+            "belief tree": lambda: belief_value_iteration(m, part, prior, 3, alpha),
+            "POMDP rollout": lambda: pomdp_simulate(m, part, TreePolicy(tree, m, part), prior, 3, 20, 1, alpha),
+            "policy simulation": lambda: simulate_policy(m, phi, 0.0, 10, alpha, 20, 1),
+        }
+        assert "next_idx" not in m.__dict__, "value iteration"
+        for name, step in steps.items():
+            step()
+            assert "next_idx" not in m.__dict__, name
+        assert m.next_idx.shape == (m.n_states, m.n_actions, UNIT.probs.size)
+
     def test_custom_replicates_builtin_backorder(self):
         d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
         cost = CostModel(1.0, 1.0, HoldingCost.linear(2, 1))
@@ -163,6 +190,80 @@ class TestBuildMdp:
             a = infinite_horizon_vi(builtin, alpha, 1e-8)
             b = infinite_horizon_vi(custom, alpha, 1e-8)
             assert np.allclose(a.values, b.values, atol=1e-7)
+
+
+SIGNED_SHOCK = (np.array([-1.0, 0.0, 2.0]), np.array([0.15, 0.6, 0.25]))
+
+
+def per_pair_reference(grid, actions, shock, next_fn, cost_fn, mass_tol):
+    """Clamped mass per pair and the first GRID_TOO_NARROW message, one successor at a time."""
+    values, probs = shock
+    lo, hi = grid[0], grid[-1]
+    mass_loss = np.zeros((grid.size, actions.size))
+    message = None
+    for i, x in enumerate(grid):
+        for j, a in enumerate(actions):
+            finite = np.isfinite(cost_fn(float(x), float(a)))
+            for k, s in enumerate(values):
+                nxt = next_fn(float(x), float(a), float(s))
+                if nxt < lo or nxt > hi:
+                    mass_loss[i, j] += probs[k]
+                    if message is None and finite and probs[k] > mass_tol:
+                        message = (
+                            f"shock atom {values[k]} (p={probs[k]}) clamps at the grid edge "
+                            f"from state {grid[i]} under action {actions[j]}"
+                        )
+    return mass_loss, message
+
+
+# (dynamics, grid lo, grid hi, a_max, next state, cost)
+CLAMP_CASES = {
+    "backorder": (
+        Dynamics.BACKORDER, -3, 3, 2, lambda x, a, s: x + a - s,
+        lambda x, a: np.inf if x + a > 4 or x + a < -1 else a,
+    ),
+    "lost_sales": (
+        Dynamics.LOST_SALES, 0, 4, 2, lambda x, a, s: max(x + a - s, 0.0),
+        lambda x, a: np.inf if x + a > 5 else a,
+    ),
+    "custom": (
+        Dynamics.CUSTOM, -3, 3, 2, lambda x, a, s: x + (a if x < 0 else 2 * a) - s,
+        lambda x, a: np.inf if x < -2 and a < 2 else a,
+    ),
+}
+
+
+class TestClampAudit:
+    """``mass_loss`` and the GRID_TOO_NARROW scan, against a per-pair reference."""
+
+    @staticmethod
+    def build(name, mass_tol):
+        dynamics, lo, hi, a_max, next_fn, cost_fn = CLAMP_CASES[name]
+        custom = next_fn if dynamics is Dynamics.CUSTOM else None
+        return build_mdp(dynamics, SIGNED_SHOCK, lo, hi, a_max, cost_fn, step=1.0, mass_tol=mass_tol, custom_next=custom)
+
+    @staticmethod
+    def reference(name, mass_tol):
+        _, lo, hi, a_max, next_fn, cost_fn = CLAMP_CASES[name]
+        grid, actions = np.arange(lo, hi + 1.0), np.arange(0, a_max + 1.0)
+        return per_pair_reference(grid, actions, SIGNED_SHOCK, next_fn, cost_fn, mass_tol)
+
+    @pytest.mark.parametrize("name", CLAMP_CASES)
+    def test_mass_loss_matches_per_pair_sum(self, name):
+        m = self.build(name, 1.0)
+        mass_loss, _ = self.reference(name, 1.0)
+        assert mass_loss.any()
+        assert np.allclose(m.mass_loss, mass_loss, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mass_tol", [0.1, 0.2])
+    @pytest.mark.parametrize("name", CLAMP_CASES)
+    def test_first_offending_pair_and_atom(self, name, mass_tol):
+        _, message = self.reference(name, mass_tol)
+        assert message is not None
+        with pytest.raises(InvLabError) as err:
+            self.build(name, mass_tol)
+        assert err.value.code == "GRID_TOO_NARROW"
+        assert err.value.message == message
 
 
 class TestFiniteHorizon:
