@@ -57,14 +57,19 @@ class RelativeValue:
     w_upper: float
 
 
-def solve_ladder(mdp: GridMDP, alphas, eps: float, *, tie_tol: float = TIE_TOL) -> DiscountLadder:
-    """Run the discounted solver along an increasing ladder of discount factors."""
-    alphas = list(alphas)
+def check_ladder(alphas) -> tuple[float, ...]:
+    """The discount factors as floats; ValueError unless nonempty and strictly increasing inside [0, 1)."""
+    alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("ladder needs at least one discount factor")
-    arr = np.asarray(alphas, dtype=float)
-    if np.any(arr < 0) or np.any(arr >= 1) or np.any(np.diff(arr) <= 0):
-        raise ValueError("ladder must be strictly increasing inside [0, 1)")
+    if not (0 <= alphas[0] and alphas[-1] < 1 and all(a < b for a, b in zip(alphas, alphas[1:]))):
+        raise ValueError(f"ladder must be strictly increasing inside [0, 1), got {list(alphas)!r}")
+    return alphas
+
+
+def solve_ladder(mdp: GridMDP, alphas, eps: float, *, tie_tol: float = TIE_TOL) -> DiscountLadder:
+    """Run the discounted solver along an increasing ladder of discount factors."""
+    alphas = check_ladder(alphas)
     entries = []
     for alpha in alphas:
         sol = infinite_horizon_vi(mdp, alpha, eps)

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,28 @@ REPORT_SCHEMA = "invctl-report/1"
 SIM_COMMANDS = {"simulate", "pomdp-simulate"}
 
 
-def _seed_errors(seed) -> list[str]:
+REQUIRED = object()  # default of a field that must be given
+
+# One row per scalar field: (section, key) -> (kind, default, test, requirement),
+# section "" being the top level.  A value that converts to ``kind`` but fails
+# ``test`` is listed as "<label> must <requirement>, got <value>".
+FIELDS = {
+    ("grid", "lo"): (float, REQUIRED, math.isfinite, "be finite"),
+    ("grid", "hi"): (float, REQUIRED, math.isfinite, "be finite"),
+    ("grid", "step"): (float, None, lambda v: v > 0, "be positive"),
+    ("actions", "a_max"): (float, None, lambda v: 0 <= v < math.inf, "be nonnegative and finite"),
+    ("", "mass_tol"): (float, 1.0, lambda v: v >= 0, "be nonnegative"),
+    ("solver", "alpha"): (float, 0.9, lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    ("solver", "eps"): (float, 1e-6, lambda v: v > 0, "be positive"),
+    ("solver", "horizon"): (int, 10, lambda v: v >= 0, "be nonnegative"),
+    ("pomdp", "horizon"): (int, 3, lambda v: v >= 0, "be nonnegative"),
+    ("pomdp", "max_nodes"): (int, 1_000_000, lambda v: v >= 1, "be positive"),
     # replication streams are keyed by two uint64 words, (seed, replication)
-    if seed is None or 0 <= seed < 2**64:
-        return []
-    return [f"seed: must lie in [0, 2**64), got {seed}"]
+    ("", "seed"): (int, None, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),
+    ("sim", "x0"): (float, 0.0, math.isfinite, "be finite"),
+    ("sim", "reps"): (int, 1000, lambda v: v >= 1, "be a positive integer"),
+    ("sim", "horizon"): (int, None, lambda v: v >= 0, "be nonnegative"),
+}
 
 
 def _number(errors: list[str], label: str, value, kind):
@@ -68,6 +85,26 @@ def _number(errors: list[str], label: str, value, kind):
     return out
 
 
+def _field(errors: list[str], section: str, key: str, value):
+    """``value`` of a ``FIELDS`` entry, converted and range-tested, or None with an error listed."""
+    kind, _, test, requirement = FIELDS[section, key]
+    label = f"{section}: {key}" if section else f"{key}:"
+    out = _number(errors, label, value, kind)
+    if out is not None and not test(out):
+        errors.append(f"{label} must {requirement}, got {value!r}")
+        return None
+    return out
+
+
+def _build(errors: list[str], label: str, build, *args):
+    """``build(*args)``, or None with the error its owner raised listed under ``label``."""
+    try:
+        return build(*args)
+    except (InvLabError, ValueError, TypeError, KeyError) as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+
+
 def _section(errors: list[str], raw: dict, name: str, *, required: bool = False) -> dict | None:
     """Section ``name`` of the config, ``{}`` when an optional one is absent, or None with an error listed."""
     sec = raw.get(name)
@@ -75,6 +112,20 @@ def _section(errors: list[str], raw: dict, name: str, *, required: bool = False)
         return sec or {}
     errors.append(f"{name}: section missing" if sec is None else f"{name}: must be a JSON object, got {sec!r}")
     return None
+
+
+def _demand(sec: dict) -> DemandDistribution:
+    kind = "atoms" if "atoms" in sec else "cdf" if "cdf" in sec else None
+    if kind is None or sec.get("step") is None:
+        raise ValueError("needs a step and an 'atoms' or 'cdf' array")
+    pairs = [(float(v), float(p)) for v, p in sec[kind]]
+    return (from_atoms if kind == "atoms" else quantize)(pairs, float(sec["step"]))
+
+
+def _cost(sec: dict) -> CostModel:
+    h = sec["holding"]
+    holding = HoldingCost(np.asarray(h["breakpoints"], float), np.asarray(h["slopes"], float))
+    return CostModel(float(sec["K"]), float(sec["c_unit"]), holding)
 
 
 def _container(errors: list[str], i: int, entry) -> Container | None:
@@ -96,12 +147,22 @@ def _container(errors: list[str], i: int, entry) -> Container | None:
     return Container(lo, hi, entry["transparent"], rep)
 
 
+def _prior_atom(errors: list[str], i: int, atom) -> tuple | None:
+    """Atom ``i`` of the pomdp prior as a (state, mass) pair, or None with its errors listed."""
+    if not (isinstance(atom, list) and len(atom) == 2):
+        errors.append(f"pomdp: prior[{i}] must be a [state, prob] pair, got {atom!r}")
+        return None
+    x = _number(errors, f"pomdp: prior[{i}] state", atom[0], float)
+    p = _number(errors, f"pomdp: prior[{i}] prob", atom[1], float)
+    return None if x is None or p is None else (x, p)
+
+
 @dataclass
 class SolverParams:
-    alpha: float = 0.9
-    eps: float = 1e-6
-    horizon: int = 10
-    ladder: tuple = average_cost.DEFAULT_LADDER
+    alpha: float
+    eps: float
+    horizon: int
+    ladder: tuple
 
 
 @dataclass
@@ -113,15 +174,17 @@ class RunConfig:
     a_max: float
     dynamics: Dynamics
     solver: SolverParams
-    mass_tol: float = 1.0
-    seed: int | None = None
-    sim: dict = field(default_factory=dict)
-    pomdp_containers: list | None = None
-    pomdp_prior: list | None = None
-    pomdp_horizon: int = 3
-    pomdp_max_nodes: int = 1_000_000
-    output: str | None = None
-    raw: dict = field(default_factory=dict)
+    mass_tol: float
+    seed: int | None
+    sim_x0: float
+    sim_reps: int
+    sim_horizon: int | None
+    pomdp_containers: list | None
+    pomdp_prior: list | None
+    pomdp_horizon: int
+    pomdp_max_nodes: int
+    output: str | None
+    raw: dict
 
     def build_mdp(self) -> GridMDP:
         return make_inventory_mdp(
@@ -129,12 +192,15 @@ class RunConfig:
             self.dynamics, mass_tol=self.mass_tol,
         )
 
-    def build_partition(self, mdp: GridMDP) -> ContainerPartition:
-        return ContainerPartition(self.pomdp_containers, mdp.grid, mdp.step)
-
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a config file, reporting every problem at once."""
+    """Parse and validate a config file, reporting every problem at once.
+
+    Scalars are converted and range-tested through ``FIELDS``.  Every
+    structural rule is checked by the constructor that owns it (demand law,
+    cost model, grid lattice, ladder, container partition, prior belief), run
+    here on the config's own lattice, so a config that loads builds cleanly.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -146,151 +212,72 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationErrors([f"config: must be a JSON object, got {raw!r}"])
     errors: list[str] = []
-    demand = cost = None
+    sec = {"": raw}
+    for name in ("demand", "cost", "grid", "actions", "solver", "sim", "pomdp"):
+        sec[name] = _section(errors, raw, name, required=name in ("demand", "cost"))
+    val = {}
+    for (name, key), (_, default, _, _) in FIELDS.items():
+        if sec[name] is not None and key in sec[name]:
+            val[name, key] = _field(errors, name, key, sec[name][key])
+            continue
+        if sec[name] is not None and default is REQUIRED:
+            errors.append(f"{name}: {key} missing")
+        val[name, key] = None if default is REQUIRED else default
 
-    dsec = _section(errors, raw, "demand", required=True)
-    if dsec is not None:
-        step = dsec.get("step")
-        try:
-            if step is None:
-                raise InvLabError("VALIDATION", "step missing")
-            if "atoms" in dsec:
-                demand = from_atoms([(float(v), float(p)) for v, p in dsec["atoms"]], float(step))
-            elif "cdf" in dsec:
-                demand = quantize([(float(v), float(p)) for v, p in dsec["cdf"]], float(step))
-            else:
-                raise InvLabError("VALIDATION", "needs an 'atoms' or 'cdf' array")
-        except (InvLabError, ValueError, TypeError) as exc:
-            errors.append(f"demand: {exc}")
-
-    csec = _section(errors, raw, "cost", required=True)
-    if csec is not None:
-        try:
-            hsec = csec["holding"]
-            holding = HoldingCost(np.asarray(hsec["breakpoints"], float), np.asarray(hsec["slopes"], float))
-            cost = CostModel(float(csec["K"]), float(csec["c_unit"]), holding)
-        except (KeyError, ValueError, TypeError, InvLabError) as exc:
-            errors.append(f"cost: {exc}")
-
-    gsec = _section(errors, raw, "grid")
-    grid_lo = grid_hi = None
-    if gsec is not None and (gsec.get("lo") is None or gsec.get("hi") is None):
-        errors.append("grid: needs lo < hi")
-    elif gsec is not None:
-        grid_lo = _number(errors, "grid: lo", gsec["lo"], float)
-        grid_hi = _number(errors, "grid: hi", gsec["hi"], float)
-    grid_ok = grid_lo is not None and grid_hi is not None and -math.inf < grid_lo < grid_hi < math.inf
-    if grid_lo is not None and grid_hi is not None and not grid_ok:
-        errors.append("grid: needs lo < hi")
-    elif grid_ok and demand is not None and gsec.get("step") is not None:
-        grid_step = _number(errors, "grid: step", gsec["step"], float)
-        if grid_step is not None and not abs(grid_step - demand.step) <= 1e-12:
-            errors.append("grid: step must match demand step")
+    demand = _build(errors, "demand", _demand, sec["demand"]) if sec["demand"] is not None else None
+    cost = _build(errors, "cost", _cost, sec["cost"]) if sec["cost"] is not None else None
+    lo, hi, a_max = val["grid", "lo"], val["grid", "hi"], val["actions", "a_max"]
     grid = None
-    if grid_ok and demand is not None:
-        try:
-            grid = _lattice(grid_lo, grid_hi, demand.step)
-        except ValueError as exc:  # fewer than two lattice points
-            errors.append(f"grid: {exc}")
+    if lo is not None and hi is not None:
+        if not lo < hi:
+            errors.append("grid: needs lo < hi")
+        elif demand is not None:
+            grid = _build(errors, "grid", _lattice, lo, hi, demand.step)
+    if demand is not None and val["grid", "step"] is not None and not abs(val["grid", "step"] - demand.step) <= 1e-12:
+        errors.append("grid: step must match demand step")
 
-    def check_on_grid(label: str, x: float) -> None:
-        if grid is not None and (not math.isfinite(x) or _lattice_index(grid, x, demand.step) is None):
-            errors.append(f"{label} {x!r} is not on the grid [{grid_lo}, {grid_hi}] at step {demand.step}")
+    def on_lattice(label: str, x: float, points: np.ndarray, where: str) -> None:
+        if _lattice_index(points, x, demand.step) is None:
+            errors.append(f"{label} {x!r} is not on the {where} at step {demand.step}")
 
-    a_max = (_section(errors, raw, "actions") or {}).get("a_max")
-    if a_max is not None:
-        a_max = _number(errors, "actions: a_max", a_max, float)
-        if a_max is not None and not 0 <= a_max < math.inf:
-            errors.append("actions: a_max must be nonnegative and finite")
+    if demand is not None and a_max is not None:
+        # build_mdp's action lattice tops out at the multiple of the step nearest a_max
+        on_lattice("actions: a_max", a_max, np.array([demand.step * np.rint(a_max / demand.step)]), "action lattice")
+    if grid is not None and val["sim", "x0"] is not None and "x0" in (sec["sim"] or {}):
+        on_lattice("sim: x0", val["sim", "x0"], grid, f"grid [{lo}, {hi}]")
 
-    mass_tol = _number(errors, "mass_tol:", raw.get("mass_tol", 1.0), float)
-
-    dyn_name = raw.get("dynamics", "backorder")
-    try:
-        dynamics = Dynamics(dyn_name)
-        if dynamics is Dynamics.CUSTOM:
-            raise ValueError("custom dynamics are not configurable from file")
-    except ValueError:
+    dyn_name = raw.get("dynamics", "backorder")  # custom dynamics are not configurable from file
+    dynamics = next((d for d in Dynamics if d.value == dyn_name and d is not Dynamics.CUSTOM), None)
+    if dynamics is None:
         errors.append(f"dynamics: unknown kind {dyn_name!r}")
-        dynamics = Dynamics.BACKORDER
 
-    ssec = _section(errors, raw, "solver") or {}
-    ladder = ssec.get("ladder", average_cost.DEFAULT_LADDER)
-    if isinstance(ladder, (list, tuple)):
-        ladder = tuple(_number(errors, f"solver: ladder[{i}]", v, float) for i, v in enumerate(ladder))
-        if not ladder:
-            errors.append("solver: ladder needs at least one discount factor")
-        elif None not in ladder and not (0 <= ladder[0] and ladder[-1] < 1 and all(np.diff(ladder) > 0)):
-            errors.append(f"solver: ladder must be strictly increasing inside [0, 1), got {list(ladder)!r}")
-    else:
+    ladder = (sec["solver"] or {}).get("ladder", average_cost.DEFAULT_LADDER)
+    if not isinstance(ladder, (list, tuple)):
         errors.append(f"solver: ladder must be a list of discount factors, got {ladder!r}")
-    solver = SolverParams(
-        alpha=_number(errors, "solver: alpha", ssec.get("alpha", 0.9), float),
-        eps=_number(errors, "solver: eps", ssec.get("eps", 1e-6), float),
-        horizon=_number(errors, "solver: horizon", ssec.get("horizon", 10), int),
-        ladder=ladder,
-    )
-    if solver.alpha is not None and not (0 <= solver.alpha < 1):
-        errors.append("solver: alpha must lie in [0, 1)")
-    if solver.eps is not None and not (solver.eps > 0):
-        errors.append("solver: eps must be positive")
-    if solver.horizon is not None and solver.horizon < 0:
-        errors.append("solver: horizon must be nonnegative")
+    else:
+        ladder = [_number(errors, f"solver: ladder[{i}]", v, float) for i, v in enumerate(ladder)]
+        if None not in ladder:
+            ladder = _build(errors, "solver", average_cost.check_ladder, ladder)
 
-    psec = _section(errors, raw, "pomdp", required=True) if raw.get("pomdp") is not None else None
-    pomdp_containers = pomdp_prior = None
-    pomdp_horizon, pomdp_max_nodes = 3, 1_000_000
-    if psec is not None:
-        pomdp_horizon = _number(errors, "pomdp: horizon", psec.get("horizon", 3), int)
-        pomdp_max_nodes = _number(errors, "pomdp: max_nodes", psec.get("max_nodes", 1_000_000), int)
-        entries = psec.get("containers")
+    containers = prior = None
+    if raw.get("pomdp") is not None and sec["pomdp"] is not None:
+        entries, atoms = sec["pomdp"].get("containers"), sec["pomdp"].get("prior")
         if not (isinstance(entries, list) and entries):
             errors.append("pomdp: needs a containers list")
         else:
-            pomdp_containers = [_container(errors, i, c) for i, c in enumerate(entries)]
-        if grid_ok and pomdp_containers and None not in pomdp_containers:
-            spans = sorted((c.lo, c.hi) for c in pomdp_containers)
-            cursor = grid_lo
-            for lo_c, hi_c in spans:
-                if lo_c > cursor + 1e-9:
-                    errors.append(f"pomdp: containers leave a gap on [{cursor}, {lo_c}]")
-                    break
-                cursor = max(cursor, hi_c)
-            if cursor < grid_hi - 1e-9:
-                errors.append(f"pomdp: containers leave a gap on [{cursor}, {grid_hi}]")
-        atoms = psec.get("prior")
+            containers = [_container(errors, i, c) for i, c in enumerate(entries)]
+            if grid is not None and None not in containers:
+                _build(errors, "pomdp", ContainerPartition, containers, grid, demand.step)
         if not (isinstance(atoms, list) and atoms):
             errors.append("pomdp: needs a prior")
         else:
-            pomdp_prior = []
-            for i, atom in enumerate(atoms):
-                if not (isinstance(atom, list) and len(atom) == 2):
-                    errors.append(f"pomdp: prior[{i}] must be a [state, prob] pair, got {atom!r}")
-                    continue
-                x = _number(errors, f"pomdp: prior[{i}] state", atom[0], float)
-                p = _number(errors, f"pomdp: prior[{i}] prob", atom[1], float)
-                if x is not None:
-                    check_on_grid(f"pomdp: prior[{i}] state", x)
-                pomdp_prior.append((x, p))
+            prior = [_prior_atom(errors, i, atom) for i, atom in enumerate(atoms)]
+            if grid is not None and None not in prior:
+                _build(errors, "pomdp", make_belief, prior, grid)
 
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _number(errors, "seed:", seed, int)
-    errors += _seed_errors(seed)
-
-    sim = _section(errors, raw, "sim") or {}
-    if "reps" in sim:
-        reps = _number(errors, "sim: reps", sim["reps"], int)
-        if reps is not None and reps < 1:
-            errors.append(f"sim: reps must be a positive integer, got {sim['reps']!r}")
-    if "horizon" in sim:
-        horizon = _number(errors, "sim: horizon", sim["horizon"], int)
-        if horizon is not None and horizon < 0:
-            errors.append(f"sim: horizon must be nonnegative, got {sim['horizon']!r}")
-    if "x0" in sim:
-        x0 = _number(errors, "sim: x0", sim["x0"], float)
-        if x0 is not None:
-            check_on_grid("sim: x0", x0)
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        errors.append(f"output: must be a directory path, got {output!r}")
 
     if errors:
         raise ValidationErrors(errors)
@@ -298,19 +285,21 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         demand=demand,
         cost=cost,
-        grid_lo=grid_lo,
-        grid_hi=grid_hi,
-        a_max=a_max if a_max is not None else grid_hi - grid_lo,
+        grid_lo=lo,
+        grid_hi=hi,
+        a_max=a_max if a_max is not None else hi - lo,
         dynamics=dynamics,
-        solver=solver,
-        mass_tol=mass_tol,
-        seed=seed,
-        sim=sim,
-        pomdp_containers=pomdp_containers,
-        pomdp_prior=pomdp_prior,
-        pomdp_horizon=pomdp_horizon,
-        pomdp_max_nodes=pomdp_max_nodes,
-        output=raw.get("output"),
+        solver=SolverParams(val["solver", "alpha"], val["solver", "eps"], val["solver", "horizon"], ladder),
+        mass_tol=val["", "mass_tol"],
+        seed=val["", "seed"],
+        sim_x0=val["sim", "x0"],
+        sim_reps=val["sim", "reps"],
+        sim_horizon=val["sim", "horizon"],
+        pomdp_containers=containers,
+        pomdp_prior=prior,
+        pomdp_horizon=val["pomdp", "horizon"],
+        pomdp_max_nodes=val["pomdp", "max_nodes"],
+        output=output,
         raw=raw,
     )
 
@@ -581,15 +570,11 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     phi = min_action_policy(sol)
-    x0 = float(config.sim.get("x0", 0.0))
-    reps = int(config.sim.get("reps", 1000))
+    x0, reps, N = config.sim_x0, config.sim_reps, config.sim_horizon
     max_cost = float(mdp.cost[np.isfinite(mdp.cost)].max())
-    if "horizon" in config.sim:
-        N = int(config.sim["horizon"])
-    elif alpha == 0.0 or max_cost == 0.0:
+    if N is None and (alpha == 0.0 or max_cost == 0.0):
         N = 1
-    else:
-        # truncate once the geometric tail is below eps
+    elif N is None:  # truncate once the geometric tail is below eps
         N = max(1, int(math.ceil(math.log(eps * (1 - alpha) / max_cost) / math.log(alpha))))
     disc, avg = simulate_policy(mdp, phi, x0, N, alpha, reps, seed)
     write_csv(
@@ -613,7 +598,7 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
 
 def _solve_pomdp(config: RunConfig):
     mdp = config.build_mdp()
-    part = config.build_partition(mdp)
+    part = ContainerPartition(config.pomdp_containers, mdp.grid, mdp.step)
     prior = make_belief(config.pomdp_prior, mdp.grid)
     sol = belief_value_iteration(
         mdp, part, prior, config.pomdp_horizon, config.solver.alpha,
@@ -636,7 +621,7 @@ def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
 
 def _run_pomdp_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
     mdp, part, prior, sol = _solve_pomdp(config)
-    reps = int(config.sim.get("reps", 1000))
+    reps = config.sim_reps
     result = pomdp_simulate(
         mdp, part, TreePolicy(sol, mdp, part), prior,
         config.pomdp_horizon, reps, seed, config.solver.alpha,
@@ -671,10 +656,12 @@ def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
     errors = []
     if command.startswith("pomdp") and config.pomdp_containers is None:
         errors.append(f"{command}: config has no pomdp section")
-    seed = config.seed if seed is None else seed
-    if command in SIM_COMMANDS and seed is None:
-        errors.append(f"{command}: a seed is required for simulation")
-    errors += _seed_errors(seed)
+    if seed is None:
+        seed = config.seed
+        if command in SIM_COMMANDS and seed is None:
+            errors.append(f"{command}: a seed is required for simulation")
+    else:
+        seed = _field(errors, "", "seed", seed)
     if errors:
         raise ValidationErrors(errors)
     out = Path(out_dir) if out_dir is not None else Path(config.output or ".")

@@ -44,6 +44,9 @@ class HoldingCost:
         sl = np.atleast_1d(np.asarray(self.slopes, dtype=float))
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
+        for what, arr in (("breakpoint", bp), ("slope", sl)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{what} {float(arr[~np.isfinite(arr)][0])!r} is not finite")
         if bp.size == 0:
             raise ValueError("need at least one breakpoint")
         if sl.size != bp.size + 1:
@@ -88,10 +91,10 @@ class CostModel:
     holding: HoldingCost
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError(f"setup cost must be nonnegative, got {self.K}")
-        if not (self.c_unit > 0):
-            raise ValueError(f"per-unit cost must be positive, got {self.c_unit}")
+        if not 0 <= self.K < INFINITE:
+            raise ValueError(f"setup cost must be nonnegative and finite, got {self.K}")
+        if not 0 < self.c_unit < INFINITE:
+            raise ValueError(f"per-unit cost must be positive and finite, got {self.c_unit}")
 
 
 def expected_holding(h: HoldingCost, x, d: DemandDistribution):

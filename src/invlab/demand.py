@@ -19,10 +19,22 @@ PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
 
 
+def _require_finite(what: str, values: np.ndarray) -> None:
+    """Reject NaN and infinite entries, naming the first one."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise InvLabError("NOT_FINITE", f"{what} {float(values[bad][0])!r} is not finite")
+
+
+def _require_step(step: float) -> None:
+    if not 0 < step < np.inf:
+        raise InvLabError("OFF_LATTICE", f"lattice step must be positive and finite, got {step}")
+
+
 def _lattice_offsets(values: np.ndarray, step: float) -> np.ndarray:
-    """Lattice offsets of demand atoms, rejecting a nonpositive step and negative or off-lattice atoms."""
-    if not (step > 0):
-        raise InvLabError("OFF_LATTICE", f"lattice step must be positive, got {step}")
+    """Lattice offsets of demand atoms, rejecting a bad step and non-finite, negative or off-lattice atoms."""
+    _require_step(step)
+    _require_finite("demand atom at", values)
     if np.any(values < -LATTICE_TOL * step):
         raise InvLabError("NEGATIVE_VALUE", f"demand atom at {float(values.min())} is negative")
     offsets = np.rint(values / step)
@@ -59,7 +71,7 @@ class DemandDistribution:
         offsets = _lattice_offsets(values, self.step)
         if values.size > 1 and np.any(np.diff(offsets) <= 0):
             raise ValueError("atoms must be sorted by value with no duplicates")
-        if np.any(probs <= 0):
+        if not np.all(probs > 0):  # NaN fails too
             raise InvLabError("PROB_SUM", "atom probabilities must be strictly positive")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -109,6 +121,7 @@ def from_atoms(pairs, step: float) -> DemandDistribution:
     values = np.asarray([p[0] for p in pairs], dtype=float)
     masses = np.asarray([p[1] for p in pairs], dtype=float)
     offsets = _lattice_offsets(values, step)
+    _require_finite("atom probability", masses)
     if np.any(masses < 0):
         raise InvLabError("PROB_SUM", "negative atom probability")
     total = float(masses.sum())
@@ -132,6 +145,9 @@ def quantize(cdf_samples, step: float) -> DemandDistribution:
         raise InvLabError("EMPTY_INPUT", "no CDF samples given")
     values = np.asarray([s[0] for s in samples], dtype=float)
     cums = np.asarray([s[1] for s in samples], dtype=float)
+    _require_step(step)
+    _require_finite("CDF value", values)
+    _require_finite("cumulative probability", cums)
     if np.any(np.diff(values) < -LATTICE_TOL) or np.any(np.diff(cums) < -PROB_TOL):
         raise InvLabError("NON_MONOTONE_CDF", "CDF samples must be nondecreasing in value and probability")
     if abs(float(cums[-1]) - 1.0) > 1e-9:

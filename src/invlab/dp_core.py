@@ -33,9 +33,13 @@ PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
 def _lattice_index(points: np.ndarray, x, step: float) -> int | None:
     """Index of ``x`` on the uniform lattice ``points``, or None when ``x`` is off it.
 
-    Off means no lattice point within ``1e-9 * max(1, step)`` of ``x``.
+    Off means no lattice point within ``1e-9 * max(1, step)`` of ``x``; NaN and
+    infinite ``x`` are off every lattice.
     """
-    i = int(round((float(x) - float(points[0])) / step))
+    offset = (float(x) - float(points[0])) / step
+    if not math.isfinite(offset):
+        return None
+    i = int(round(offset))
     if 0 <= i < len(points) and abs(float(points[i]) - float(x)) <= 1e-9 * max(1.0, step):
         return i
     return None

@@ -53,14 +53,17 @@ class ContainerPartition:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        if not self.containers:
-            raise ValueError("need at least one container")
-        ordered = sorted(self.containers, key=lambda c: c.lo)
+        ordered = sorted(self.containers, key=lambda c: (c.lo, c.hi))
+        # the intervals must cover [grid[0], grid[-1]], between lattice points too;
+        # a sentinel at the grid top catches a gap above the last container
+        cursor = float(grid[0])
+        for cont in ordered + [Container(float(grid[-1]), math.inf, True)]:
+            if cont.lo > cursor + 1e-9:
+                raise ValueError(f"containers leave a gap: [{cursor}, {float(cont.lo)}] is uncovered")
+            cursor = max(cursor, float(cont.hi))
         n = grid.size
         assignment = np.full(n, -1, dtype=np.int64)
         for k, cont in enumerate(ordered):
-            if not (cont.hi - cont.lo > 0):
-                raise ValueError(f"container [{cont.lo}, {cont.hi}) is empty")
             # lower-closed intervals; the top container also claims its upper end
             mask = (grid >= cont.lo - 1e-9) & (grid < cont.hi - 1e-9)
             if k == len(ordered) - 1:
@@ -69,9 +72,6 @@ class ContainerPartition:
             if overlap.any():
                 raise ValueError(f"containers overlap at state {grid[overlap][0]}")
             assignment[mask] = k
-        if (assignment < 0).any():
-            gap = grid[assignment < 0]
-            raise ValueError(f"containers leave grid states uncovered on [{gap[0]}, {gap[-1]}]")
         for k, cont in enumerate(ordered):
             count = int((assignment == k).sum())
             if count < 2:
@@ -148,11 +148,11 @@ class ContainerPartition:
 def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
     """Probability vector over the grid from (state, mass) pairs."""
     z = np.zeros(len(grid))
-    step = float(grid[1] - grid[0])
-    for x, p in atoms:
+    lo, hi, step = float(grid[0]), float(grid[-1]), float(grid[1] - grid[0])
+    for k, (x, p) in enumerate(atoms):
         i = _lattice_index(grid, x, step)
         if i is None:
-            raise ValueError(f"belief atom {x} is not on the grid")
+            raise ValueError(f"prior[{k}] state {x!r} is not on the grid [{lo}, {hi}] at step {step}")
         z[i] += p
     return validate_belief(z)
 
@@ -161,7 +161,8 @@ def validate_belief(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if np.any(z < -BELIEF_TOL):
         raise ValueError("belief has negative mass")
-    if abs(float(z.sum()) - 1.0) > BELIEF_TOL:
+    # a NaN or infinite mass makes the sum NaN or infinite, which fails this test
+    if not abs(float(z.sum()) - 1.0) <= BELIEF_TOL:
         raise ValueError(f"belief mass sums to {float(z.sum())!r}, not 1")
     return z
 

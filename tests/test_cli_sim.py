@@ -18,7 +18,7 @@ from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import infinite_horizon_vi, make_inventory_mdp, min_action_policy
 from invlab.errors import InvLabError, ValidationErrors
-from invlab.pomdp import replication_uniforms
+from invlab.pomdp import Container, ContainerPartition, replication_uniforms
 
 
 def base_config(**overrides):
@@ -622,3 +622,132 @@ def test_retyped_field_never_ends_in_a_traceback(path, value, command):
             code = main([command, "--config", str(config_path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (path, bad value, expected message): faults that a config could carry past
+# load time into a silent wrong answer, a solver error or a warning
+LOAD_TIME_FAULTS = [
+    (("pomdp", "containers", 0, "hi"), 2.0, "pomdp: containers overlap at state 0.0"),
+    (("pomdp", "containers", 0, "rep"), -6.5, "pomdp: representative -6.5 is not a lattice state of its container"),
+    (("pomdp", "containers", 0, "rep"), 3.0, "pomdp: representative 3.0 is not strictly inside [-12.0, 0.0)"),
+    (
+        ("pomdp", "containers"),
+        [{"lo": -12.0, "hi": -11.0, "transparent": False}, {"lo": -11.0, "hi": 8.0, "transparent": True}],
+        "pomdp: container [-12.0, -11.0) covers 1 lattice point(s); need at least 2",
+    ),
+    (
+        ("pomdp", "containers"),
+        [{"lo": -12.0, "hi": 0.5, "transparent": False}, {"lo": 0.7, "hi": 8.0, "transparent": True}],
+        "pomdp: containers leave a gap: [0.5, 0.7] is uncovered",
+    ),
+    (("pomdp", "prior"), [[0.0, 1.5], [1.0, -0.5]], "pomdp: belief has negative mass"),
+    (("pomdp", "prior"), [[0.0, 0.5]], "pomdp: belief mass sums to 0.5, not 1"),
+    (("pomdp", "prior"), [[0.0, NAN]], "pomdp: belief mass sums to nan, not 1"),
+    (("pomdp", "prior"), [[0.0, NAN], [1.0, 1.0]], "pomdp: belief mass sums to nan, not 1"),
+    (("mass_tol",), -1, "mass_tol: must be nonnegative, got -1"),
+    (("mass_tol",), NAN, "mass_tol: must be nonnegative, got nan"),
+    (("pomdp", "horizon"), -1, "pomdp: horizon must be nonnegative, got -1"),
+    (("pomdp", "max_nodes"), 0, "pomdp: max_nodes must be positive, got 0"),
+    (("demand", "atoms"), [[0, 0.5], [1, NAN], [2, 0.5]], "demand: NOT_FINITE: atom probability nan is not finite"),
+    (("demand", "atoms"), [[0, NAN], [1, 0.5]], "demand: NOT_FINITE: atom probability nan is not finite"),
+    (("demand", "atoms"), [[0, 0.3], [NAN, 0.4], [2, 0.3]], "demand: NOT_FINITE: demand atom at nan is not finite"),
+    (("demand", "atoms"), [[0, 0.3], [INF, 0.4], [2, 0.3]], "demand: NOT_FINITE: demand atom at inf is not finite"),
+    (
+        ("demand",),
+        {"step": 1.0, "cdf": [[0.0, 0.3], [1.0, NAN], [2.0, 1.0]]},
+        "demand: NOT_FINITE: cumulative probability nan is not finite",
+    ),
+    (("demand",), {"step": 1.0, "cdf": [[0.0, 0.3], [NAN, 0.7], [2.0, 1.0]]}, "demand: NOT_FINITE: CDF value nan is not finite"),
+    (("cost", "K"), INF, "cost: setup cost must be nonnegative and finite, got inf"),
+    (("cost", "K"), NAN, "cost: setup cost must be nonnegative and finite, got nan"),
+    (("cost", "c_unit"), INF, "cost: per-unit cost must be positive and finite, got inf"),
+    (("cost", "holding", "breakpoints"), [NAN], "cost: breakpoint nan is not finite"),
+    (("cost", "holding", "slopes"), [-3.0, INF], "cost: slope inf is not finite"),
+    (("actions", "a_max"), 0.5, "actions: a_max 0.5 is not on the action lattice at step 1.0"),
+    (("actions", "a_max"), 2.5, "actions: a_max 2.5 is not on the action lattice at step 1.0"),
+    (("output",), 5, "output: must be a directory path, got 5"),
+]
+
+
+class TestLoadTimeFaults:
+    @pytest.mark.parametrize(
+        "path, value, message",
+        LOAD_TIME_FAULTS,
+        ids=[f"{'.'.join(map(str, f[0]))}={f[1]!r}" for f in LOAD_TIME_FAULTS],
+    )
+    def test_fault_is_2_before_any_build(self, tmp_path, capsys, monkeypatch, path, value, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a faulty config reached the MDP build")
+
+        monkeypatch.setattr(cli_sim, "make_inventory_mdp", no_build)
+        cfg = base_config(pomdp=pomdp_section())
+        set_field(cfg, path, value)
+        out = tmp_path / "out"
+        assert main(["pomdp-solve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "solver error" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_cli_lists_the_partitions_own_gap_error(self, tmp_path):
+        # every lattice state is covered; the interval (0.5, 0.7) is not
+        containers = [Container(-12.0, 0.5, False), Container(0.7, 8.0, True)]
+        with pytest.raises(ValueError) as lib:
+            ContainerPartition(containers, np.arange(-12.0, 9.0), 1.0)
+        cfg = base_config(pomdp=pomdp_section())
+        cfg["pomdp"]["containers"] = [{"lo": c.lo, "hi": c.hi, "transparent": c.transparent} for c in containers]
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert err.value.errors == [f"pomdp: {lib.value}"]
+
+    def test_sim_fields_are_typed(self, tmp_path):
+        config = load_config(write_config(tmp_path, base_config()))
+        assert (config.sim_x0, config.sim_reps, config.sim_horizon) == (0.0, 200, 60)
+        cfg = base_config()
+        del cfg["sim"]
+        config = load_config(write_config(tmp_path, cfg))
+        assert (config.sim_x0, config.sim_reps, config.sim_horizon) == (0.0, 1000, None)
+        assert not hasattr(config, "sim")
+
+
+# (path, bad value, expected message) on distinct fields whose checks do not
+# gate one another; demand and grid faults are left out because without a
+# lattice the lattice checks cannot run
+INJECTED_FAULTS = [
+    (("cost", "K"), INF, "cost: setup cost must be nonnegative and finite, got inf"),
+    (("mass_tol",), NAN, "mass_tol: must be nonnegative, got nan"),
+    (("solver", "alpha"), 1.5, "solver: alpha must lie in [0, 1), got 1.5"),
+    (("solver", "eps"), 0, "solver: eps must be positive, got 0"),
+    (("solver", "horizon"), -2, "solver: horizon must be nonnegative, got -2"),
+    (("solver", "ladder"), [0.9, 0.9], "solver: ladder must be strictly increasing inside [0, 1), got [0.9, 0.9]"),
+    (("pomdp", "horizon"), -1, "pomdp: horizon must be nonnegative, got -1"),
+    (("pomdp", "max_nodes"), 0, "pomdp: max_nodes must be positive, got 0"),
+    (("pomdp", "prior"), [[0.0, NAN]], "pomdp: belief mass sums to nan, not 1"),
+    (("pomdp", "containers", 0, "rep"), -6.5, "pomdp: representative -6.5 is not a lattice state of its container"),
+    (("seed",), -1, "seed: must lie in [0, 2**64), got -1"),
+    (("sim", "x0"), 0.5, "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0"),
+    (("sim", "reps"), 0, "sim: reps must be a positive integer, got 0"),
+    (("sim", "horizon"), -3, "sim: horizon must be nonnegative, got -3"),
+    (("actions", "a_max"), 2.5, "actions: a_max 2.5 is not on the action lattice at step 1.0"),
+    (("dynamics",), "sideways", "dynamics: unknown kind 'sideways'"),
+    (("output",), 5, "output: must be a directory path, got 5"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.sampled_from(INJECTED_FAULTS), min_size=2, max_size=5, unique_by=lambda f: f[0]))
+def test_exit_2_names_every_injected_fault(picks):
+    cfg = base_config(pomdp=pomdp_section())
+    for path, value, _ in picks:
+        set_field(cfg, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pomdp-simulate", "--config", str(config_path), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    for _, _, message in picks:
+        assert f"error: {message}" in err.getvalue()
+    assert "solver error" not in err.getvalue()

@@ -265,3 +265,33 @@ class TestFarLeftSlopeProbe:
                 assert slope >= -1e-6  # flat-or-rising tail: no incentive reaches deep backlog
             else:
                 assert slope < -1e-6  # blow-up at the left: f(x_probe - 1) > f(x_probe)
+
+
+class TestNonFiniteCosts:
+    @pytest.mark.parametrize(
+        "K, c_unit, message",
+        [
+            (np.inf, 1.0, "setup cost must be nonnegative and finite, got inf"),
+            (np.nan, 1.0, "setup cost must be nonnegative and finite, got nan"),
+            (1.0, np.inf, "per-unit cost must be positive and finite, got inf"),
+            (1.0, np.nan, "per-unit cost must be positive and finite, got nan"),
+        ],
+    )
+    def test_cost_model_requires_finite_ordering_costs(self, K, c_unit, message):
+        with pytest.raises(ValueError) as err:
+            CostModel(K, c_unit, HoldingCost.linear(3.0, 1.0))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "breakpoints, slopes, message",
+        [
+            ([np.nan], [-3.0, 1.0], "breakpoint nan is not finite"),
+            ([0.0, np.inf], [-3.0, 1.0, 2.0], "breakpoint inf is not finite"),
+            ([0.0], [-3.0, np.inf], "slope inf is not finite"),
+            ([0.0], [-np.inf, 1.0], "slope -inf is not finite"),
+        ],
+    )
+    def test_holding_cost_requires_finite_pieces(self, breakpoints, slopes, message):
+        with pytest.raises(ValueError) as err:
+            HoldingCost(np.array(breakpoints), np.array(slopes))
+        assert str(err.value) == message

@@ -185,3 +185,44 @@ class TestProperties:
         b = from_atoms([(0.5, 1.0)], step=0.5)
         with pytest.raises(ValueError):
             convolve(a, b)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "pairs, name",
+        [
+            ([(0, 0.5), (1, np.nan), (2, 0.5)], "atom probability nan"),
+            ([(0, np.nan), (1, 0.5)], "atom probability nan"),
+            ([(0, 0.3), (np.nan, 0.4), (2, 0.3)], "demand atom at nan"),
+            ([(0, 0.3), (np.inf, 0.4), (2, 0.3)], "demand atom at inf"),
+        ],
+    )
+    def test_from_atoms_names_the_value(self, pairs, name):
+        with pytest.raises(InvLabError) as err:
+            from_atoms(pairs, step=1)
+        assert err.value.code == "NOT_FINITE"
+        assert f"{name} is not finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "samples, name",
+        [
+            ([(0.0, 0.3), (1.0, np.nan), (2.0, 1.0)], "cumulative probability nan"),
+            ([(0.0, 0.3), (np.nan, 0.7), (2.0, 1.0)], "CDF value nan"),
+            ([(0.0, 0.3), (np.inf, 1.0)], "CDF value inf"),
+        ],
+    )
+    def test_quantize_names_the_value(self, samples, name):
+        with pytest.raises(InvLabError) as err:
+            quantize(samples, step=1)
+        assert err.value.code == "NOT_FINITE"
+        assert f"{name} is not finite" in str(err.value)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0])
+    def test_bad_step_rejected(self, step):
+        for build in (from_atoms, quantize):
+            with pytest.raises(InvLabError, match="step must be positive and finite"):
+                build([(0.0, 0.5), (1.0, 1.0)] if build is quantize else [(0.0, 0.5), (1.0, 0.5)], step)
+
+    def test_direct_construction_rejects_nan_probability(self):
+        with pytest.raises(InvLabError):
+            DemandDistribution(np.array([0.0, 1.0]), np.array([1.0, np.nan]), 1.0)

@@ -20,6 +20,7 @@ from invlab.pomdp import (
     observation_marginal,
     observe_psi,
     pomdp_simulate,
+    validate_belief,
 )
 
 UNIT = from_atoms([(1, 1.0)], step=1)
@@ -361,3 +362,30 @@ class TestPomdpSimulate:
 
         res = pomdp_simulate(m, part, never_order, prior, 4, 30, seed=2, alpha=0.9)
         assert np.all(np.isfinite(res.samples))
+
+
+class TestPartitionAndBeliefBoundary:
+    def test_sub_lattice_gap_rejected(self):
+        # both containers hold lattice states only, but (0.5, 0.7) is covered by neither
+        m = small_mdp()
+        with pytest.raises(ValueError, match=r"gap: \[0.5, 0.7\] is uncovered"):
+            ContainerPartition([Container(-4, 0.5, False), Container(0.7, 4, True)], m.grid, m.step)
+
+    def test_top_gap_rejected(self):
+        m = small_mdp()
+        with pytest.raises(ValueError, match=r"gap: \[2.0, 4.0\] is uncovered"):
+            ContainerPartition([Container(-4, 0, False), Container(0, 2, True)], m.grid, m.step)
+
+    def test_nan_belief_mass_rejected(self):
+        m = small_mdp()
+        z = np.zeros(m.n_states)
+        z[0], z[1] = 1.0, np.nan
+        with pytest.raises(ValueError, match="sums to nan"):
+            validate_belief(z)
+        with pytest.raises(ValueError, match="sums to nan"):
+            make_belief([(0.0, np.nan), (1.0, 1.0)], m.grid)
+
+    def test_off_grid_prior_state_named(self):
+        m = small_mdp()
+        with pytest.raises(ValueError, match=r"prior\[1\] state nan is not on the grid \[-4.0, 4.0\] at step 1.0"):
+            make_belief([(0.0, 0.5), (float("nan"), 0.5)], m.grid)
