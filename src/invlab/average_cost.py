@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .dp_core import TIE_TOL, GridMDP, _argmin_sets, infinite_horizon_vi
+from .dp_core import TIE_TOL, GridMDP, _optimal_mask, infinite_horizon_vi
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
+SLACK_TOL = 1e-6  # margin of the relative-value growth and bound tests
 
 
 @dataclass
@@ -67,7 +68,7 @@ def check_ladder(alphas) -> tuple[float, ...]:
     return alphas
 
 
-def solve_ladder(mdp: GridMDP, alphas, eps: float, *, tie_tol: float = TIE_TOL) -> DiscountLadder:
+def solve_ladder(mdp: GridMDP, alphas, eps: float) -> DiscountLadder:
     """Run the discounted solver along an increasing ladder of discount factors."""
     alphas = check_ladder(alphas)
     entries = []
@@ -75,7 +76,7 @@ def solve_ladder(mdp: GridMDP, alphas, eps: float, *, tie_tol: float = TIE_TOL) 
         sol = infinite_horizon_vi(mdp, alpha, eps)
         m = float(sol.values.min())
         u = sol.values - m
-        x_set = mdp.grid[sol.values <= m + tie_tol]
+        x_set = mdp.grid[sol.values <= m + TIE_TOL]
         entries.append(LadderEntry(alpha, sol.values, m, u, x_set, sol.iterations))
     return DiscountLadder(entries, mdp.grid.copy())
 
@@ -113,22 +114,22 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
 @dataclass
 class GreedyPolicyResult:
     actions: np.ndarray
-    tie_sets: list[np.ndarray]
-    a_star_sets: list[np.ndarray] | None  # actions meeting the w_upper inequality, when given
+    ties: np.ndarray  # (n, n_a) bool: actions tied with the minimum
+    a_star: np.ndarray | None  # (n, n_a) bool: actions meeting the w_upper inequality, when given
 
 
-def greedy_policy(mdp: GridMDP, u: np.ndarray, w_upper: float | None = None, *, tie_tol: float = TIE_TOL) -> GreedyPolicyResult:
+def greedy_policy(mdp: GridMDP, u: np.ndarray, w_upper: float | None = None) -> GreedyPolicyResult:
     """Undiscounted one-step lookahead against the relative values.
 
-    Returns the smallest minimizer per state, the full set of actions tied
-    within tolerance, and (when ``w_upper`` is supplied) the set of actions
-    satisfying ``c + E u(next) <= w_upper + u(x)``.
+    Returns the smallest minimizer per state, the mask of actions tied
+    within ``TIE_TOL``, and (when ``w_upper`` is supplied) the mask of
+    actions satisfying ``c + E u(next) <= w_upper + u(x)``.
     """
     u = np.asarray(u, dtype=float)
     q = mdp.cost + mdp.expected_next(u)
-    ties = _argmin_sets(mdp, q, q.min(axis=1), tie_tol)
-    a_star = None if w_upper is None else _argmin_sets(mdp, q, w_upper + u, tie_tol)
-    return GreedyPolicyResult(np.array([t[0] for t in ties]), ties, a_star)
+    ties = _optimal_mask(q, q.min(axis=1))
+    a_star = None if w_upper is None else _optimal_mask(q, w_upper + u)
+    return GreedyPolicyResult(mdp.actions[ties.argmax(axis=1)], ties, a_star)
 
 
 @dataclass
@@ -143,12 +144,7 @@ class ABDiagnostic:
         return not self.growth_flags.any() and not self.bound_violations
 
 
-def assumption_B_diagnostic(
-    ladder: DiscountLadder,
-    c: CostModel,
-    *,
-    slack_tol: float = 1e-6,
-) -> ABDiagnostic:
+def assumption_B_diagnostic(ladder: DiscountLadder, c: CostModel) -> ABDiagnostic:
     """Grid-level evidence that relative values stay bounded along the ladder.
 
     Flags states whose ``u_alpha`` rises at every rung and at least doubles
@@ -161,8 +157,8 @@ def assumption_B_diagnostic(
     stack = np.stack([e.u_alpha for e in ladder.entries])
     sup_u = stack.max(axis=0)
     diffs = np.diff(stack, axis=0)
-    growing = (diffs > slack_tol).all(axis=0) if stack.shape[0] > 1 else np.zeros(stack.shape[1], bool)
-    doubled = stack[-1] >= 2.0 * stack[0] + slack_tol
+    growing = (diffs > SLACK_TOL).all(axis=0) if stack.shape[0] > 1 else np.zeros(stack.shape[1], bool)
+    doubled = stack[-1] >= 2.0 * stack[0] + SLACK_TOL
     growth_flags = growing & doubled
 
     x_lo = min(float(e.x_alpha.min()) for e in ladder.entries)
@@ -170,11 +166,11 @@ def assumption_B_diagnostic(
 
     violations = []
     left = ladder.grid < x_lo - 1e-12
-    bounds = c.K + c.c_unit * (x_up - ladder.grid[left]) + slack_tol
+    bounds = c.K + c.c_unit * (x_up - ladder.grid[left]) + SLACK_TOL
     for e in ladder.entries:
         over = e.u_alpha[left] > bounds
         for x, val, b in zip(ladder.grid[left][over], e.u_alpha[left][over], bounds[over]):
-            violations.append((e.alpha, float(x), float(val), float(b - slack_tol)))
+            violations.append((e.alpha, float(x), float(val), float(b - SLACK_TOL)))
     return ABDiagnostic(sup_u, growth_flags, (x_lo, x_up), violations)
 
 

@@ -232,7 +232,7 @@ def load_config(path) -> RunConfig:
         if not lo < hi:
             errors.append("grid: needs lo < hi")
         elif demand is not None:
-            grid = _build(errors, "grid", _lattice, lo, hi, demand.step)
+            grid = _build(errors, "grid", _lattice, lo, hi, demand.step, hi - lo if a_max is None else a_max)
     if demand is not None and val["grid", "step"] is not None and not abs(val["grid", "step"] - demand.step) <= 1e-12:
         errors.append("grid: step must match demand step")
 
@@ -382,18 +382,17 @@ def _mdp_warnings(mdp: GridMDP) -> list:
     return warnings
 
 
-def _write_policy(out: Path, grid: np.ndarray, argmin_sets) -> None:
-    rows = [(x, s[0], ";".join(_cell(a) for a in s)) for x, s in zip(grid, argmin_sets)]
+def _write_policy(out: Path, mdp: GridMDP, optimal: np.ndarray | None) -> None:
+    """``policy.csv``: each state's optimal-action set from the mask; header only when there is none."""
+    sets = [] if optimal is None else [mdp.actions[row] for row in optimal]
+    rows = [(x, s[0], ";".join(_cell(a) for a in s)) for x, s in zip(mdp.grid, sets)]
     write_csv(out / "policy.csv", ["x", "action", "argmin_set"], rows)
 
 
-def _cap_warnings(mdp: GridMDP, argmin_sets) -> list:
-    warnings = []
+def _cap_warnings(mdp: GridMDP, optimal: np.ndarray) -> list:
     cap = float(mdp.actions[-1])
-    for i, s in enumerate(argmin_sets):
-        if np.any(np.abs(s - cap) <= 1e-9):
-            warnings.append({"kind": "a_max_binding", "state": float(mdp.grid[i]), "action": cap})
-    return warnings
+    binding = np.nonzero(optimal[:, -1])[0]
+    return [{"kind": "a_max_binding", "state": float(mdp.grid[i]), "action": cap} for i in binding]
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +464,10 @@ def _run_solve_finite(config: RunConfig, out: Path) -> RunReport:
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
     final = sols[-1]
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, final.values))
-    _write_policy(out, mdp.grid, final.argmin_sets or [])
+    _write_policy(out, mdp, final.optimal)
     rows = _thresholds_from_solutions(config, mdp, sols, alpha)
     write_csv(out / "thresholds.csv", ["t", "s", "S"], rows)
-    warnings = _mdp_warnings(mdp) + (_cap_warnings(mdp, final.argmin_sets) if final.argmin_sets else [])
+    warnings = _mdp_warnings(mdp) + (_cap_warnings(mdp, final.optimal) if final.optimal is not None else [])
     outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(final.values[0])}
     return RunReport("solve-finite", config.raw, outputs, warnings)
 
@@ -478,7 +477,7 @@ def _run_solve_discounted(config: RunConfig, out: Path) -> RunReport:
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, sol.values))
-    _write_policy(out, mdp.grid, sol.argmin_sets)
+    _write_policy(out, mdp, sol.optimal)
     outputs = {
         "alpha": alpha,
         "eps": eps,
@@ -491,7 +490,7 @@ def _run_solve_discounted(config: RunConfig, out: Path) -> RunReport:
         outputs["s_alpha"], outputs["S_alpha"] = s_a, S_a
     except InvLabError as exc:
         outputs["thresholds_error"] = str(exc)
-    warnings = _mdp_warnings(mdp) + _cap_warnings(mdp, sol.argmin_sets)
+    warnings = _mdp_warnings(mdp) + _cap_warnings(mdp, sol.optimal)
     return RunReport("solve-discounted", config.raw, outputs, warnings)
 
 
@@ -507,7 +506,7 @@ def _run_solve_average(config: RunConfig, out: Path) -> RunReport:
     greedy = average_cost.greedy_policy(mdp, rv.u, rv.w_upper)
     slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
     slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
-    _write_policy(out, mdp.grid, greedy.tie_sets)
+    _write_policy(out, mdp, greedy.ties)
     diag = average_cost.assumption_B_diagnostic(ladder, config.cost)
     rates = ladder.rates()
     outputs = {
@@ -569,7 +568,7 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
     mdp = config.build_mdp()
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
-    phi = min_action_policy(sol)
+    phi = min_action_policy(mdp, sol)
     x0, reps, N = config.sim_x0, config.sim_reps, config.sim_horizon
     max_cost = float(mdp.cost[np.isfinite(mdp.cost)].max())
     if N is None and (alpha == 0.0 or max_cost == 0.0):
@@ -662,6 +661,9 @@ def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
             errors.append(f"{command}: a seed is required for simulation")
     else:
         seed = _field(errors, "", "seed", seed)
+    step = config.demand.step
+    if command == "simulate" and _lattice_index(_lattice(config.grid_lo, config.grid_hi, step), config.sim_x0, step) is None:
+        errors.append(f"sim: x0 {config.sim_x0!r} is not on the grid [{config.grid_lo}, {config.grid_hi}] at step {step}")
     if errors:
         raise ValidationErrors(errors)
     out = Path(out_dir) if out_dir is not None else Path(config.output or ".")

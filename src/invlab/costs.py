@@ -150,7 +150,7 @@ class KConvexityResult:
     slack: float  # most negative margin encountered (0 when convex comfortably)
 
 
-def is_K_convex(g: np.ndarray, K: float, tol: float = INEQ_TOL) -> KConvexityResult:
+def is_K_convex(g: np.ndarray, K: float) -> KConvexityResult:
     """Brute-force K-convexity over all lattice triples ``x < m < y``.
 
     Checks ``g(m) <= (1-lam) g(x) + lam g(y) + lam K`` with
@@ -174,7 +174,7 @@ def is_K_convex(g: np.ndarray, K: float, tol: float = INEQ_TOL) -> KConvexityRes
         lam = (ms[:, None] - ix) / (ys[None, :] - ix)  # rows m, cols y
         margin = (1.0 - lam) * g[ix] + lam * g[ys][None, :] + lam * K - g[ms][:, None]
         margin = np.where(ys[None, :] > ms[:, None], margin, np.inf)
-        bad = margin < -tol
+        bad = margin < -INEQ_TOL
         if bad.any():
             if first is None:
                 m_off, y_off = np.argwhere(bad)[0]

@@ -17,6 +17,7 @@ from .errors import InvLabError
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
+SUPPORT_CAP = 1 << 21  # lattice points a convolution power may span
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -31,13 +32,21 @@ def _require_step(step: float) -> None:
         raise InvLabError("OFF_LATTICE", f"lattice step must be positive and finite, got {step}")
 
 
+def _require_offset_range(what: str, values: np.ndarray, offsets: np.ndarray) -> None:
+    """Reject offsets an int64 cannot hold, naming the first such value."""
+    far = np.abs(offsets) >= 2.0**63
+    if far.any():
+        raise InvLabError("SUPPORT_TOO_LARGE", f"{what} {float(values[far][0])!r} is beyond the int64 lattice range")
+
+
 def _lattice_offsets(values: np.ndarray, step: float) -> np.ndarray:
-    """Lattice offsets of demand atoms, rejecting a bad step and non-finite, negative or off-lattice atoms."""
+    """Lattice offsets of demand atoms, rejecting a bad step and non-finite, negative, off-lattice or out-of-range atoms."""
     _require_step(step)
     _require_finite("demand atom at", values)
     if np.any(values < -LATTICE_TOL * step):
         raise InvLabError("NEGATIVE_VALUE", f"demand atom at {float(values.min())} is negative")
     offsets = np.rint(values / step)
+    _require_offset_range("demand atom at", values, offsets)
     off = np.abs(values - offsets * step) > LATTICE_TOL * max(step, 1.0)
     if np.any(off):
         raise InvLabError("OFF_LATTICE", f"demand atom at {float(values[off][0])} is not a multiple of step {step}")
@@ -158,6 +167,7 @@ def quantize(cdf_samples, step: float) -> DemandDistribution:
     if values.size == 0:
         raise InvLabError("EMPTY_INPUT", "CDF carries no probability mass")
     offsets = np.floor(values / step + 0.5)  # nearest lattice point, ties up
+    _require_offset_range("CDF value", values, offsets)
     if np.any(offsets < 0):
         raise InvLabError("NEGATIVE_VALUE", "CDF mass rounds to a negative lattice point")
     masses = masses / masses.sum()
@@ -176,7 +186,7 @@ def convolve(a: DemandDistribution, b: DemandDistribution) -> DemandDistribution
     return DemandDistribution(offs * a.step, dense[offs], a.step)
 
 
-def convolve_power(d: DemandDistribution, t: int, *, support_cap: int = 1 << 21) -> DemandDistribution:
+def convolve_power(d: DemandDistribution, t: int) -> DemandDistribution:
     """Exact law of the t-fold sum of independent copies of ``d``.
 
     ``t = 0`` returns the point mass at zero (the empty sum).  Uses
@@ -188,10 +198,10 @@ def convolve_power(d: DemandDistribution, t: int, *, support_cap: int = 1 << 21)
     if t == 0:
         return DemandDistribution(np.array([0.0]), np.array([1.0]), d.step)
     max_offset = int(d.offsets()[-1])
-    if t * max_offset + 1 > support_cap:
+    if t * max_offset + 1 > SUPPORT_CAP:
         raise InvLabError(
             "SUPPORT_TOO_LARGE",
-            f"support of the {t}-fold sum has {t * max_offset + 1} lattice points, cap is {support_cap}",
+            f"support of the {t}-fold sum has {t * max_offset + 1} lattice points, cap is {SUPPORT_CAP}",
         )
     base = d.pmf_dense()
     result = np.array([1.0])

@@ -26,7 +26,8 @@ from .demand import DemandDistribution
 from .errors import InvLabError
 
 ROW_TOL = 1e-12
-TIE_TOL = 1e-9
+TIE_TOL = 1e-9  # an action is optimal when its backup is within TIE_TOL of the minimum
+MAX_PAIRS = 2**22  # (state, action) pairs a lattice may have
 PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
 
 
@@ -136,18 +137,27 @@ class GridMDP:
 
 @dataclass
 class ValueSolution:
-    """Values plus the full optimal-action sets from the final backup."""
+    """Values plus the optimal-action mask of the final backup: ``optimal[i, j]`` when action ``j`` is optimal at state ``i``."""
 
     values: np.ndarray
-    argmin_sets: list[np.ndarray] | None
+    optimal: np.ndarray | None  # (n, n_a) bool
     residual: float
     iterations: int
 
 
-def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step)) + 1
+def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> np.ndarray:
+    """The state lattice from ``lo`` to ``hi``.
+
+    Raises ValueError, before anything is allocated, when it has fewer than
+    two points or, with the action lattice up to ``a_max``, more than
+    ``MAX_PAIRS`` (state, action) pairs.
+    """
+    spans = ((hi - lo) / step, a_max / step)
+    n, n_a = (int(round(s)) + 1 if math.isfinite(s) else math.inf for s in spans)
     if n < 2:
         raise ValueError(f"grid [{lo}, {hi}] has fewer than two lattice points at step {step}")
+    if not n * n_a <= MAX_PAIRS:  # an unbounded span makes it inf or nan
+        raise ValueError(f"{n} states x {n_a} actions make {n * n_a} (state, action) pairs, above the cap of {MAX_PAIRS}")
     return lo + step * np.arange(n)
 
 
@@ -179,12 +189,13 @@ def build_mdp(
     """Assemble a GridMDP from dynamics, a shock law, and a cost kernel.
 
     ``cost_fn(x, a)`` may return ``+inf`` to mark infeasible pairs.  Raises
-    ``GRID_TOO_NARROW`` when a shock atom with probability above
-    ``mass_tol`` would clamp at a grid edge under a finite-cost action,
-    and ``NO_FINITE_ACTION`` when some state has no finite-cost action.
+    ValueError past ``MAX_PAIRS`` (state, action) pairs, ``GRID_TOO_NARROW``
+    when a shock atom with probability above ``mass_tol`` would clamp at a
+    grid edge under a finite-cost action, and ``NO_FINITE_ACTION`` when some
+    state has no finite-cost action.
     """
     shock_values, shock_probs, step = _as_shock(shock, step)
-    grid = _lattice(grid_lo, grid_hi, step)
+    grid = _lattice(grid_lo, grid_hi, step, a_max)
     n = grid.size
     n_a = int(round(a_max / step)) + 1
     actions = step * np.arange(n_a)
@@ -274,7 +285,7 @@ def make_inventory_mdp(
     """
     if a_max is None:
         a_max = grid_hi - grid_lo
-    grid = _lattice(grid_lo, grid_hi, demand.step)
+    grid = _lattice(grid_lo, grid_hi, demand.step, a_max)
     eh = expected_holding(cost_model.holding, grid, demand)  # E h(y - D) for every post-order level y
 
     def cost_fn(x, a):
@@ -288,8 +299,9 @@ def make_inventory_mdp(
     return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost_fn, mass_tol=mass_tol)
 
 
-def _argmin_sets(mdp: GridMDP, q: np.ndarray, vmin: np.ndarray, tie_tol: float) -> list[np.ndarray]:
-    return [mdp.actions[q[i] <= vmin[i] + tie_tol] for i in range(mdp.n_states)]
+def _optimal_mask(q: np.ndarray, bound) -> np.ndarray:
+    """``q <= bound + TIE_TOL``, one bound per row of ``q``: the actions optimal against ``bound``."""
+    return q <= np.asarray(bound)[..., None] + TIE_TOL
 
 
 def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -304,12 +316,12 @@ def _backup(mdp: GridMDP, v: np.ndarray, alpha: float):
     return q, q.min(axis=1)
 
 
-def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray, *, tie_tol: float = TIE_TOL) -> list[ValueSolution]:
+def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) -> list[ValueSolution]:
     """Backward induction for ``N`` steps from the terminal values.
 
     Entry ``t`` of the result holds the optimal cost with ``t`` periods to
-    go; its argmin sets are the optimal first actions at that depth (absent
-    at ``t = 0``, where no decision is taken).
+    go; its mask marks the optimal first actions at that depth (absent at
+    ``t = 0``, where no decision is taken).
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
@@ -324,7 +336,7 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray, 
     v = terminal
     for t in range(1, N + 1):
         q, vnew = _backup(mdp, v, alpha)
-        sols.append(ValueSolution(vnew, _argmin_sets(mdp, q, vnew, tie_tol), _sup_diff(vnew, v), t))
+        sols.append(ValueSolution(vnew, _optimal_mask(q, vnew), _sup_diff(vnew, v), t))
         v = vnew
     return sols
 
@@ -346,13 +358,13 @@ def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray
     return np.linalg.solve(A, cost_phi)
 
 
-def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: float = TIE_TOL) -> ValueSolution:
+def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution:
     """Value iteration from a policy-iteration start until the contraction bound certifies ``eps``.
 
     The start is the exact value of the policy that Howard policy iteration
     reaches from the myopic policy within ``PI_MAX_STEPS`` improvements
     (each keeps the current action unless another beats it by more than
-    ``tie_tol``).  Sweeps then stop once the sup-norm successive difference
+    ``TIE_TOL``).  Sweeps then stop once the sup-norm successive difference
     drops to ``eps (1 - alpha) / (2 alpha)``, which bounds the distance to
     the fixed point by ``eps / 2`` from any start.  ``iterations`` counts the
     improvement backups plus the sweeps.  ``alpha = 0`` is a single exact
@@ -366,7 +378,7 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: floa
         raise InvLabError("NO_FINITE_ACTION", "some state has no finite-cost action")
     if alpha == 0.0:
         q, v = _backup(mdp, np.zeros(mdp.n_states), 0.0)
-        return ValueSolution(v, _argmin_sets(mdp, q, v, tie_tol), 0.0, 1)
+        return ValueSolution(v, _optimal_mask(q, v), 0.0, 1)
     threshold = eps * (1.0 - alpha) / (2.0 * alpha)
     rows = np.arange(mdp.n_states)
     phi = mdp.cost.argmin(axis=1)
@@ -375,7 +387,7 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: floa
         v = policy_values(mdp, phi, alpha)
         q, vmin = _backup(mdp, v, alpha)
         iterations += 1
-        improve = q[rows, phi] > vmin + tie_tol
+        improve = q[rows, phi] > vmin + TIE_TOL
         if not improve.any():
             break
         phi = np.where(improve, q.argmin(axis=1), phi)
@@ -391,14 +403,14 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float, *, tie_tol: floa
         if max_iter is not None and iterations > max_iter:
             raise RuntimeError(f"value iteration failed to contract after {iterations} sweeps")
     q, v_final = _backup(mdp, v, alpha)
-    return ValueSolution(v_final, _argmin_sets(mdp, q, v_final, tie_tol), delta, iterations)
+    return ValueSolution(v_final, _optimal_mask(q, v_final), delta, iterations)
 
 
-def min_action_policy(sol: ValueSolution) -> np.ndarray:
+def min_action_policy(mdp: GridMDP, sol: ValueSolution) -> np.ndarray:
     """Smallest optimal action at each state (deterministic tie-break)."""
-    if sol.argmin_sets is None:
-        raise ValueError("solution carries no argmin sets")
-    return np.array([s[0] for s in sol.argmin_sets])
+    if sol.optimal is None:
+        raise ValueError("solution carries no optimal actions")
+    return mdp.actions[sol.optimal.argmax(axis=1)]
 
 
 def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float) -> float:

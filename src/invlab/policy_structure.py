@@ -6,7 +6,7 @@ and s is the leftmost point whose cost is within the setup cost K of the
 minimum.  The regime classifier decides, from the cost constants alone,
 whether thresholds exist at every step, never, or only sufficiently far from
 the end of the horizon; ``verify_structure`` then checks those predictions
-against the solver's optimal-action sets state by state.
+against the solver's optimal-action masks, one step at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel, d: Deman
     return c.c_unit * mdp.grid + expected_holding(c.holding, mdp.grid, d) + alpha * continuation
 
 
-def extract_sS(g: np.ndarray, grid: np.ndarray, K: float, *, tie_tol: float = TIE_TOL) -> tuple[float, float]:
+def extract_sS(g: np.ndarray, grid: np.ndarray, K: float) -> tuple[float, float]:
     """Thresholds from a grid function: S the smallest argmin, s the order trigger.
 
     ``s`` is the smallest grid point at or left of S whose value is within
@@ -57,10 +57,10 @@ def extract_sS(g: np.ndarray, grid: np.ndarray, K: float, *, tie_tol: float = TI
     if not np.all(np.isfinite(g)):
         raise ValueError("thresholds need finite values over the whole window")
     gmin = float(g.min())
-    argmin_mask = g <= gmin + tie_tol
+    argmin_mask = g <= gmin + TIE_TOL
     if argmin_mask[0] or argmin_mask[-1]:
         raise InvLabError("GRID_TOO_NARROW", "argmin of the order-up-to objective touches the grid edge")
-    s_idx_candidates = np.nonzero(g <= K + gmin + tie_tol)[0]
+    s_idx_candidates = np.nonzero(g <= K + gmin + TIE_TOL)[0]
     S_idx = int(np.nonzero(argmin_mask)[0][0])
     s_idx = int(s_idx_candidates[0])  # leftmost, necessarily <= S_idx
     return float(grid[s_idx]), float(grid[S_idx])
@@ -116,37 +116,30 @@ def verify_structure(
     g_sequence: list[np.ndarray],
     mdp: GridMDP,
     K: float,
-    *,
-    tie_tol: float = TIE_TOL,
 ) -> StructureReport:
-    """Check the predicted action at every (step, state) against the DP argmin sets.
+    """Check the predicted action at every (step, state) against the DP optimal-action masks.
 
     The prediction is threshold-shaped: order up to S below s, order nothing
-    otherwise.  Membership in the argmin set is the right notion of
-    agreement because several actions can be optimal at once.
+    otherwise.  Membership in the optimal set is the right notion of
+    agreement because several actions can be optimal at once; a prediction
+    past the action cap is a violation.
     """
     N = len(prediction)
     if len(solutions) < N + 1:
         raise ValueError("need the full backward-induction stack for the horizon")
     violations = []
     thresholds: list = []
-    a_max = float(mdp.actions[-1])
+    rows = np.arange(mdp.n_states)
     for t, entry in enumerate(prediction):
-        sets = solutions[N - t].argmin_sets
-        if entry is None:
-            s_t = S_t = None
-            thresholds.append(None)
-        else:
-            s_t, S_t = extract_sS(g_sequence[entry], mdp.grid, K, tie_tol=tie_tol)
-            thresholds.append((s_t, S_t))
-        for i, x in enumerate(mdp.grid):
-            if entry is None or x >= s_t - 1e-9:
-                predicted = 0.0
-            else:
-                predicted = S_t - x
-            good = predicted <= a_max + 1e-9 and np.any(np.abs(sets[i] - predicted) <= 1e-9 * max(1.0, mdp.step))
-            if not good:
-                violations.append((t, float(x), float(predicted), sets[i].tolist()))
+        optimal = solutions[N - t].optimal
+        # no thresholds: s = -inf, so every state orders nothing
+        s_t, S_t = (-math.inf, -math.inf) if entry is None else extract_sS(g_sequence[entry], mdp.grid, K)
+        thresholds.append(None if entry is None else (s_t, S_t))
+        predicted = np.where(mdp.grid >= s_t - 1e-9, 0.0, S_t - mdp.grid)
+        j = np.rint(predicted / mdp.step).astype(np.int64)
+        good = (j < mdp.n_actions) & optimal[rows, j.clip(max=mdp.n_actions - 1)]
+        for i in np.nonzero(~good)[0]:
+            violations.append((t, float(mdp.grid[i]), float(predicted[i]), mdp.actions[optimal[i]].tolist()))
     return StructureReport(violations, thresholds, N, mdp.n_states)
 
 

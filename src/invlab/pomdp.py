@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import TIE_TOL, GridMDP, _lattice_index
+from .dp_core import GridMDP, _lattice_index, _optimal_mask
 from .errors import InvLabError
 
 BELIEF_TOL = 1e-12
@@ -217,7 +217,7 @@ def _belief_key(z: np.ndarray) -> bytes:
 class BeliefNode:
     belief: np.ndarray
     value: float
-    argmin_actions: np.ndarray
+    optimal: np.ndarray  # (n_a,) bool mask of the optimal actions; all False at depth 0
     children: dict  # (action_index, obs_id) -> child key at depth remaining - 1
 
 
@@ -239,7 +239,6 @@ def belief_value_iteration(
     alpha: float,
     *,
     max_nodes: int = 1_000_000,
-    tie_tol: float = TIE_TOL,
 ) -> BeliefSolution:
     """Exact backward induction over the reachable belief tree.
 
@@ -260,7 +259,7 @@ def belief_value_iteration(
         if len(nodes) >= max_nodes:
             raise InvLabError("TREE_TOO_LARGE", f"belief tree exceeded {max_nodes} nodes")
         if remaining == 0:
-            nodes[(key, 0)] = BeliefNode(z, 0.0, mdp.actions[:0], {})
+            nodes[(key, 0)] = BeliefNode(z, 0.0, np.zeros(mdp.n_actions, dtype=bool), {})
             return key, 0.0
         q = np.full(mdp.n_actions, math.inf)
         children: dict = {}
@@ -282,13 +281,12 @@ def belief_value_iteration(
                 total += alpha * cont
             q[j] = total
         vmin = float(q.min())
-        argmin = mdp.actions[q <= vmin + tie_tol]
-        nodes[(key, remaining)] = BeliefNode(z, vmin, argmin, children)
+        nodes[(key, remaining)] = BeliefNode(z, vmin, _optimal_mask(q, vmin), children)
         return key, vmin
 
     root_key, value = solve(p0, N)
     root = nodes[(root_key, N)]
-    return BeliefSolution(value, root.argmin_actions, N, root_key, nodes, len(nodes))
+    return BeliefSolution(value, mdp.actions[root.optimal], N, root_key, nodes, len(nodes))
 
 
 class TreePolicy:
@@ -303,14 +301,12 @@ class TreePolicy:
         return (self.solution.root_key, self.solution.horizon)
 
     def action(self, cursor) -> float:
-        node = self.solution.nodes[cursor]
-        return float(node.argmin_actions[0])
+        return float(self.mdp.actions[self.solution.nodes[cursor].optimal.argmax()])
 
     def advance(self, cursor, y: float):
         key, remaining = cursor
         node = self.solution.nodes[cursor]
-        a = float(node.argmin_actions[0])
-        j = self.mdp.action_index(a)
+        j = int(node.optimal.argmax())  # the smallest optimal action, as in action()
         obs_id = self.part.obs_id_of_value(y)
         child = node.children.get((j, obs_id))
         if child is None:

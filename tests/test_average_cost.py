@@ -124,9 +124,8 @@ class TestGreedyPolicy:
     def test_constant_cost_everything_ties(self):
         m = constant_mdp()
         res = greedy_policy(m, np.zeros(m.n_states), w_upper=1.0)
-        for ties, astar in zip(res.tie_sets, res.a_star_sets):
-            assert len(ties) == m.n_actions
-            assert len(astar) == m.n_actions
+        assert res.ties.all()
+        assert res.a_star.all()
 
     def test_greedy_is_threshold_shaped_on_growth_instance(self):
         m, cost = gb_mdp()

@@ -107,7 +107,7 @@ class TestSimulatePolicy:
         self.mdp = make_inventory_mdp(self.cost, self.demand, -12, 8)
         self.alpha = 0.9
         self.sol = infinite_horizon_vi(self.mdp, self.alpha, 1e-6)
-        self.phi = min_action_policy(self.sol)
+        self.phi = min_action_policy(self.mdp, self.sol)
 
     def test_zero_horizon_is_free(self):
         disc, avg = simulate_policy(self.mdp, self.phi, 0.0, 0, self.alpha, 20, seed=1)
@@ -416,7 +416,7 @@ class TestReplicationBlocks:
         demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
         self.mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), demand, -12, 8)
         self.alpha = 0.9
-        self.phi = min_action_policy(infinite_horizon_vi(self.mdp, self.alpha, 1e-6))
+        self.phi = min_action_policy(self.mdp, infinite_horizon_vi(self.mdp, self.alpha, 1e-6))
 
     @pytest.mark.parametrize("seed", [0, 20240601, 2**64 - 1])
     def test_rows_are_the_keyed_philox_streams(self, seed):
@@ -668,6 +668,26 @@ LOAD_TIME_FAULTS = [
     (("actions", "a_max"), 0.5, "actions: a_max 0.5 is not on the action lattice at step 1.0"),
     (("actions", "a_max"), 2.5, "actions: a_max 2.5 is not on the action lattice at step 1.0"),
     (("output",), 5, "output: must be a directory path, got 5"),
+    (
+        ("demand", "atoms"),
+        [[0, 0.5], [1e30, 0.5]],
+        "demand: SUPPORT_TOO_LARGE: demand atom at 1e+30 is beyond the int64 lattice range",
+    ),
+    (
+        ("demand",),
+        {"step": 1.0, "cdf": [[0.0, 0.5], [1e30, 1.0]]},
+        "demand: SUPPORT_TOO_LARGE: CDF value 1e+30 is beyond the int64 lattice range",
+    ),
+    (
+        ("grid",),
+        {"lo": -1e15, "hi": 1e15},
+        "grid: 2000000000000001 states x 21 actions make 42000000000000021 (state, action) pairs, above the cap of 4194304",
+    ),
+    (
+        ("actions", "a_max"),
+        1e15,
+        "grid: 21 states x 1000000000000001 actions make 21000000000000021 (state, action) pairs, above the cap of 4194304",
+    ),
 ]
 
 
@@ -710,6 +730,86 @@ class TestLoadTimeFaults:
         config = load_config(write_config(tmp_path, cfg))
         assert (config.sim_x0, config.sim_reps, config.sim_horizon) == (0.0, 1000, None)
         assert not hasattr(config, "sim")
+
+
+def no_build(*args, **kwargs):
+    raise AssertionError("a faulty config reached the MDP build")
+
+
+class TestLatticeSizes:
+    def test_huge_grid_classify_is_2(self, tmp_path, capsys):
+        cfg = base_config(grid={"lo": -1e15, "hi": 1e15})
+        del cfg["actions"]  # a_max defaults to hi - lo
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: grid: 2000000000000001 states x 2000000000000001 actions make" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_cap_boundary(self, tmp_path):
+        cfg = base_config(grid={"lo": 0.0, "hi": 2047.0}, actions={"a_max": 2047.0})
+        assert load_config(write_config(tmp_path, cfg)).a_max == 2047.0
+        cfg = base_config(grid={"lo": 0.0, "hi": 2048.0}, actions={"a_max": 2047.0})
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert err.value.errors == [
+            "grid: 2049 states x 2048 actions make 4196352 (state, action) pairs, above the cap of 4194304"
+        ]
+
+
+class TestDefaultX0:
+    def off_zero_config(self, tmp_path):
+        cfg = base_config(grid={"lo": 1.0, "hi": 20.0})
+        del cfg["sim"]["x0"]  # the default, 0.0, is below the grid
+        return write_config(tmp_path, cfg)
+
+    def test_simulate_is_2_before_any_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_sim, "make_inventory_mdp", no_build)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self.off_zero_config(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: sim: x0 0.0 is not on the grid [1.0, 20.0] at step 1.0" in err
+        assert "solver error" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_listed_with_the_other_run_errors(self, tmp_path):
+        config = load_config(self.off_zero_config(tmp_path))
+        with pytest.raises(ValidationErrors) as err:
+            run(config, "simulate", out_dir=tmp_path / "out", seed=-1)
+        assert err.value.errors == [
+            "seed: must lie in [0, 2**64), got -1",
+            "sim: x0 0.0 is not on the grid [1.0, 20.0] at step 1.0",
+        ]
+
+    def test_other_commands_accept_the_grid(self, tmp_path):
+        config = load_config(self.off_zero_config(tmp_path))
+        assert run(config, "solve-discounted", out_dir=tmp_path / "out").outputs["residual"] <= config.solver.eps
+
+
+class TestPolicyArtifacts:
+    @pytest.mark.parametrize("command", ["solve-discounted", "solve-finite"])
+    def test_cap_warnings_name_the_states_whose_set_holds_the_cap(self, tmp_path, command):
+        cfg = base_config(actions={"a_max": 2.0})
+        out = tmp_path / "out"
+        run(load_config(write_config(tmp_path, cfg)), command, out_dir=out)
+        warnings = json.loads((out / "report.json").read_text())["warnings"]
+        binding = [w for w in warnings if w["kind"] == "a_max_binding"]
+        assert all(w["action"] == 2.0 for w in binding)
+        rows = [line.split(",") for line in (out / "policy.csv").read_text().splitlines()[1:]]
+        holding_cap = [float(x) for x, _, argmin_set in rows if "2.0" in argmin_set.split(";")]
+        assert [w["state"] for w in binding] == holding_cap
+        assert len(holding_cap) == 13
+
+    def test_zero_horizon_solve_finite_writes_header_only_tables(self, tmp_path):
+        cfg = base_config()
+        cfg["solver"]["horizon"] = 0
+        out = tmp_path / "out"
+        report = run(load_config(write_config(tmp_path, cfg)), "solve-finite", out_dir=out)
+        assert (out / "policy.csv").read_text() == "x,action,argmin_set\n"
+        assert (out / "thresholds.csv").read_text() == "t,s,S\n"
+        assert len((out / "values.csv").read_text().splitlines()) == 1 + 21
+        assert not any(w["kind"] == "a_max_binding" for w in report.warnings)
 
 
 # (path, bad value, expected message) on distinct fields whose checks do not

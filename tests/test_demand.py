@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.demand import DemandDistribution, convolve, convolve_power, from_atoms, quantize
+from invlab.demand import SUPPORT_CAP, DemandDistribution, convolve, convolve_power, from_atoms, quantize
 from invlab.errors import InvLabError
 
 
@@ -137,7 +137,7 @@ class TestConvolvePower:
     def test_support_cap(self):
         d = from_atoms([(0, 0.5), (1, 0.5)], step=1)
         with pytest.raises(InvLabError) as err:
-            convolve_power(d, 10, support_cap=5)
+            convolve_power(d, SUPPORT_CAP)  # support of SUPPORT_CAP + 1 points
         assert err.value.code == "SUPPORT_TOO_LARGE"
 
 
@@ -226,3 +226,28 @@ class TestNonFiniteInputs:
     def test_direct_construction_rejects_nan_probability(self):
         with pytest.raises(InvLabError):
             DemandDistribution(np.array([0.0, 1.0]), np.array([1.0, np.nan]), 1.0)
+
+
+class TestOffsetRange:
+    """Atoms whose lattice offsets an int64 cannot hold are named, not cast."""
+
+    @pytest.mark.parametrize("far", [1e30, 2.0**63])
+    def test_from_atoms_names_the_value(self, far):
+        with pytest.raises(InvLabError) as err:
+            from_atoms([(0, 0.5), (far, 0.5)], step=1)
+        assert err.value.code == "SUPPORT_TOO_LARGE"
+        assert f"demand atom at {far!r} is beyond the int64 lattice range" in str(err.value)
+
+    def test_quantize_names_the_value(self):
+        with pytest.raises(InvLabError) as err:
+            quantize([(0.0, 0.5), (1e30, 1.0)], step=1)
+        assert err.value.code == "SUPPORT_TOO_LARGE"
+        assert "CDF value 1e+30 is beyond the int64 lattice range" in str(err.value)
+
+    def test_direct_construction_rejects_the_value(self):
+        with pytest.raises(InvLabError, match="beyond the int64 lattice range"):
+            DemandDistribution(np.array([0.0, 1e30]), np.array([0.5, 0.5]), 1.0)
+
+    def test_largest_offsets_kept(self):
+        d = from_atoms([(0, 0.5), (2.0**62, 0.5)], step=1)
+        assert d.offsets().tolist() == [0, 2**62]

@@ -13,8 +13,10 @@ from invlab.cli_sim import simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import (
+    MAX_PAIRS,
     TIE_TOL,
     Dynamics,
+    _lattice,
     build_mdp,
     check_stationary_optimality,
     finite_horizon_vi,
@@ -59,7 +61,7 @@ class TestBuildMdp:
         m = make_inventory_mdp(cost, d, -2, 10, dynamics=Dynamics.LOST_SALES)
         alpha, eps = 0.9, 1e-6
         sol = infinite_horizon_vi(m, alpha, eps)
-        phi = min_action_policy(sol)
+        phi = min_action_policy(m, sol)
         assert check_stationary_optimality(m, phi, sol.values, alpha) <= 2 * eps
         # negative states are unreachable from nonnegative starts
         reachable = np.zeros(m.n_states, dtype=bool)
@@ -139,7 +141,7 @@ class TestBuildMdp:
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3, 1)), UNIT, -6, 4)
         alpha = 0.9
         sol = infinite_horizon_vi(m, alpha, 1e-6)
-        phi = min_action_policy(sol)
+        phi = min_action_policy(m, sol)
         check_stationary_optimality(m, phi, sol.values, alpha)
         part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
         prior = make_belief([(0.0, 1.0)], m.grid)
@@ -155,7 +157,7 @@ class TestBuildMdp:
         part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
         prior = make_belief([(0.0, 1.0)], m.grid)
         sol = infinite_horizon_vi(m, alpha, 1e-6)
-        phi = min_action_policy(sol)
+        phi = min_action_policy(m, sol)
         tree = belief_value_iteration(m, part, prior, 3, alpha)
         steps = {
             "stationary check": lambda: check_stationary_optimality(m, phi, sol.values, alpha),
@@ -280,9 +282,9 @@ class TestFiniteHorizon:
         v1 = sols[1].values
         assert v1[m.state_index(0)] == pytest.approx(1.0)
         assert v1[m.state_index(1)] == pytest.approx(0.0)
-        sets = sols[1].argmin_sets
-        assert sorted(sets[m.state_index(0)].tolist()) == [0.0, 1.0]
-        assert sets[m.state_index(1)].tolist() == [0.0]
+        optimal = sols[1].optimal
+        assert sorted(m.actions[optimal[m.state_index(0)]].tolist()) == [0.0, 1.0]
+        assert m.actions[optimal[m.state_index(1)]].tolist() == [0.0]
 
     def test_constant_cost_geometric_sum(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
@@ -310,7 +312,7 @@ class TestFiniteHorizon:
         m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
         sols = finite_horizon_vi(m, 6, 0.5, np.zeros(m.n_states))
         for sol in sols[1:]:
-            assert all(len(s) > 0 for s in sol.argmin_sets)
+            assert sol.optimal.any(axis=1).all()
 
 
 class TestInfiniteHorizon:
@@ -353,7 +355,7 @@ class TestInfiniteHorizon:
         for alpha in (0.5, 0.9):
             eps = 1e-6
             sol = infinite_horizon_vi(m, alpha, eps)
-            phi = min_action_policy(sol)
+            phi = min_action_policy(m, sol)
             assert check_stationary_optimality(m, phi, sol.values, alpha) <= 2 * eps
 
 
@@ -369,7 +371,7 @@ class TestStationaryCheck:
         m = make_inventory_mdp(ABS, UNIT, -2, 2)
         alpha = 0.5
         sol = infinite_horizon_vi(m, alpha, 1e-8)
-        phi = min_action_policy(sol)
+        phi = min_action_policy(m, sol)
         base = check_stationary_optimality(m, phi, sol.values, alpha)
         worse = phi.copy()
         i = m.state_index(1)  # optimal action is 0 there; force an order of 1
@@ -475,8 +477,8 @@ class TestPolicyIterationStart:
         sol = infinite_horizon_vi(m, alpha, eps)
         ref_values, ref_sets = from_zero_vi(m, alpha, eps)
         assert np.max(np.abs(sol.values - ref_values)) <= eps
-        for got, want in zip(sol.argmin_sets, ref_sets):
-            assert np.array_equal(got, want)
+        for got, want in zip(sol.optimal, ref_sets):
+            assert np.array_equal(m.actions[got], want)
 
     def test_policy_values_match_dense_solve(self):
         rng = np.random.default_rng(7)
@@ -499,7 +501,7 @@ class TestPolicyIterationStart:
         values = [evaluate_stationary(m, np.array(combo), alpha) for combo in itertools.product(*feasible)]
         best = np.min(values, axis=0)
         assert np.max(np.abs(sol.values - best)) <= eps
-        phi_idx = m.policy_index(min_action_policy(sol))
+        phi_idx = m.policy_index(min_action_policy(m, sol))
         assert np.max(np.abs(evaluate_stationary(m, phi_idx, alpha) - best)) <= eps
 
     def test_every_action_tied_terminates(self):
@@ -508,4 +510,61 @@ class TestPolicyIterationStart:
         sol = infinite_horizon_vi(m, alpha, 1e-6)
         assert sol.iterations <= 3
         assert np.allclose(sol.values, 1 / (1 - alpha), atol=1e-6)
-        assert all(np.array_equal(s, m.actions) for s in sol.argmin_sets)
+        assert sol.optimal.all()
+
+
+class TestLatticeCap:
+    """Lattices past MAX_PAIRS (state, action) pairs are refused before anything is allocated."""
+
+    def test_huge_action_lattice_refused(self):
+        with pytest.raises(ValueError, match=r"5 states x 1000000000000001 actions make 5000000000000005 \(state, action\) pairs"):
+            make_inventory_mdp(ABS, UNIT, -2, 2, a_max=1e15)
+        with pytest.raises(ValueError, match="above the cap of 4194304"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1e15, lambda x, a: 0.0)
+
+    def test_huge_grid_refused(self):
+        with pytest.raises(ValueError, match=r"2000000000000001 states x 1 actions"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -1e15, 1e15, 0, lambda x, a: 0.0)
+        with pytest.raises(ValueError, match="above the cap of 4194304"):
+            make_inventory_mdp(ABS, UNIT, -1e15, 1e15)
+
+    def test_cap_is_on_pairs(self):
+        assert MAX_PAIRS == 2048 * 2048
+        assert _lattice(0.0, 2047.0, 1.0, 2047.0).size == 2048
+        with pytest.raises(ValueError, match="2049 states x 2048 actions make 4196352"):
+            _lattice(0.0, 2048.0, 1.0, 2047.0)
+
+    def test_unbounded_span_refused(self):
+        with pytest.raises(ValueError, match="inf states x 1 actions make inf"):
+            _lattice(-1e308, 1e308, 1.0)
+
+
+class TestOptimalMask:
+    """``ValueSolution.optimal`` is the tie rule ``q <= min + TIE_TOL`` on every row."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    def test_finite_horizon_masks_are_the_tie_rule(self, alpha):
+        d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+        m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -8, 8, a_max=6)
+        sols = finite_horizon_vi(m, 6, alpha, np.linspace(0.0, 3.0, m.n_states))
+        assert sols[0].optimal is None
+        for t in range(1, len(sols)):
+            q = m.cost + alpha * m.expected_next(sols[t - 1].values) if alpha else m.cost
+            vmin = sols[t].values
+            assert sols[t].optimal.shape == (m.n_states, m.n_actions)
+            for i in range(m.n_states):
+                assert np.array_equal(sols[t].optimal[i], q[i] <= vmin[i] + TIE_TOL)
+
+    def test_near_ties_split_at_the_tolerance(self):
+        gaps = {0.0: 0.0, 1.0: 0.7 * TIE_TOL, 2.0: 1.5 * TIE_TOL}  # above the cheapest action
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0 + gaps[a], mass_tol=1.0)
+        for sol in finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))[1:] + [infinite_horizon_vi(m, 0.5, 1e-9)]:
+            assert np.array_equal(sol.optimal, np.tile([True, True, False], (m.n_states, 1)))
+
+    def test_ties_kept_and_smallest_action_chosen(self):
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        sols = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
+        assert sols[2].optimal.all()
+        assert np.array_equal(min_action_policy(m, sols[2]), np.zeros(m.n_states))
+        with pytest.raises(ValueError, match="no optimal actions"):
+            min_action_policy(m, sols[0])

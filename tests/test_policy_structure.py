@@ -6,6 +6,7 @@ import pytest
 from invlab.costs import CostModel, HoldingCost, INFINITE, is_K_convex
 from invlab.demand import from_atoms
 from invlab.dp_core import (
+    TIE_TOL,
     Dynamics,
     build_mdp,
     check_stationary_optimality,
@@ -190,8 +191,7 @@ class TestVerifyStructure:
         mdp, sols, g_seq, report = solve_and_verify(hybrid_cost(), MIXED, 0.9, 2, -30, 12)
         assert report.ok, report.violations[:5]
         for sol in sols[1:]:
-            for s in sol.argmin_sets:
-                assert 0.0 in s.tolist()
+            assert sol.optimal[:, 0].all()  # actions[0] == 0
 
     def test_swapped_thresholds_reported(self):
         cost = gb_cost()
@@ -212,6 +212,86 @@ class TestVerifyStructure:
         assert not bad.ok
         states = {x for (_, x, _, _) in bad.violations}
         assert true_s in states or true_s + 1 in states
+
+
+def reference_verify(prediction, solutions, g_sequence, mdp, K, alpha):
+    """Per-(step, state) reference for ``verify_structure``: its earlier loop over argmin sets.
+
+    The sets are rebuilt from the solved values with the backup's own
+    arithmetic, so the reference does not read the solver's mask.
+    """
+    N = len(prediction)
+    violations = []
+    thresholds = []
+    a_max = float(mdp.actions[-1])
+    for t, entry in enumerate(prediction):
+        depth = N - t
+        q = mdp.cost + alpha * mdp.expected_next(solutions[depth - 1].values) if alpha else mdp.cost
+        vmin = solutions[depth].values
+        sets = [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
+        if entry is None:
+            s_t = S_t = None
+            thresholds.append(None)
+        else:
+            s_t, S_t = extract_sS(g_sequence[entry], mdp.grid, K)
+            thresholds.append((s_t, S_t))
+        for i, x in enumerate(mdp.grid):
+            if entry is None or x >= s_t - 1e-9:
+                predicted = 0.0
+            else:
+                predicted = S_t - x
+            good = predicted <= a_max + 1e-9 and np.any(np.abs(sets[i] - predicted) <= 1e-9 * max(1.0, mdp.step))
+            if not good:
+                violations.append((t, float(x), float(predicted), sets[i].tolist()))
+    return violations, thresholds
+
+
+def shift_right(g, k):
+    """``g`` moved ``k`` states up the grid (left part padded with its edge value), so s and S move up by ``k``."""
+    return np.concatenate([np.full(k, g[0]), g[:-k]]) if k > 0 else np.concatenate([g[-k:], np.full(-k, g[-1])])
+
+
+HALF = from_atoms([(0, 0.3), (0.5, 0.4), (1.0, 0.3)], step=0.5)
+
+# name -> (cost, demand, alpha, N, lo, hi, a_max, how the plan or G-functions are altered)
+ORACLE_CASES = {
+    "growth": (gb_cost(), MIXED, 0.9, 5, -25, 12, None, None),
+    "hybrid": (hybrid_cost(), MIXED, 0.9, 6, -35, 12, None, None),
+    "alpha-zero": (gb_cost(), MIXED, 0.0, 3, -15, 10, None, None),
+    "swapped-steps": (gb_cost(K=6.0), MIXED, 0.9, 5, -25, 12, None, "reverse"),
+    "shifted-up": (gb_cost(), MIXED, 0.9, 5, -25, 12, None, 2),
+    "shifted-down": (gb_cost(), MIXED, 0.9, 5, -25, 12, None, -3),
+    "never-order-on-growth": (gb_cost(), MIXED, 0.9, 4, -25, 12, None, "never"),
+    "deepest-thresholds-on-hybrid": (hybrid_cost(), MIXED, 0.9, 6, -35, 12, None, "deepest"),
+    "tight-a_max": (gb_cost(), MIXED, 0.9, 5, -25, 12, 2.0, None),
+    "tight-a_max-shifted": (gb_cost(K=4.0), MIXED, 0.9, 5, -25, 12, 3.0, 2),
+    "half-step-shifted": (gb_cost(), HALF, 0.9, 4, -12, 6, None, 3),
+}
+
+
+class TestVerifyStructureOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_per_state_reference(self, name):
+        cost, demand, alpha, N, lo, hi, a_max, alter = ORACLE_CASES[name]
+        mdp = make_inventory_mdp(cost, demand, lo, hi, a_max)
+        sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        g_seq = [g_function(mdp, sols[t].values, alpha, cost, demand) for t in range(N)]
+        plan = predict_finite_horizon(classify_regime(cost, alpha), N)
+        if alter == "reverse":
+            plan = plan[::-1]
+        elif alter == "never":
+            plan = [None] * N
+        elif alter == "deepest":
+            plan = [N - 1] * N
+        elif alter is not None:
+            g_seq = [shift_right(g, alter) for g in g_seq]
+        report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+        violations, thresholds = reference_verify(plan, sols, g_seq, mdp, cost.K, alpha)
+        assert report.thresholds == thresholds
+        assert report.violations == violations
+        assert report.ok == (name in ("growth", "hybrid", "alpha-zero"))
+        if a_max is not None:
+            assert any(predicted > a_max for _, _, predicted, _ in report.violations)
 
 
 class TestV0Terminal:
@@ -301,8 +381,7 @@ class TestStructureInvariants:
         n_alpha = 2
         # last n_alpha steps = shallow depths 1..n_alpha
         for depth in range(1, n_alpha + 1):
-            for s in sols[depth].argmin_sets:
-                assert 0.0 in s.tolist()
+            assert sols[depth].optimal[:, 0].all()  # actions[0] == 0
 
     def test_infinite_horizon_threshold_policy_certified(self):
         cost = gb_cost()
