@@ -179,8 +179,8 @@ class RunConfig:
     sim_x0: float
     sim_reps: int
     sim_horizon: int | None
-    pomdp_containers: list | None
-    pomdp_prior: list | None
+    partition: ContainerPartition | None  # built on the lattice of build_mdp's grid
+    prior: np.ndarray | None
     pomdp_horizon: int
     pomdp_max_nodes: int
     output: str | None
@@ -199,15 +199,18 @@ def load_config(path) -> RunConfig:
     Scalars are converted and range-tested through ``FIELDS``.  Every
     structural rule is checked by the constructor that owns it (demand law,
     cost model, grid lattice, ladder, container partition, prior belief), run
-    here on the config's own lattice, so a config that loads builds cleanly.
+    here on the config's own lattice, so a config that loads builds cleanly;
+    the partition and prior built here are the ones the pomdp commands use.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InvLabError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvLabError("PARSE_ERROR", f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvLabError("PARSE_ERROR", f"{path} nests too deeply to parse: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise ValidationErrors([f"config: must be a JSON object, got {raw!r}"])
@@ -259,7 +262,7 @@ def load_config(path) -> RunConfig:
         if None not in ladder:
             ladder = _build(errors, "solver", average_cost.check_ladder, ladder)
 
-    containers = prior = None
+    partition = prior = None
     if raw.get("pomdp") is not None and sec["pomdp"] is not None:
         entries, atoms = sec["pomdp"].get("containers"), sec["pomdp"].get("prior")
         if not (isinstance(entries, list) and entries):
@@ -267,13 +270,13 @@ def load_config(path) -> RunConfig:
         else:
             containers = [_container(errors, i, c) for i, c in enumerate(entries)]
             if grid is not None and None not in containers:
-                _build(errors, "pomdp", ContainerPartition, containers, grid, demand.step)
+                partition = _build(errors, "pomdp", ContainerPartition, containers, grid, demand.step)
         if not (isinstance(atoms, list) and atoms):
             errors.append("pomdp: needs a prior")
         else:
-            prior = [_prior_atom(errors, i, atom) for i, atom in enumerate(atoms)]
-            if grid is not None and None not in prior:
-                _build(errors, "pomdp", make_belief, prior, grid)
+            pairs = [_prior_atom(errors, i, atom) for i, atom in enumerate(atoms)]
+            if grid is not None and None not in pairs:
+                prior = _build(errors, "pomdp", make_belief, pairs, grid)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -295,8 +298,8 @@ def load_config(path) -> RunConfig:
         sim_x0=val["sim", "x0"],
         sim_reps=val["sim", "reps"],
         sim_horizon=val["sim", "horizon"],
-        pomdp_containers=containers,
-        pomdp_prior=prior,
+        partition=partition,
+        prior=prior,
         pomdp_horizon=val["pomdp", "horizon"],
         pomdp_max_nodes=val["pomdp", "max_nodes"],
         output=output,
@@ -350,11 +353,10 @@ class RunReport:
     inputs: dict
     outputs: dict
     warnings: list
-    schema: str = REPORT_SCHEMA
 
     def to_json(self) -> str:
         payload = {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "command": self.command,
             "inputs": _jsonable(self.inputs),
             "outputs": _jsonable(self.outputs),
@@ -443,37 +445,29 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _thresholds_from_solutions(config, mdp, sols, alpha):
-    """Per-step thresholds for the solved horizon, bottom step first."""
-    rows = []
-    for t, sol in enumerate(sols):
-        if t == 0:
-            continue
-        g = policy_structure.g_function(mdp, sols[t - 1].values, alpha, config.cost, config.demand)
-        try:
-            s_t, S_t = policy_structure.extract_sS(g, mdp.grid, config.cost.K)
-        except InvLabError:
-            s_t, S_t = -math.inf, -math.inf
-        rows.append((t - 1, s_t, S_t))
-    return rows
+def _thresholds(config: RunConfig, mdp: GridMDP, v: np.ndarray, alpha: float):
+    """``(s, S, None)`` read off the G-function of ``v``, or ``(-inf, -inf, message)`` when the grid cuts it off."""
+    g = policy_structure.g_function(mdp, v, alpha, config.cost, config.demand)
+    try:
+        return (*policy_structure.extract_sS(g, mdp.grid, config.cost.K), None)
+    except InvLabError as exc:
+        return -math.inf, -math.inf, str(exc)
 
 
-def _run_solve_finite(config: RunConfig, out: Path) -> RunReport:
-    mdp = config.build_mdp()
+# A handler takes (config, mdp, out, seed) and returns (outputs, warnings); run() puts the MDP's warnings first.
+def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
     final = sols[-1]
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, final.values))
     _write_policy(out, mdp, final.optimal)
-    rows = _thresholds_from_solutions(config, mdp, sols, alpha)
+    rows = [(t, *_thresholds(config, mdp, sol.values, alpha)[:2]) for t, sol in enumerate(sols[:-1])]
     write_csv(out / "thresholds.csv", ["t", "s", "S"], rows)
-    warnings = _mdp_warnings(mdp) + (_cap_warnings(mdp, final.optimal) if final.optimal is not None else [])
     outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(final.values[0])}
-    return RunReport("solve-finite", config.raw, outputs, warnings)
+    return outputs, _cap_warnings(mdp, final.optimal) if final.optimal is not None else []
 
 
-def _run_solve_discounted(config: RunConfig, out: Path) -> RunReport:
-    mdp = config.build_mdp()
+def _run_solve_discounted(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, sol.values))
@@ -484,18 +478,15 @@ def _run_solve_discounted(config: RunConfig, out: Path) -> RunReport:
         "iterations": sol.iterations,
         "residual": sol.residual,
     }
-    g = policy_structure.g_function(mdp, sol.values, alpha, config.cost, config.demand)
-    try:
-        s_a, S_a = policy_structure.extract_sS(g, mdp.grid, config.cost.K)
+    s_a, S_a, error = _thresholds(config, mdp, sol.values, alpha)
+    if error is None:
         outputs["s_alpha"], outputs["S_alpha"] = s_a, S_a
-    except InvLabError as exc:
-        outputs["thresholds_error"] = str(exc)
-    warnings = _mdp_warnings(mdp) + _cap_warnings(mdp, sol.optimal)
-    return RunReport("solve-discounted", config.raw, outputs, warnings)
+    else:
+        outputs["thresholds_error"] = error
+    return outputs, _cap_warnings(mdp, sol.optimal)
 
 
-def _run_solve_average(config: RunConfig, out: Path) -> RunReport:
-    mdp = config.build_mdp()
+def _run_solve_average(config: RunConfig, mdp: GridMDP, out: Path, seed):
     ladder = average_cost.solve_ladder(mdp, config.solver.ladder, config.solver.eps)
     rows = [
         (e.alpha, e.m_alpha, e.rate, float(e.x_alpha.min()), float(e.x_alpha.max()))
@@ -520,10 +511,10 @@ def _run_solve_average(config: RunConfig, out: Path) -> RunReport:
         # convergence diagnostic: successive rate gaps along the ladder
         "rate_diffs": np.abs(np.diff(rates)).tolist(),
     }
-    return RunReport("solve-average", config.raw, outputs, _mdp_warnings(mdp))
+    return outputs, []
 
 
-def _run_classify(config: RunConfig, out: Path) -> RunReport:
+def _run_classify(config: RunConfig, mdp: None, out: Path, seed):
     ps = policy_structure.classify_regime(config.cost, config.solver.alpha)
     k_h, _ = regime_constants(config.cost)
     outputs = {
@@ -534,11 +525,10 @@ def _run_classify(config: RunConfig, out: Path) -> RunReport:
         "n_alpha": ps.n_alpha,
     }
     print(f"regime={ps.regime.value} alpha_star={_cell(ps.alpha_star)} n_alpha={_cell(ps.n_alpha)}")
-    return RunReport("classify", config.raw, outputs, [])
+    return outputs, []
 
 
-def _run_verify_structure(config: RunConfig, out: Path) -> RunReport:
-    mdp = config.build_mdp()
+def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
     g_seq = [
@@ -548,12 +538,9 @@ def _run_verify_structure(config: RunConfig, out: Path) -> RunReport:
     ps = policy_structure.classify_regime(config.cost, alpha)
     plan = policy_structure.predict_finite_horizon(ps, N)
     report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K)
-    ps.thresholds = report.thresholds
     rows = [(t, x, a, ";".join(_cell(v) for v in s)) for t, x, a, s in report.violations]
     write_csv(out / "violations.csv", ["t", "x", "predicted_action", "argmin_set"], rows)
-    print("t,x,predicted_action,argmin_set")
-    for t, x, a, s in report.violations:
-        print(f"{t},{_cell(x)},{_cell(a)},{';'.join(_cell(v) for v in s)}")
+    print((out / "violations.csv").read_text(), end="")
     outputs = {
         "regime": ps.regime.value,
         "violations": len(report.violations),
@@ -561,11 +548,10 @@ def _run_verify_structure(config: RunConfig, out: Path) -> RunReport:
         "states_checked": report.states_checked,
         "thresholds": [list(t) if t else None for t in report.thresholds],
     }
-    return RunReport("verify-structure", config.raw, outputs, _mdp_warnings(mdp))
+    return outputs, []
 
 
-def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
-    mdp = config.build_mdp()
+def _run_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     phi = min_action_policy(mdp, sol)
@@ -592,22 +578,18 @@ def _run_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
         "discounted": {"mean": disc.mean, "ci_low": disc.ci_low, "ci_high": disc.ci_high},
         "running_average": {"mean": avg.mean, "ci_low": avg.ci_low, "ci_high": avg.ci_high},
     }
-    return RunReport("simulate", config.raw, outputs, _mdp_warnings(mdp))
+    return outputs, []
 
 
-def _solve_pomdp(config: RunConfig):
-    mdp = config.build_mdp()
-    part = ContainerPartition(config.pomdp_containers, mdp.grid, mdp.step)
-    prior = make_belief(config.pomdp_prior, mdp.grid)
-    sol = belief_value_iteration(
-        mdp, part, prior, config.pomdp_horizon, config.solver.alpha,
+def _solve_pomdp(config: RunConfig, mdp: GridMDP):
+    return belief_value_iteration(
+        mdp, config.partition, config.prior, config.pomdp_horizon, config.solver.alpha,
         max_nodes=config.pomdp_max_nodes,
     )
-    return mdp, part, prior, sol
 
 
-def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
-    mdp, _, _, sol = _solve_pomdp(config)
+def _run_pomdp_solve(config: RunConfig, mdp: GridMDP, out: Path, seed):
+    sol = _solve_pomdp(config, mdp)
     outputs = {
         "value": sol.value,
         "root_actions": sol.root_actions.tolist(),
@@ -615,14 +597,14 @@ def _run_pomdp_solve(config: RunConfig, out: Path) -> RunReport:
         "nodes": sol.node_count,
     }
     (out / "pomdp_solution.json").write_text(json.dumps(_jsonable(outputs), sort_keys=True, indent=2) + "\n")
-    return RunReport("pomdp-solve", config.raw, outputs, _mdp_warnings(mdp))
+    return outputs, []
 
 
-def _run_pomdp_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
-    mdp, part, prior, sol = _solve_pomdp(config)
+def _run_pomdp_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
+    sol = _solve_pomdp(config, mdp)
     reps = config.sim_reps
     result = pomdp_simulate(
-        mdp, part, TreePolicy(sol, mdp, part), prior,
+        mdp, config.partition, TreePolicy(sol, mdp, config.partition), config.prior,
         config.pomdp_horizon, reps, seed, config.solver.alpha,
     )
     write_csv(out / "samples.csv", ["rep", "discounted"], enumerate(result.samples))
@@ -633,7 +615,7 @@ def _run_pomdp_simulate(config: RunConfig, out: Path, seed: int) -> RunReport:
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
     }
-    return RunReport("pomdp-simulate", config.raw, outputs, _mdp_warnings(mdp))
+    return outputs, []
 
 
 COMMANDS = {
@@ -649,11 +631,11 @@ COMMANDS = {
 
 
 def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
-    """Dispatch a command and write its artifacts; returns the run report."""
+    """Run one command: build its MDP once, write its artifacts and ``report.json``; returns the report."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     errors = []
-    if command.startswith("pomdp") and config.pomdp_containers is None:
+    if command.startswith("pomdp") and config.partition is None:
         errors.append(f"{command}: config has no pomdp section")
     if seed is None:
         seed = config.seed
@@ -664,15 +646,17 @@ def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
     step = config.demand.step
     if command == "simulate" and _lattice_index(_lattice(config.grid_lo, config.grid_hi, step), config.sim_x0, step) is None:
         errors.append(f"sim: x0 {config.sim_x0!r} is not on the grid [{config.grid_lo}, {config.grid_hi}] at step {step}")
+    out = Path(out_dir) if out_dir is not None else Path(config.output or ".")
+    if not errors:  # a run that fails validation leaves no directory behind
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            errors.append(f"output: cannot create directory {out}: {exc.strerror}")
     if errors:
         raise ValidationErrors(errors)
-    out = Path(out_dir) if out_dir is not None else Path(config.output or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    handler = COMMANDS[command]
-    if command in SIM_COMMANDS:
-        report = handler(config, out, seed)
-    else:
-        report = handler(config, out)
+    mdp = None if command == "classify" else config.build_mdp()
+    outputs, warnings = COMMANDS[command](config, mdp, out, seed)
+    report = RunReport(command, config.raw, outputs, ([] if mdp is None else _mdp_warnings(mdp)) + warnings)
     (out / "report.json").write_text(report.to_json())
     return report
 

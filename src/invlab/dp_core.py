@@ -71,9 +71,13 @@ class GridMDP:
     mass_loss: np.ndarray
     shock_probs: np.ndarray
     dynamics: Dynamics
-    shift_kernel: bool   # levels are the post-order inventories x + a
     _y_next: np.ndarray  # (levels, n_atoms) clamped successor of each level
     _y_of: np.ndarray    # (n, n_a) level of each (state, action) pair
+
+    @property
+    def shift_kernel(self) -> bool:
+        """Levels are the post-order inventories ``x + a``: backorder and lost sales."""
+        return self.dynamics is not Dynamics.CUSTOM
 
     @property
     def n_states(self) -> int:
@@ -259,7 +263,6 @@ def build_mdp(
         mass_loss=mass_loss,
         shock_probs=np.asarray(shock_probs, dtype=float),
         dynamics=dynamics,
-        shift_kernel=dynamics is not Dynamics.CUSTOM,
         _y_next=np.clip(y_raw, 0, n - 1),
         _y_of=y_of,
     )

@@ -34,7 +34,6 @@ class PolicyStructure:
     regime: Regime
     alpha_star: float
     n_alpha: float  # int count, or math.inf
-    thresholds: list | None = None
 
 
 def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel, d: DemandDistribution) -> np.ndarray:

@@ -565,11 +565,11 @@ class TestConfigShape:
         cfg["pomdp"]["containers"][0]["rep"] = -6
         cfg["pomdp"]["prior"] = [[0, 0.5], [-3, 0.5]]
         config = load_config(write_config(tmp_path, cfg))
-        assert [(c.lo, c.hi, c.transparent, c.rep) for c in config.pomdp_containers] == [
+        assert [(c.lo, c.hi, c.transparent, c.rep) for c in config.partition.containers] == [
             (-12.0, 0.0, False, -6.0),
             (0.0, 8.0, True, None),
         ]
-        assert config.pomdp_prior == [(0.0, 0.5), (-3.0, 0.5)]
+        assert {x: p for x, p in zip(config.partition.grid, config.prior) if p} == {0.0: 0.5, -3.0: 0.5}
         assert run(config, "pomdp-solve", out_dir=tmp_path / "out").outputs["nodes"] > 0
 
 
@@ -851,3 +851,83 @@ def test_exit_2_names_every_injected_fault(picks):
     for _, _, message in picks:
         assert f"error: {message}" in err.getvalue()
     assert "solver error" not in err.getvalue()
+
+
+def counting(monkeypatch, name):
+    """Replace ``cli_sim.<name>`` with a pass-through spy; returns the list of its calls."""
+    calls = []
+    original = getattr(cli_sim, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_sim, name, spy)
+    return calls
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("command", sorted(cli_sim.COMMANDS))
+    def test_each_command_builds_the_mdp_once(self, tmp_path, monkeypatch, command):
+        builds = counting(monkeypatch, "make_inventory_mdp")
+        run(load_config(write_config(tmp_path, base_config(pomdp=pomdp_section()))), command, out_dir=tmp_path / "out")
+        assert len(builds) == (0 if command == "classify" else 1)
+
+    def test_classify_runs_where_the_build_fails(self, tmp_path, capsys):
+        path = str(write_config(tmp_path, base_config(mass_tol=0)))
+        assert main(["classify", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        assert json.loads((tmp_path / "c" / "report.json").read_text())["warnings"] == []
+        assert main(["solve-discounted", "--config", path, "--out", str(tmp_path / "d")]) == 3
+        assert "solver error: GRID_TOO_NARROW" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pomdp-solve", "pomdp-simulate"])
+    def test_partition_and_prior_are_built_once(self, tmp_path, monkeypatch, command):
+        partitions = counting(monkeypatch, "ContainerPartition")
+        beliefs = counting(monkeypatch, "make_belief")
+        run(load_config(write_config(tmp_path, base_config(pomdp=pomdp_section()))), command, out_dir=tmp_path / "out")
+        assert (len(partitions), len(beliefs)) == (1, 1)
+
+    def test_solve_discounted_reports_thresholds_the_grid_cuts_off(self, tmp_path):
+        cfg = base_config(grid={"lo": -12.0, "hi": -2.0}, actions={"a_max": 10.0})
+        del cfg["sim"]  # its x0, 0.0, is off this grid
+        run(load_config(write_config(tmp_path, cfg)), "solve-discounted", out_dir=tmp_path / "out")
+        outputs = json.loads((tmp_path / "out" / "report.json").read_text())["outputs"]
+        assert outputs["thresholds_error"].startswith("GRID_TOO_NARROW: ")
+        assert "s_alpha" not in outputs and "S_alpha" not in outputs
+
+    def test_verify_structure_prints_its_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run(load_config(write_config(tmp_path, base_config(actions={"a_max": 2.0}))), "verify-structure", out_dir=out)
+        printed = capsys.readouterr().out
+        assert printed == (out / "violations.csv").read_text()
+        assert len(printed.splitlines()) == 1 + 59
+
+
+class TestBoundaryFaults:
+    def assert_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err and "solver error" not in err
+
+    @pytest.mark.parametrize("via", ["--out", "output"])
+    @pytest.mark.parametrize("target, reason", [("afile", "File exists"), ("afile/sub", "Not a directory")])
+    def test_unusable_output_directory_is_2(self, tmp_path, capsys, via, target, reason):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / target
+        cfg = base_config(output=str(out)) if via == "output" else base_config()
+        argv = ["classify", "--config", str(write_config(tmp_path, cfg))]
+        self.assert_exit_2(capsys, argv + (["--out", str(out)] if via == "--out" else []),
+                           f"output: cannot create directory {out}: {reason}")
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"demand": "\xff\xfe"}')
+        self.assert_exit_2(capsys, ["classify", "--config", str(path), "--out", str(tmp_path / "out")],
+                           f"PARSE_ERROR: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_config_nested_too_deeply_is_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"demand": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        self.assert_exit_2(capsys, ["classify", "--config", str(path), "--out", str(tmp_path / "out")],
+                           f"PARSE_ERROR: {path} nests too deeply to parse")
