@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .dp_core import TIE_TOL, GridMDP, _optimal_mask, infinite_horizon_vi
+from .dp_core import TIE_TOL, GridMDP, _backup, _optimal_mask, infinite_horizon_vi
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
 SLACK_TOL = 1e-6  # margin of the relative-value growth and bound tests
@@ -42,10 +42,6 @@ class LadderEntry:
 class DiscountLadder:
     entries: list[LadderEntry]
     grid: np.ndarray
-
-    @property
-    def alphas(self) -> list[float]:
-        return [e.alpha for e in self.entries]
 
     def rates(self) -> np.ndarray:
         return np.array([e.rate for e in self.entries])
@@ -106,8 +102,7 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
     that tolerance.
     """
     u = np.asarray(u, dtype=float)
-    cost_phi, succ = mdp.policy_rows(mdp.policy_index(phi))
-    slack = w + u - cost_phi - u[succ] @ mdp.shock_probs
+    slack = w + u - mdp.policy_backup(mdp.policy_index(phi), u)
     return float(slack.min())
 
 
@@ -126,8 +121,8 @@ def greedy_policy(mdp: GridMDP, u: np.ndarray, w_upper: float | None = None) -> 
     actions satisfying ``c + E u(next) <= w_upper + u(x)``.
     """
     u = np.asarray(u, dtype=float)
-    q = mdp.cost + mdp.expected_next(u)
-    ties = _optimal_mask(q, q.min(axis=1))
+    q, q_min = _backup(mdp, u, 1.0)
+    ties = _optimal_mask(q, q_min)
     a_star = None if w_upper is None else _optimal_mask(q, w_upper + u)
     return GreedyPolicyResult(mdp.actions[ties.argmax(axis=1)], ties, a_star)
 
@@ -183,10 +178,10 @@ def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"horizon must be positive, got {N}")
-    c, succ = mdp.policy_rows(mdp.policy_index(phi))
-    if not np.all(np.isfinite(c)):
+    phi_idx = mdp.policy_index(phi)
+    if not np.all(np.isfinite(mdp.policy_rows(phi_idx)[0])):
         raise ValueError("policy takes an infeasible action")
     v = np.zeros(mdp.n_states)
     for _ in range(N):
-        v = c + v[succ] @ mdp.shock_probs
+        v = mdp.policy_backup(phi_idx, v)
     return v / N

@@ -48,6 +48,8 @@ REPORT_SCHEMA = "invctl-report/1"
 
 SIM_COMMANDS = {"simulate", "pomdp-simulate"}
 
+MAX_NESTING = 32  # list and object levels a config may nest; a valid one nests 4
+
 
 REQUIRED = object()  # default of a field that must be given
 
@@ -157,6 +159,15 @@ def _prior_atom(errors: list[str], i: int, atom) -> tuple | None:
     return None if x is None or p is None else (x, p)
 
 
+def _nesting(raw) -> int:
+    """List and object levels of parsed JSON, counted level by level without recursion; stops past ``MAX_NESTING``."""
+    depth, level = 0, [raw] if isinstance(raw, (dict, list)) else []
+    while level and depth <= MAX_NESTING:
+        depth += 1
+        level = [c for o in level for c in (o.values() if isinstance(o, dict) else o) if isinstance(c, (dict, list))]
+    return depth
+
+
 @dataclass
 class SolverParams:
     alpha: float
@@ -211,6 +222,8 @@ def load_config(path) -> RunConfig:
         raise InvLabError("PARSE_ERROR", f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvLabError("PARSE_ERROR", f"{path} nests too deeply to parse: {exc}") from exc
+    if _nesting(raw) > MAX_NESTING:  # the report echoes the config, and serializing it recurses
+        raise InvLabError("PARSE_ERROR", f"{path} nests deeper than {MAX_NESTING} levels")
 
     if not isinstance(raw, dict):
         raise ValidationErrors([f"config: must be a JSON object, got {raw!r}"])
@@ -447,7 +460,7 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
 
 def _thresholds(config: RunConfig, mdp: GridMDP, v: np.ndarray, alpha: float):
     """``(s, S, None)`` read off the G-function of ``v``, or ``(-inf, -inf, message)`` when the grid cuts it off."""
-    g = policy_structure.g_function(mdp, v, alpha, config.cost, config.demand)
+    g = policy_structure.g_function(mdp, v, alpha, config.cost)
     try:
         return (*policy_structure.extract_sS(g, mdp.grid, config.cost.K), None)
     except InvLabError as exc:
@@ -531,10 +544,7 @@ def _run_classify(config: RunConfig, mdp: None, out: Path, seed):
 def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    g_seq = [
-        policy_structure.g_function(mdp, sols[t].values, alpha, config.cost, config.demand)
-        for t in range(N)
-    ]
+    g_seq = [policy_structure.g_function(mdp, sols[t].values, alpha, config.cost) for t in range(N)]
     ps = policy_structure.classify_regime(config.cost, alpha)
     plan = policy_structure.predict_finite_horizon(ps, N)
     report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K)
@@ -684,6 +694,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an artifact that cannot be written
+        print(f"error: output: cannot write {exc.filename or 'an artifact'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -129,9 +129,10 @@ class GridMDP:
         """``E v(next)`` for every (state, action) pair: one sum per level, gathered onto the pairs."""
         return (v[self._y_next] @ self.shock_probs)[self._y_of]
 
-    def policy_expected_next(self, phi_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``E v(next)`` at every state under the action indices ``phi_idx``."""
-        return np.asarray(v, dtype=float)[self.policy_rows(phi_idx)[1]] @ self.shock_probs
+    def policy_backup(self, phi_idx: np.ndarray, v: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+        """``T_phi v = c(x, phi(x)) + alpha E v(next)`` at every state, for the action indices ``phi_idx``."""
+        cost_phi, succ = self.policy_rows(phi_idx)
+        return cost_phi + alpha * (np.asarray(v, dtype=float)[succ] @ self.shock_probs)
 
     def predictive(self, z: np.ndarray, j: int) -> np.ndarray:
         """Next-state law ``sum_i z_i P(i, j, .)`` of the state law ``z`` under action index ``j``."""
@@ -422,8 +423,7 @@ def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, al
     A small residual certifies that ``phi`` attains the minimum in the
     optimality equation when ``v`` is (close to) the fixed point.
     """
-    cost_phi, succ = mdp.policy_rows(mdp.policy_index(phi))
-    rhs = cost_phi + alpha * (np.asarray(v, dtype=float)[succ] @ mdp.shock_probs)
+    rhs = mdp.policy_backup(mdp.policy_index(phi), v, alpha)
     return float(np.max(np.abs(np.asarray(v) - rhs)))
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, N_alpha, expected_holding, regime_constants
-from .demand import DemandDistribution
+from .costs import CostModel, N_alpha, regime_constants
 from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi
 from .errors import InvLabError
 
@@ -36,12 +35,11 @@ class PolicyStructure:
     n_alpha: float  # int count, or math.inf
 
 
-def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel, d: DemandDistribution) -> np.ndarray:
-    """Order-up-to objective on the grid; ``d`` must be the demand law ``mdp`` was built from."""
+def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel) -> np.ndarray:
+    """Order-up-to objective ``c_unit x + c(x, 0) + alpha E v(x - D)``; ``c(x, 0) = E h(x - D)`` on inventory MDPs."""
     if not mdp.shift_kernel:
         raise ValueError("G-functions need backorder or lost-sales dynamics")
-    continuation = mdp.policy_expected_next(np.zeros(mdp.n_states, dtype=np.int64), v)  # order nothing: y = x
-    return c.c_unit * mdp.grid + expected_holding(c.holding, mdp.grid, d) + alpha * continuation
+    return c.c_unit * mdp.grid + mdp.policy_backup(np.zeros(mdp.n_states, dtype=np.int64), v, alpha)
 
 
 def extract_sS(g: np.ndarray, grid: np.ndarray, K: float) -> tuple[float, float]:
@@ -151,7 +149,6 @@ def v0_terminal(mdp_k0: GridMDP, alpha: float, eps: float) -> np.ndarray:
 class ThresholdLimitReport:
     envelope: tuple  # (s_min, s_max, S_min, S_max)
     candidates: list  # recurring tail pairs, in order of first appearance
-    tail: list = field(repr=False, default_factory=list)
 
 
 def threshold_limits(pairs: list[tuple[float, float]], step: float) -> ThresholdLimitReport:
@@ -185,4 +182,4 @@ def threshold_limits(pairs: list[tuple[float, float]], step: float) -> Threshold
             candidates.append((k[0] * step, k[1] * step))
     if not candidates and len(tail) == 1:
         candidates = [tail[0]]
-    return ThresholdLimitReport(envelope, candidates, tail)
+    return ThresholdLimitReport(envelope, candidates)

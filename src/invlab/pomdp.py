@@ -215,7 +215,6 @@ def _belief_key(z: np.ndarray) -> bytes:
 
 @dataclass
 class BeliefNode:
-    belief: np.ndarray
     value: float
     optimal: np.ndarray  # (n_a,) bool mask of the optimal actions; all False at depth 0
     children: dict  # (action_index, obs_id) -> child key at depth remaining - 1
@@ -259,7 +258,7 @@ def belief_value_iteration(
         if len(nodes) >= max_nodes:
             raise InvLabError("TREE_TOO_LARGE", f"belief tree exceeded {max_nodes} nodes")
         if remaining == 0:
-            nodes[(key, 0)] = BeliefNode(z, 0.0, np.zeros(mdp.n_actions, dtype=bool), {})
+            nodes[(key, 0)] = BeliefNode(0.0, np.zeros(mdp.n_actions, dtype=bool), {})
             return key, 0.0
         q = np.full(mdp.n_actions, math.inf)
         children: dict = {}
@@ -281,7 +280,7 @@ def belief_value_iteration(
                 total += alpha * cont
             q[j] = total
         vmin = float(q.min())
-        nodes[(key, remaining)] = BeliefNode(z, vmin, _optimal_mask(q, vmin), children)
+        nodes[(key, remaining)] = BeliefNode(vmin, _optimal_mask(q, vmin), children)
         return key, vmin
 
     root_key, value = solve(p0, N)

@@ -168,7 +168,7 @@ def test_criterion_1_structural_optimality_under_growth(gb_suite):
             for alpha in (0.0, 0.5, 0.9):
                 N = 10
                 sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-                g_seq = [g_function(mdp, sols[t].values, alpha, cost, demand) for t in range(N)]
+                g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
                 for t, g in enumerate(g_seq):
                     res = is_K_convex(g[depth:], cost.K)
                     assert res.ok, (alpha, t, res.violation, res.slack)
@@ -214,7 +214,7 @@ def test_criterion_2_regime_table_reproduction():
         assert probed == 2
 
         sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost, demand) for t in range(N)]
+        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
         ps = classify_regime(cost, alpha)
         plan = predict_finite_horizon(ps, N)
         assert plan == [5, 4, 3, 2, None, None]
@@ -284,7 +284,7 @@ def test_criterion_6_threshold_convergence(avg_suite):
             sols = finite_horizon_vi(mdp, 30, alpha, np.zeros(mdp.n_states))
             pairs = []
             for t in range(30):
-                g = g_function(mdp, sols[t].values, alpha, cost, demand)
+                g = g_function(mdp, sols[t].values, alpha, cost)
                 pairs.append(extract_sS(g, mdp.grid, cost.K))
             tail = pairs[-10:]
             assert all(p == tail[0] for p in tail), tail
@@ -298,7 +298,7 @@ def test_criterion_6_threshold_convergence(avg_suite):
             # discount-ladder thresholds: the recurring pair passes the slack test
             ladder_pairs = []
             for e in inst["deep"].entries:
-                g = g_function(mdp, e.values, e.alpha, cost, demand)
+                g = g_function(mdp, e.values, e.alpha, cost)
                 ladder_pairs.append(extract_sS(g, mdp.grid, cost.K))
             limit_report = threshold_limits(ladder_pairs, demand.step)
             assert limit_report.candidates, ladder_pairs

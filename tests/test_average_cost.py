@@ -156,7 +156,7 @@ class TestGreedyPolicy:
         S_greedy = float(m.grid[edge] + res.actions[edge])
         pairs = []
         for e in ladder.entries:
-            g = g_function(m, e.values, e.alpha, cost, MIXED)
+            g = g_function(m, e.values, e.alpha, cost)
             pairs.append(extract_sS(g, m.grid, cost.K))
         limit = threshold_limits(pairs, m.step)
         assert limit.candidates

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -931,3 +934,50 @@ class TestBoundaryFaults:
         path.write_text('{"demand": ' + "[" * 200_000 + "]" * 200_000 + "}")
         self.assert_exit_2(capsys, ["classify", "--config", str(path), "--out", str(tmp_path / "out")],
                            f"PARSE_ERROR: {path} nests too deeply to parse")
+
+    @pytest.mark.parametrize("blocked", ["report.json", "values.csv"])
+    def test_unwritable_artifact_is_2(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = ["solve-discounted", "--config", str(write_config(tmp_path, base_config())), "--out", str(out)]
+        self.assert_exit_2(capsys, argv, f"output: cannot write {out / blocked}: Is a directory")
+
+
+def nested_config(tmp_path, depth):
+    """The base config with a note of nested lists that makes it ``depth`` levels deep, written without recursion."""
+    note = "[" * (depth - 1) + "]" * (depth - 1)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(base_config())[:-1] + f', "note": {note}}}')
+    return path
+
+
+class TestNesting:
+    @pytest.mark.parametrize("depth", [4, cli_sim.MAX_NESTING])
+    def test_config_at_the_limit_runs(self, tmp_path, capsys, depth):
+        assert main(["classify", "--config", str(nested_config(tmp_path, depth)), "--out", str(tmp_path / "out")]) == 0
+        note = json.loads((tmp_path / "out" / "report.json").read_text())["inputs"]["note"]
+        for _ in range(depth - 2):
+            (note,) = note
+        assert note == []
+
+    @pytest.mark.parametrize("depth", [cli_sim.MAX_NESTING + 1, 500, 900])
+    def test_config_past_the_limit_is_2_before_any_build(self, tmp_path, capsys, monkeypatch, depth):
+        monkeypatch.setattr(cli_sim, "make_inventory_mdp", no_build)
+        path, out = nested_config(tmp_path, depth), tmp_path / "out"
+        assert main(["solve-discounted", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: PARSE_ERROR: {path} nests deeper than {cli_sim.MAX_NESTING} levels\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", [500, 900, 990])
+    def test_console_run_past_the_limit_is_2(self, tmp_path, depth):
+        # the installed invctl's entry point: its shallow stack parses 990 levels, where pytest's does not
+        path, out = nested_config(tmp_path, depth), tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli_sim.__file__).parents[1])}
+        invctl = "import sys; from invlab.cli_sim import main; sys.exit(main())"
+        proc = subprocess.run([sys.executable, "-c", invctl, "classify", "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (2, f"error: PARSE_ERROR: {path} nests deeper than {cli_sim.MAX_NESTING} levels\n")
+        assert not out.exists()
+
+    def test_nesting_counts_list_and_object_levels(self):
+        assert [cli_sim._nesting(v) for v in (1.0, [], {}, {"a": [1, {"b": 2}]}, [[], [[[]]]])] == [0, 1, 1, 3, 4]

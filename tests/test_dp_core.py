@@ -163,7 +163,7 @@ class TestBuildMdp:
             "stationary check": lambda: check_stationary_optimality(m, phi, sol.values, alpha),
             "OI check": lambda: check_optimality_inequality(m, sol.values - sol.values.min(), 1.0, phi),
             "long-run average": lambda: long_run_average(m, phi, 5),
-            "G-function": lambda: g_function(m, sol.values, alpha, cost, UNIT),
+            "G-function": lambda: g_function(m, sol.values, alpha, cost),
             "belief tree": lambda: belief_value_iteration(m, part, prior, 3, alpha),
             "POMDP rollout": lambda: pomdp_simulate(m, part, TreePolicy(tree, m, part), prior, 3, 20, 1, alpha),
             "policy simulation": lambda: simulate_policy(m, phi, 0.0, 10, alpha, 20, 1),
@@ -396,8 +396,10 @@ class TestStationaryCheck:
             dense = np.einsum("ijk,k->ij", m.P, v)
             assert np.allclose(fast, dense, atol=1e-12)
             phi_idx = rng.integers(0, m.n_actions, size=m.n_states)
-            policy = m.policy_expected_next(phi_idx, v)
-            assert np.allclose(policy, dense[np.arange(m.n_states), phi_idx], atol=1e-12)
+            rows = np.arange(m.n_states)
+            for alpha in (0.0, 0.5, 1.0):
+                oracle = m.cost[rows, phi_idx] + alpha * m.P[rows, phi_idx] @ v
+                assert np.allclose(m.policy_backup(phi_idx, v, alpha), oracle, atol=1e-12)
             z = rng.dirichlet(np.ones(m.n_states))
             for j in range(m.n_actions):
                 assert np.allclose(m.predictive(z, j), z @ m.P[:, j, :], atol=1e-12)

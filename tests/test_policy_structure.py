@@ -51,7 +51,7 @@ class TestGFunction:
     def test_zero_values_give_myopic_profile(self):
         c = gb_cost()
         m = make_inventory_mdp(c, MIXED, -15, 10)
-        g = g_function(m, np.zeros(m.n_states), 0.7, c, MIXED)
+        g = g_function(m, np.zeros(m.n_states), 0.7, c)
         from invlab.costs import expected_holding
 
         expected = c.c_unit * m.grid + expected_holding(c.holding, m.grid, MIXED)
@@ -60,14 +60,14 @@ class TestGFunction:
     def test_alpha_zero_ignores_values(self):
         c = gb_cost()
         m = make_inventory_mdp(c, MIXED, -15, 10)
-        g0 = g_function(m, np.zeros(m.n_states), 0.0, c, MIXED)
-        g1 = g_function(m, np.full(m.n_states, 123.0), 0.0, c, MIXED)
+        g0 = g_function(m, np.zeros(m.n_states), 0.0, c)
+        g1 = g_function(m, np.full(m.n_states, 123.0), 0.0, c)
         assert np.allclose(g0, g1)
 
     def test_three_term_hand_sum(self):
         c = CostModel(0.0, 1.0, HoldingCost.linear(1, 1))
         m = make_inventory_mdp(c, UNIT, -3, 3)
-        g = g_function(m, np.full(m.n_states, 10.0), 0.5, c, UNIT)
+        g = g_function(m, np.full(m.n_states, 10.0), 0.5, c)
         # x=1: 1 + h(0) + 0.5 * 10 = 6
         assert g[m.state_index(1)] == pytest.approx(6.0)
 
@@ -78,7 +78,7 @@ class TestGFunction:
         rng = np.random.default_rng(7)
         v = rng.uniform(0, 5, m.n_states)
         alpha = 0.9
-        g = g_function(m, v, alpha, c, MIXED)
+        g = g_function(m, v, alpha, c)
         q = m.cost + alpha * m.expected_next(v)
         for i in (0, 5, 12, m.n_states - 1):
             for j in (0, 3):
@@ -87,6 +87,18 @@ class TestGFunction:
                     continue
                 setup = c.K if j > 0 else 0.0
                 assert q[i, j] == pytest.approx(setup + g[y] - c.c_unit * m.grid[i], abs=1e-9)
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.BACKORDER, Dynamics.LOST_SALES])
+    @pytest.mark.parametrize("alpha", [0.0, 0.9])
+    def test_matches_expected_holding_formula(self, dynamics, alpha):
+        # oracle: c_unit x + E h(x - D) + alpha E_0 v, with E h recomputed from the demand law
+        from invlab.costs import expected_holding
+
+        c = gb_cost()
+        m = make_inventory_mdp(c, MIXED, -15, 10, dynamics=dynamics)
+        v = np.random.default_rng(3).uniform(0, 20, m.n_states)
+        oracle = c.c_unit * m.grid + expected_holding(c.holding, m.grid, MIXED) + alpha * m.P[:, 0, :] @ v
+        np.testing.assert_allclose(g_function(m, v, alpha, c), oracle, rtol=0, atol=1e-12)
 
 
 class TestExtractSS:
@@ -175,7 +187,7 @@ class TestPredictFiniteHorizon:
 def solve_and_verify(cost, demand, alpha, N, lo, hi):
     mdp = make_inventory_mdp(cost, demand, lo, hi)
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    g_seq = [g_function(mdp, sols[t].values, alpha, cost, demand) for t in range(N)]
+    g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
     ps = classify_regime(cost, alpha)
     plan = predict_finite_horizon(ps, N)
     report = verify_structure(plan, sols, g_seq, mdp, cost.K)
@@ -275,7 +287,7 @@ class TestVerifyStructureOracle:
         cost, demand, alpha, N, lo, hi, a_max, alter = ORACLE_CASES[name]
         mdp = make_inventory_mdp(cost, demand, lo, hi, a_max)
         sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost, demand) for t in range(N)]
+        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
         plan = predict_finite_horizon(classify_regime(cost, alpha), N)
         if alter == "reverse":
             plan = plan[::-1]
@@ -329,7 +341,7 @@ class TestThresholdLimits:
         sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
         pairs = []
         for t in range(N):
-            g = g_function(mdp, sols[t].values, alpha, cost, MIXED)
+            g = g_function(mdp, sols[t].values, alpha, cost)
             pairs.append(extract_sS(g, mdp.grid, cost.K))
         report = threshold_limits(pairs, step=1.0)
         assert len(report.candidates) == 1
@@ -344,7 +356,7 @@ class TestThresholdLimits:
         pairs = []
         for alpha in (0.9, 0.95, 0.99):
             sol = infinite_horizon_vi(mdp, alpha, 1e-6)
-            g = g_function(mdp, sol.values, alpha, cost, MIXED)
+            g = g_function(mdp, sol.values, alpha, cost)
             pairs.append(extract_sS(g, mdp.grid, cost.K))
         report = threshold_limits(pairs, step=1.0)
         s_lo, s_hi, S_lo, S_hi = report.envelope
@@ -360,7 +372,7 @@ class TestStructureInvariants:
             sols = finite_horizon_vi(mdp, 10, alpha, np.zeros(mdp.n_states))
             inner = interior_slice(mdp, demand)
             for t in range(10):
-                g = g_function(mdp, sols[t].values, alpha, cost, demand)
+                g = g_function(mdp, sols[t].values, alpha, cost)
                 res = is_K_convex(g[inner], cost.K)
                 assert res.ok, (alpha, t, res.violation)
 
@@ -388,7 +400,7 @@ class TestStructureInvariants:
         alpha, eps = 0.95, 1e-6
         mdp = make_inventory_mdp(cost, MIXED, -25, 12)
         sol = infinite_horizon_vi(mdp, alpha, eps)
-        g = g_function(mdp, sol.values, alpha, cost, MIXED)
+        g = g_function(mdp, sol.values, alpha, cost)
         s_a, S_a = extract_sS(g, mdp.grid, cost.K)
         phi = np.where(mdp.grid < s_a - 1e-9, S_a - mdp.grid, 0.0)
         assert check_stationary_optimality(mdp, phi, sol.values, alpha) <= 2 * eps
@@ -403,7 +415,7 @@ class TestStructureInvariants:
         mdp0 = make_inventory_mdp(k0_clone(cost), MIXED, -40, 14)
         v0 = v0_terminal(mdp0, alpha, 1e-6)
         sols = finite_horizon_vi(mdp, N, alpha, v0)
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost, MIXED) for t in range(N)]
+        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
         plan = [N - t - 1 for t in range(N)]
         report = verify_structure(plan, sols, g_seq, mdp, cost.K)
         assert report.ok, report.violations[:5]
