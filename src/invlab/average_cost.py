@@ -102,7 +102,7 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
     that tolerance.
     """
     u = np.asarray(u, dtype=float)
-    slack = w + u - mdp.policy_backup(mdp.policy_index(phi), u)
+    slack = w + u - mdp.policy_backup(mdp.action_index(phi), u)
     return float(slack.min())
 
 
@@ -178,7 +178,7 @@ def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"horizon must be positive, got {N}")
-    phi_idx = mdp.policy_index(phi)
+    phi_idx = mdp.action_index(phi)
     if not np.all(np.isfinite(mdp.policy_rows(phi_idx)[0])):
         raise ValueError("policy takes an infeasible action")
     v = np.zeros(mdp.n_states)

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import average_cost, policy_structure
 from .costs import CostModel, HoldingCost, regime_constants
-from .demand import DemandDistribution, from_atoms, quantize
+from .demand import DemandDistribution, _lattice_index, from_atoms, quantize
 from .dp_core import (
     Dynamics,
     GridMDP,
     _lattice,
-    _lattice_index,
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
@@ -243,22 +242,22 @@ def load_config(path) -> RunConfig:
     demand = _build(errors, "demand", _demand, sec["demand"]) if sec["demand"] is not None else None
     cost = _build(errors, "cost", _cost, sec["cost"]) if sec["cost"] is not None else None
     lo, hi, a_max = val["grid", "lo"], val["grid", "hi"], val["actions", "a_max"]
-    grid = None
+    grid = actions = None
     if lo is not None and hi is not None:
         if not lo < hi:
             errors.append("grid: needs lo < hi")
         elif demand is not None:
-            grid = _build(errors, "grid", _lattice, lo, hi, demand.step, hi - lo if a_max is None else a_max)
+            lattices = _build(errors, "grid", _lattice, lo, hi, demand.step, hi - lo if a_max is None else a_max)
+            grid, actions = lattices or (None, None)
     if demand is not None and val["grid", "step"] is not None and not abs(val["grid", "step"] - demand.step) <= 1e-12:
         errors.append("grid: step must match demand step")
 
     def on_lattice(label: str, x: float, points: np.ndarray, where: str) -> None:
-        if _lattice_index(points, x, demand.step) is None:
+        if _lattice_index(points, x, demand.step) < 0:
             errors.append(f"{label} {x!r} is not on the {where} at step {demand.step}")
 
-    if demand is not None and a_max is not None:
-        # build_mdp's action lattice tops out at the multiple of the step nearest a_max
-        on_lattice("actions: a_max", a_max, np.array([demand.step * np.rint(a_max / demand.step)]), "action lattice")
+    if actions is not None and a_max is not None:
+        on_lattice("actions: a_max", a_max, actions, "action lattice")
     if grid is not None and val["sim", "x0"] is not None and "x0" in (sec["sim"] or {}):
         on_lattice("sim: x0", val["sim", "x0"], grid, f"grid [{lo}, {hi}]")
 
@@ -424,7 +423,7 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     plus O(reps); the per-replication streams make the result independent
     of that layout.
     """
-    cost_phi, succ_phi = mdp.policy_rows(mdp.policy_index(phi))
+    cost_phi, succ_phi = mdp.policy_rows(mdp.action_index(phi))
     n_atoms = mdp.shock_probs.size
     cum = np.cumsum(mdp.shock_probs)
     if N == 0:
@@ -654,7 +653,7 @@ def run(config: RunConfig, command: str, out_dir=None, seed=None) -> RunReport:
     else:
         seed = _field(errors, "", "seed", seed)
     step = config.demand.step
-    if command == "simulate" and _lattice_index(_lattice(config.grid_lo, config.grid_hi, step), config.sim_x0, step) is None:
+    if command == "simulate" and _lattice_index(_lattice(config.grid_lo, config.grid_hi, step)[0], config.sim_x0, step) < 0:
         errors.append(f"sim: x0 {config.sim_x0!r} is not on the grid [{config.grid_lo}, {config.grid_hi}] at step {step}")
     out = Path(out_dir) if out_dir is not None else Path(config.output or ".")
     if not errors:  # a run that fails validation leaves no directory behind

@@ -39,17 +39,36 @@ def _require_offset_range(what: str, values: np.ndarray, offsets: np.ndarray) ->
         raise InvLabError("SUPPORT_TOO_LARGE", f"{what} {float(values[far][0])!r} is beyond the int64 lattice range")
 
 
-def _lattice_offsets(values: np.ndarray, step: float) -> np.ndarray:
+def _lattice_offsets(x, step: float, origin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest offsets ``k`` of ``x``, a number or an array, on the lattice ``origin + k step``, and where ``x`` is on it.
+
+    On means within ``LATTICE_TOL max(1, step)``; NaN, infinite values and offsets past the int64 range are off, ``k`` 0.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # x - origin may overflow to inf, which is off
+        k = np.rint((x - origin) / step)
+        on = np.abs(k) < 2.0**63  # False for NaN and infinite offsets
+        k = np.where(on, k, 0.0).astype(np.int64)
+        on &= np.abs(x - (origin + k * step)) <= LATTICE_TOL * max(1.0, step)
+    return k, on
+
+
+def _lattice_index(points: np.ndarray, x, step: float):
+    """Index of ``x`` on the uniform lattice ``points``, or -1 where ``x`` is off it; ``x`` is a number or an array."""
+    k, on = _lattice_offsets(x, step, float(points[0]))
+    return np.where(on & (k < len(points)) & (k >= 0), k, -1)[()]
+
+
+def _atom_offsets(values: np.ndarray, step: float) -> np.ndarray:
     """Lattice offsets of demand atoms, rejecting a bad step and non-finite, negative, off-lattice or out-of-range atoms."""
     _require_step(step)
     _require_finite("demand atom at", values)
     if np.any(values < -LATTICE_TOL * step):
         raise InvLabError("NEGATIVE_VALUE", f"demand atom at {float(values.min())} is negative")
-    offsets = np.rint(values / step)
-    _require_offset_range("demand atom at", values, offsets)
-    off = np.abs(values - offsets * step) > LATTICE_TOL * max(step, 1.0)
-    if np.any(off):
-        raise InvLabError("OFF_LATTICE", f"demand atom at {float(values[off][0])} is not a multiple of step {step}")
+    _require_offset_range("demand atom at", values, values / step)
+    offsets, on = _lattice_offsets(values, step)
+    if not on.all():
+        raise InvLabError("OFF_LATTICE", f"demand atom at {float(values[~on][0])} is not a multiple of step {step}")
     return offsets
 
 
@@ -77,7 +96,7 @@ class DemandDistribution:
             raise InvLabError("EMPTY_INPUT", "a demand law needs at least one atom")
         if values.shape != probs.shape:
             raise ValueError("values and probs must have matching shapes")
-        offsets = _lattice_offsets(values, self.step)
+        offsets = _atom_offsets(values, self.step)
         if values.size > 1 and np.any(np.diff(offsets) <= 0):
             raise ValueError("atoms must be sorted by value with no duplicates")
         if not np.all(probs > 0):  # NaN fails too
@@ -88,7 +107,7 @@ class DemandDistribution:
 
     def offsets(self) -> np.ndarray:
         """Atom positions in lattice units (exact integers)."""
-        return np.rint(self.values / self.step).astype(np.int64)
+        return _lattice_offsets(self.values, self.step)[0]
 
     def mean(self) -> float:
         return float(self.values @ self.probs)
@@ -129,14 +148,14 @@ def from_atoms(pairs, step: float) -> DemandDistribution:
         raise InvLabError("EMPTY_INPUT", "no demand atoms given")
     values = np.asarray([p[0] for p in pairs], dtype=float)
     masses = np.asarray([p[1] for p in pairs], dtype=float)
-    offsets = _lattice_offsets(values, step)
+    offsets = _atom_offsets(values, step)
     _require_finite("atom probability", masses)
     if np.any(masses < 0):
         raise InvLabError("PROB_SUM", "negative atom probability")
     total = float(masses.sum())
     if abs(total - 1.0) > PROB_TOL:
         raise InvLabError("PROB_SUM", f"probabilities sum to {total!r}, not 1")
-    dist = _from_offset_masses(offsets.astype(np.int64), masses, step)
+    dist = _from_offset_masses(offsets, masses, step)
     if dist.max_value <= 0:
         raise InvLabError("ALL_MASS_AT_ZERO", "demand must place positive mass above zero")
     return dist

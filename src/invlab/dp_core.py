@@ -22,28 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostModel, expected_holding
-from .demand import DemandDistribution
+from .demand import DemandDistribution, _lattice_index, _lattice_offsets
 from .errors import InvLabError
 
 ROW_TOL = 1e-12
 TIE_TOL = 1e-9  # an action is optimal when its backup is within TIE_TOL of the minimum
 MAX_PAIRS = 2**22  # (state, action) pairs a lattice may have
 PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
-
-
-def _lattice_index(points: np.ndarray, x, step: float) -> int | None:
-    """Index of ``x`` on the uniform lattice ``points``, or None when ``x`` is off it.
-
-    Off means no lattice point within ``1e-9 * max(1, step)`` of ``x``; NaN and
-    infinite ``x`` are off every lattice.
-    """
-    offset = (float(x) - float(points[0])) / step
-    if not math.isfinite(offset):
-        return None
-    i = int(round(offset))
-    if 0 <= i < len(points) and abs(float(points[i]) - float(x)) <= 1e-9 * max(1.0, step):
-        return i
-    return None
 
 
 class Dynamics(enum.Enum):
@@ -104,21 +89,13 @@ class GridMDP:
         np.add.at(rows, (np.arange(levels)[:, None], self._y_next), self.shock_probs)
         return rows[self._y_of]
 
-    def state_index(self, x) -> int:
-        i = _lattice_index(self.grid, x, self.step)
-        if i is None:
-            raise ValueError(f"state {x} is not on the grid")
-        return i
+    def state_index(self, x):
+        """Grid index of the state ``x``, a number or an array."""
+        return _indices_on(self.grid, x, self.step, "state {} is not on the grid")
 
-    def action_index(self, a) -> int:
-        j = _lattice_index(self.actions, a, self.step)
-        if j is None:
-            raise ValueError(f"action {a} is not on the action lattice")
-        return j
-
-    def policy_index(self, phi) -> np.ndarray:
-        """Action index at every state of the stationary policy ``phi``."""
-        return np.array([self.action_index(a) for a in np.asarray(phi, dtype=float)])
+    def action_index(self, a):
+        """Index of the action ``a``, a number or an array such as a stationary policy."""
+        return _indices_on(self.actions, a, self.step, "action {} is not on the action lattice")
 
     def policy_rows(self, phi_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cost ``(n,)`` and successor rows ``(n, n_atoms)`` of the stationary policy with action indices ``phi_idx``."""
@@ -150,12 +127,20 @@ class ValueSolution:
     iterations: int
 
 
-def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> np.ndarray:
-    """The state lattice from ``lo`` to ``hi``.
+def _indices_on(points: np.ndarray, x, step: float, message: str):
+    """Indices of ``x`` on the lattice ``points``; ValueError ``message`` naming the first value of ``x`` off it."""
+    i = _lattice_index(points, x, step)
+    if np.any(i < 0):
+        raise ValueError(message.format(np.atleast_1d(x)[np.atleast_1d(i) < 0][0]))
+    return i
 
-    Raises ValueError, before anything is allocated, when it has fewer than
-    two points or, with the action lattice up to ``a_max``, more than
-    ``MAX_PAIRS`` (state, action) pairs.
+
+def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The state lattice from ``lo`` to ``hi`` and the action lattice up to ``a_max``.
+
+    Raises ValueError, before anything is allocated, when the state lattice
+    has fewer than two points or the two make more than ``MAX_PAIRS``
+    (state, action) pairs, and then when ``hi`` is not on the lattice from ``lo``.
     """
     spans = ((hi - lo) / step, a_max / step)
     n, n_a = (int(round(s)) + 1 if math.isfinite(s) else math.inf for s in spans)
@@ -163,7 +148,9 @@ def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> np.ndarra
         raise ValueError(f"grid [{lo}, {hi}] has fewer than two lattice points at step {step}")
     if not n * n_a <= MAX_PAIRS:  # an unbounded span makes it inf or nan
         raise ValueError(f"{n} states x {n_a} actions make {n * n_a} (state, action) pairs, above the cap of {MAX_PAIRS}")
-    return lo + step * np.arange(n)
+    if not _lattice_offsets(hi, step, lo)[1]:
+        raise ValueError(f"hi {hi} is not on the lattice from lo {lo} at step {step}")
+    return lo + step * np.arange(n), step * np.arange(n_a)
 
 
 def _as_shock(shock, step):
@@ -200,14 +187,12 @@ def build_mdp(
     state has no finite-cost action.
     """
     shock_values, shock_probs, step = _as_shock(shock, step)
-    grid = _lattice(grid_lo, grid_hi, step, a_max)
-    n = grid.size
-    n_a = int(round(a_max / step)) + 1
-    actions = step * np.arange(n_a)
+    grid, actions = _lattice(grid_lo, grid_hi, step, a_max)
+    n, n_a = grid.size, actions.size
 
     # raw successor lattice offsets per (y-or-(x,a), atom)
-    shock_off = np.rint(shock_values / step).astype(np.int64)
-    if np.any(np.abs(shock_values - shock_off * step) > 1e-9 * max(1.0, step)):
+    shock_off, on = _lattice_offsets(shock_values, step)
+    if not on.all():
         raise InvLabError("OFF_LATTICE", "shock atoms must sit on the state lattice")
 
     if dynamics is Dynamics.CUSTOM:
@@ -217,8 +202,8 @@ def build_mdp(
         for i, x in enumerate(grid):
             for j, a in enumerate(actions):
                 raw[i * n_a + j, :] = [custom_next(float(x), float(a), float(s)) for s in shock_values]
-        y_raw = np.rint((raw - grid[0]) / step).astype(np.int64)
-        if np.any(np.abs(raw - (grid[0] + y_raw * step)) > 1e-9 * max(1.0, step)):
+        y_raw, on = _lattice_offsets(raw, step, grid[0])
+        if not on.all():
             raise InvLabError("OFF_LATTICE", "custom next states must sit on the state lattice")
         y_of = np.arange(n * n_a).reshape(n, n_a)  # every pair is its own level
     else:
@@ -227,7 +212,7 @@ def build_mdp(
         y_raw = np.arange(n + n_a - 1)[:, None] - shock_off[None, :]
         if dynamics is Dynamics.LOST_SALES:
             zero_idx = _lattice_index(grid, 0.0, step)
-            if zero_idx is None:
+            if zero_idx < 0:
                 raise ValueError("lost-sales dynamics needs 0 on the grid")
             y_raw = np.maximum(y_raw, zero_idx)
         y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
@@ -289,7 +274,7 @@ def make_inventory_mdp(
     """
     if a_max is None:
         a_max = grid_hi - grid_lo
-    grid = _lattice(grid_lo, grid_hi, demand.step, a_max)
+    grid = _lattice(grid_lo, grid_hi, demand.step, a_max)[0]
     eh = expected_holding(cost_model.holding, grid, demand)  # E h(y - D) for every post-order level y
 
     def cost_fn(x, a):
@@ -423,7 +408,7 @@ def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, al
     A small residual certifies that ``phi`` attains the minimum in the
     optimality equation when ``v`` is (close to) the fixed point.
     """
-    rhs = mdp.policy_backup(mdp.policy_index(phi), v, alpha)
+    rhs = mdp.policy_backup(mdp.action_index(phi), v, alpha)
     return float(np.max(np.abs(np.asarray(v) - rhs)))
 
 

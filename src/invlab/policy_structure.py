@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
+from .demand import _lattice_index
 from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi
 from .errors import InvLabError
 
@@ -133,8 +134,8 @@ def verify_structure(
         s_t, S_t = (-math.inf, -math.inf) if entry is None else extract_sS(g_sequence[entry], mdp.grid, K)
         thresholds.append(None if entry is None else (s_t, S_t))
         predicted = np.where(mdp.grid >= s_t - 1e-9, 0.0, S_t - mdp.grid)
-        j = np.rint(predicted / mdp.step).astype(np.int64)
-        good = (j < mdp.n_actions) & optimal[rows, j.clip(max=mdp.n_actions - 1)]
+        j = _lattice_index(mdp.actions, predicted, mdp.step)  # -1 past the action cap
+        good = (j >= 0) & optimal[rows, j]
         for i in np.nonzero(~good)[0]:
             violations.append((t, float(mdp.grid[i]), float(predicted[i]), mdp.actions[optimal[i]].tolist()))
     return StructureReport(violations, thresholds, N, mdp.n_states)
@@ -151,13 +152,14 @@ class ThresholdLimitReport:
     candidates: list  # recurring tail pairs, in order of first appearance
 
 
-def threshold_limits(pairs: list[tuple[float, float]], step: float) -> ThresholdLimitReport:
+def threshold_limits(pairs: list[tuple[float, float]]) -> ThresholdLimitReport:
     """Envelope and recurring tail values of a threshold sequence.
 
     On a lattice the threshold sequence is eventually periodic or constant,
     so pairs recurring in the last third of the sequence stand in for its
     limit points; each such pair defines a stationary policy worth
-    certifying against the infinite-horizon solve.
+    certifying against the infinite-horizon solve.  The pairs are grid
+    values, as ``extract_sS`` returns them, so equal pairs are equal floats.
     """
     if not pairs:
         raise ValueError("need at least one threshold pair")
@@ -168,18 +170,8 @@ def threshold_limits(pairs: list[tuple[float, float]], step: float) -> Threshold
         float(arr[:, 1].min()),
         float(arr[:, 1].max()),
     )
-    tail_len = max(len(pairs) // 3, 1)
-    tail = [tuple(p) for p in arr[-tail_len:]]
-    keys = [(int(round(s / step)), int(round(S / step))) for s, S in tail]
-    counts: dict = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    candidates = []
-    seen = set()
-    for k, pair in zip(keys, tail):
-        if counts[k] >= 2 and k not in seen:
-            seen.add(k)
-            candidates.append((k[0] * step, k[1] * step))
+    tail = [(float(s), float(S)) for s, S in arr[-max(len(pairs) // 3, 1):]]
+    candidates = [pair for pair in dict.fromkeys(tail) if tail.count(pair) >= 2]
     if not candidates and len(tail) == 1:
-        candidates = [tail[0]]
+        candidates = tail
     return ThresholdLimitReport(envelope, candidates)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import GridMDP, _lattice_index, _optimal_mask
+from .demand import _lattice_index
+from .dp_core import GridMDP, _optimal_mask
 from .errors import InvLabError
 
 BELIEF_TOL = 1e-12
@@ -96,7 +97,7 @@ class ContainerPartition:
             if not (cont.lo < rep < cont.hi):
                 raise ValueError(f"representative {rep} is not strictly inside [{cont.lo}, {cont.hi})")
             i = _lattice_index(grid, rep, self.step)
-            if i is None or assignment[i] != k:
+            if i < 0 or assignment[i] != k:
                 raise ValueError(f"representative {rep} is not a lattice state of its container")
             reps.append(rep)
             fixed.append(Container(cont.lo, cont.hi, False, rep))
@@ -140,7 +141,7 @@ class ContainerPartition:
         """Resolve an emitted observation value back to its id."""
         # y is emittable when the state at y emits y itself
         i = _lattice_index(self.grid, y, self.step)
-        if i is None or _lattice_index(self.grid, self.obs_values[self.state_obs[i]], self.step) != i:
+        if i < 0 or _lattice_index(self.grid, self.obs_values[self.state_obs[i]], self.step) != i:
             raise InvLabError("IMPOSSIBLE_OBSERVATION", f"{y} is not an emittable observation")
         return int(self.state_obs[i])
 
@@ -151,7 +152,7 @@ def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
     lo, hi, step = float(grid[0]), float(grid[-1]), float(grid[1] - grid[0])
     for k, (x, p) in enumerate(atoms):
         i = _lattice_index(grid, x, step)
-        if i is None:
+        if i < 0:
             raise ValueError(f"prior[{k}] state {x!r} is not on the grid [{lo}, {hi}] at step {step}")
         z[i] += p
     return validate_belief(z)
@@ -170,7 +171,7 @@ def validate_belief(z: np.ndarray) -> np.ndarray:
 def observe_psi(part: ContainerPartition, x: float) -> float:
     """Observation emitted by a hidden state: itself, or its container's representative."""
     i = _lattice_index(part.grid, x, part.step)
-    if i is None:
+    if i < 0:
         raise ValueError(f"state {x} is not on the grid")
     return float(part.obs_values[part.state_obs[i]])
 
@@ -199,10 +200,10 @@ def bayes_filter(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float
     return masked / denom
 
 
-def comdp_cost(mdp: GridMDP, z: np.ndarray, a: float) -> float:
-    """Expected one-step cost under the belief; +inf if any charged state is infeasible."""
+def comdp_cost(mdp: GridMDP, z: np.ndarray, j: int) -> float:
+    """Expected one-step cost under the belief of the action with index ``j``; +inf if any charged state is infeasible."""
     z = validate_belief(z)
-    col = mdp.cost[:, mdp.action_index(a)]
+    col = mdp.cost[:, j]
     charged = z > 0
     if np.any(np.isinf(col[charged])):
         return math.inf
@@ -263,7 +264,7 @@ def belief_value_iteration(
         q = np.full(mdp.n_actions, math.inf)
         children: dict = {}
         for j in range(mdp.n_actions):
-            cbar = comdp_cost(mdp, z, float(mdp.actions[j]))
+            cbar = comdp_cost(mdp, z, j)
             if not np.isfinite(cbar):
                 continue
             total = cbar
@@ -289,7 +290,7 @@ def belief_value_iteration(
 
 
 class TreePolicy:
-    """Replay the optimal actions of a solved belief tree along observations."""
+    """Replay the optimal actions of a solved belief tree along observations; both are indices, as the tree stores them."""
 
     def __init__(self, solution: BeliefSolution, mdp: GridMDP, part: ContainerPartition):
         self.solution = solution
@@ -299,18 +300,15 @@ class TreePolicy:
     def start(self):
         return (self.solution.root_key, self.solution.horizon)
 
-    def action(self, cursor) -> float:
-        return float(self.mdp.actions[self.solution.nodes[cursor].optimal.argmax()])
+    def action(self, cursor) -> int:
+        return int(self.solution.nodes[cursor].optimal.argmax())  # the smallest optimal action
 
-    def advance(self, cursor, y: float):
-        key, remaining = cursor
-        node = self.solution.nodes[cursor]
-        j = int(node.optimal.argmax())  # the smallest optimal action, as in action()
-        obs_id = self.part.obs_id_of_value(y)
-        child = node.children.get((j, obs_id))
+    def advance(self, cursor, obs_id: int):
+        child = self.solution.nodes[cursor].children.get((self.action(cursor), int(obs_id)))
         if child is None:
+            y = self.part.obs_values[obs_id]
             raise InvLabError("IMPOSSIBLE_OBSERVATION", f"observation {y} was unreachable in the solved tree")
-        return (child, remaining - 1)
+        return (child, cursor[1] - 1)
 
 
 @dataclass
@@ -393,21 +391,20 @@ def pomdp_simulate(
         belief = p0.copy()
         for t in range(horizon):
             if is_tree:
-                a = policy.action(cursor)
+                j = policy.action(cursor)
             else:
                 a = float(policy(belief, t))
-            j = mdp.action_index(a)
+                j = mdp.action_index(a)
             total += disc * float(mdp.cost[x_idx, j])
             # inverse transform over the state-ordered row; sampling atoms would change the draws
             row_cum = np.cumsum(mdp.predictive(point[x_idx], j))
             x_idx = int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1]))
             x_idx = min(x_idx, n - 1)
-            y = float(part.obs_values[part.state_obs[x_idx]])
-            if is_tree:
-                if t < horizon - 1:
-                    cursor = policy.advance(cursor, y)
-            else:
-                belief = bayes_filter(mdp, part, belief, a, y)
+            obs_id = part.state_obs[x_idx]
+            if not is_tree:
+                belief = bayes_filter(mdp, part, belief, a, float(part.obs_values[obs_id]))
+            elif t < horizon - 1:
+                cursor = policy.advance(cursor, obs_id)
             disc *= alpha
         samples[rep] = total
     return summarize_samples(samples)

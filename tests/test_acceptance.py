@@ -288,7 +288,7 @@ def test_criterion_6_threshold_convergence(avg_suite):
                 pairs.append(extract_sS(g, mdp.grid, cost.K))
             tail = pairs[-10:]
             assert all(p == tail[0] for p in tail), tail
-            limits = threshold_limits(pairs, demand.step)
+            limits = threshold_limits(pairs)
             s_lim, S_lim = limits.candidates[0]
             entry = next(e for e in inst["default"].entries if abs(e.alpha - alpha) < 1e-12)
             phi = threshold_policy(mdp, s_lim, S_lim)
@@ -300,7 +300,7 @@ def test_criterion_6_threshold_convergence(avg_suite):
             for e in inst["deep"].entries:
                 g = g_function(mdp, e.values, e.alpha, cost)
                 ladder_pairs.append(extract_sS(g, mdp.grid, cost.K))
-            limit_report = threshold_limits(ladder_pairs, demand.step)
+            limit_report = threshold_limits(ladder_pairs)
             assert limit_report.candidates, ladder_pairs
             s_a, S_a = limit_report.candidates[-1]
             rv = relative_value(inst["deep"], k_tail=3)
@@ -355,13 +355,12 @@ def test_criterion_7_pomdp_reduction_sanity():
                 x = int(i0)
                 path_cost = 0.0
                 for t, k in enumerate(path):
-                    a = policy.action(cursor)
-                    j = mdp.action_index(a)
+                    j = policy.action(cursor)
                     path_cost += alpha**t * mdp.cost[x, j]
                     x = int(mdp.next_idx[x, j, k])
                     prob *= float(demand.probs[k])
                     if t < N - 1:
-                        cursor = policy.advance(cursor, float(part.obs_values[part.state_obs[x]]))
+                        cursor = policy.advance(cursor, part.state_obs[x])
                 total += prob * path_cost
         assert abs(sol.value - total) <= 1e-9
 

@@ -158,7 +158,7 @@ class TestGreedyPolicy:
         for e in ladder.entries:
             g = g_function(m, e.values, e.alpha, cost)
             pairs.append(extract_sS(g, m.grid, cost.K))
-        limit = threshold_limits(pairs, m.step)
+        limit = threshold_limits(pairs)
         assert limit.candidates
         s_lim, S_lim = limit.candidates[-1]
         assert abs(s_greedy - s_lim) <= m.step + 1e-9

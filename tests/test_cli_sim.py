@@ -450,7 +450,7 @@ class TestReplicationBlocks:
         assert avg.samples[:k].tobytes() == short_avg.samples.tobytes()
 
         # reference: every replication's draws held at once, stepped in lockstep
-        phi_idx = self.mdp.policy_index(self.phi)
+        phi_idx = self.mdp.action_index(self.phi)
         cum = np.cumsum(self.mdp.shock_probs)
         shocks = np.searchsorted(cum, replication_uniforms(9, k, N) * cum[-1]).clip(0, cum.size - 1)
         x = np.full(k, self.mdp.state_index(0.0))
@@ -904,6 +904,28 @@ class TestPipeline:
         printed = capsys.readouterr().out
         assert printed == (out / "violations.csv").read_text()
         assert len(printed.splitlines()) == 1 + 59
+
+
+class TestGridEnds:
+    @pytest.mark.parametrize("command", ["solve-discounted", "verify-structure"])
+    def test_off_lattice_hi_is_2_before_any_build(self, tmp_path, capsys, monkeypatch, command):
+        # off the lattice the grid would end elsewhere than the config says: past hi, short of it, or shifted
+        for lo, hi in [(-12.0, 8.6), (-12.0, 8.4), (-12.4, 8.0)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli_sim, "make_inventory_mdp", no_build)
+                path = write_config(tmp_path, base_config(grid={"lo": lo, "hi": hi, "step": 1.0}))
+                assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: grid: hi {hi} is not on the lattice from lo {lo} at step 1.0\n"
+            assert not (tmp_path / "out").exists()
+        # a grid offset from zero by half a step is on its own lattice
+        cfg = base_config(grid={"lo": -12.5, "hi": 7.5, "step": 1.0})
+        del cfg["sim"]  # its x0, 0.0, is off this grid
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == 0
+        outputs = json.loads((tmp_path / "out" / "report.json").read_text())["outputs"]
+        if command == "solve-discounted":
+            assert (outputs["s_alpha"], outputs["S_alpha"]) == (0.5, 2.5)
+        else:
+            assert outputs["violations"] == 0
 
 
 class TestBoundaryFaults:

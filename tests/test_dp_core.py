@@ -503,7 +503,7 @@ class TestPolicyIterationStart:
         values = [evaluate_stationary(m, np.array(combo), alpha) for combo in itertools.product(*feasible)]
         best = np.min(values, axis=0)
         assert np.max(np.abs(sol.values - best)) <= eps
-        phi_idx = m.policy_index(min_action_policy(m, sol))
+        phi_idx = m.action_index(min_action_policy(m, sol))
         assert np.max(np.abs(evaluate_stationary(m, phi_idx, alpha) - best)) <= eps
 
     def test_every_action_tied_terminates(self):
@@ -532,13 +532,42 @@ class TestLatticeCap:
 
     def test_cap_is_on_pairs(self):
         assert MAX_PAIRS == 2048 * 2048
-        assert _lattice(0.0, 2047.0, 1.0, 2047.0).size == 2048
+        assert _lattice(0.0, 2047.0, 1.0, 2047.0)[0].size == 2048
         with pytest.raises(ValueError, match="2049 states x 2048 actions make 4196352"):
             _lattice(0.0, 2048.0, 1.0, 2047.0)
 
     def test_unbounded_span_refused(self):
         with pytest.raises(ValueError, match="inf states x 1 actions make inf"):
             _lattice(-1e308, 1e308, 1.0)
+
+
+class TestLatticeEnds:
+    @pytest.mark.parametrize("lo, hi", [(-12.0, 8.6), (-12.0, 8.4), (-12.4, 8.0)])
+    def test_off_lattice_hi_refused(self, lo, hi):
+        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1.0)
+        message = rf"hi {hi} is not on the lattice from lo {lo} at step 1.0"
+        with pytest.raises(ValueError, match=message):
+            make_inventory_mdp(ABS, d, lo, hi, a_max=20.0)
+        with pytest.raises(ValueError, match=message):
+            build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, lambda x, a: 0.0)
+
+
+class TestIndexLookups:
+    def test_action_index_of_a_policy(self):
+        m = make_inventory_mdp(ABS, UNIT, -2, 2)
+        phi = np.array([4.0, 2.0, 0.0, 1.0, 0.0])
+        assert m.action_index(phi).tolist() == [4, 2, 0, 1, 0]
+        assert m.state_index(m.grid).tolist() == list(range(m.n_states))
+        assert m.action_index(3.0) == 3
+
+    def test_off_lattice_action_in_a_policy_named(self):
+        m = make_inventory_mdp(ABS, UNIT, -2, 2)
+        with pytest.raises(ValueError, match=r"^action 1.5 is not on the action lattice$"):
+            m.action_index(np.array([0.0, 1.0, 1.5, 2.5, 0.0]))
+        with pytest.raises(ValueError, match=r"^action 5.0 is not on the action lattice$"):
+            m.action_index(np.array([0.0, 5.0]))
+        with pytest.raises(ValueError, match=r"^state 0.5 is not on the grid$"):
+            m.state_index(0.5)
 
 
 class TestOptimalMask:

@@ -329,9 +329,20 @@ class TestV0Terminal:
 
 class TestThresholdLimits:
     def test_constant_sequence(self):
-        report = threshold_limits([(-1.0, 0.0)] * 6, step=1.0)
+        report = threshold_limits([(-1.0, 0.0)] * 6)
         assert report.candidates == [(-1.0, 0.0)]
         assert report.envelope == (-1.0, -1.0, 0.0, 0.0)
+
+    def test_half_offset_pairs_are_kept(self):
+        # on a grid from -0.5 at step 1 the pairs are half-integers, not points of a lattice through zero
+        assert threshold_limits([(-0.5, 1.5)] * 6).candidates == [(-0.5, 1.5)]
+        cost = gb_cost()
+        mdp = make_inventory_mdp(cost, MIXED, -25.5, 11.5)
+        sols = finite_horizon_vi(mdp, 30, 0.9, np.zeros(mdp.n_states))
+        pairs = [extract_sS(g_function(mdp, sols[t].values, 0.9, cost), mdp.grid, cost.K) for t in range(30)]
+        candidates = threshold_limits(pairs).candidates
+        assert candidates == [pairs[-1]]
+        assert all(s in mdp.grid and S in mdp.grid for s, S in candidates)
 
     def test_finite_horizon_sequence_stabilizes_and_certifies(self):
         cost = gb_cost()
@@ -343,7 +354,7 @@ class TestThresholdLimits:
         for t in range(N):
             g = g_function(mdp, sols[t].values, alpha, cost)
             pairs.append(extract_sS(g, mdp.grid, cost.K))
-        report = threshold_limits(pairs, step=1.0)
+        report = threshold_limits(pairs)
         assert len(report.candidates) == 1
         s_lim, S_lim = report.candidates[0]
         sol = infinite_horizon_vi(mdp, alpha, eps)
@@ -358,7 +369,7 @@ class TestThresholdLimits:
             sol = infinite_horizon_vi(mdp, alpha, 1e-6)
             g = g_function(mdp, sol.values, alpha, cost)
             pairs.append(extract_sS(g, mdp.grid, cost.K))
-        report = threshold_limits(pairs, step=1.0)
+        report = threshold_limits(pairs)
         s_lo, s_hi, S_lo, S_hi = report.envelope
         assert mdp.grid[0] < s_lo <= s_hi < S_hi < mdp.grid[-1]
 

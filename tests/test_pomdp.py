@@ -1,10 +1,13 @@
 """Container observations, Bayes filtering, and belief-tree value iteration."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import invlab
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import finite_horizon_vi, make_inventory_mdp
@@ -237,18 +240,18 @@ class TestComdpCost:
     def test_point_mass(self):
         m = small_mdp()
         z = make_belief([(1.0, 1.0)], m.grid)
-        assert comdp_cost(m, z, 2.0) == pytest.approx(m.cost[m.state_index(1), m.action_index(2)])
+        assert comdp_cost(m, z, m.action_index(2)) == pytest.approx(m.cost[m.state_index(1), m.action_index(2)])
 
     def test_uniform_two_states(self):
         m = small_mdp()
         z = make_belief([(0.0, 0.5), (2.0, 0.5)], m.grid)
         expected = 0.5 * m.cost[m.state_index(0), 0] + 0.5 * m.cost[m.state_index(2), 0]
-        assert comdp_cost(m, z, 0.0) == pytest.approx(expected)
+        assert comdp_cost(m, z, m.action_index(0)) == pytest.approx(expected)
 
     def test_infeasible_state_poisons_cost(self):
         m = small_mdp()  # ordering above the grid top is infeasible
         z = make_belief([(4.0, 0.5), (0.0, 0.5)], m.grid)
-        assert comdp_cost(m, z, 1.0) == np.inf
+        assert comdp_cost(m, z, m.action_index(1)) == np.inf
 
 
 class TestBeliefValueIteration:
@@ -265,7 +268,7 @@ class TestBeliefValueIteration:
         rng = np.random.default_rng(1)
         z = rng.dirichlet(np.ones(m.n_states))
         sol = belief_value_iteration(m, part, z, 1, 0.9)
-        oracle = min(comdp_cost(m, z, float(a)) for a in m.actions)
+        oracle = min(comdp_cost(m, z, j) for j in range(m.n_actions))
         assert sol.value == pytest.approx(oracle, abs=1e-12)
 
     def test_transparent_partition_reproduces_mdp(self):
@@ -312,14 +315,12 @@ class TestBeliefValueIteration:
                 x = int(i0)
                 cost_sum = 0.0
                 for t, (d_off, d_p) in enumerate(path):
-                    a = policy.action(cursor)
-                    j = m.action_index(a)
+                    j = policy.action(cursor)
                     cost_sum += alpha**t * m.cost[x, j]
                     x = int(m.next_idx[x, j, list(TWO_POINT.offsets()).index(d_off)])
                     prob *= d_p
                     if t < N - 1:
-                        y = float(part.obs_values[part.state_obs[x]])
-                        cursor = policy.advance(cursor, y)
+                        cursor = policy.advance(cursor, part.state_obs[x])
                 total += prob * cost_sum
         assert sol.value == pytest.approx(total, abs=1e-9)
 
@@ -362,6 +363,73 @@ class TestPomdpSimulate:
 
         res = pomdp_simulate(m, part, never_order, prior, 4, 30, seed=2, alpha=0.9)
         assert np.all(np.isfinite(res.samples))
+
+
+HALF_STEP = from_atoms([(0.5, 0.5), (1.0, 0.5)], step=0.5)
+
+
+class TestHalfStepLattice:
+    """On a step-0.5 lattice an action's index is twice its value, so confusing the two shows."""
+
+    def test_tree_matches_path_enumeration_and_rollouts(self):
+        m = make_inventory_mdp(CostModel(0.2, 0.5, HoldingCost.linear(4.0, 1.0)), HALF_STEP, -2.5, 2.5)
+        part = split_partition(m, boundary=0.0)
+        alpha, N = 0.9, 3
+        prior = make_belief([(-0.5, 0.4), (0.5, 0.6)], m.grid)
+        z = make_belief([(-2.5, 0.2), (-2.0, 0.3), (-1.5, 0.5)], m.grid)  # every action up to 4.0 is feasible
+        for j in range(m.n_actions):
+            cost = m.cost[z > 0, j]
+            assert comdp_cost(m, z, j) == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
+        sol = belief_value_iteration(m, part, prior, N, alpha)
+        policy = TreePolicy(sol, m, part)
+        total, taken = 0.0, set()
+        for i0 in np.nonzero(prior > 0)[0]:
+            for path in itertools.product(range(HALF_STEP.probs.size), repeat=N):
+                prob, cursor, x, cost_sum = prior[i0], policy.start(), int(i0), 0.0
+                for t, k in enumerate(path):
+                    j = policy.action(cursor)
+                    taken.add(j)
+                    cost_sum += alpha**t * m.cost[x, j]
+                    x = int(m.next_idx[x, j, k])
+                    prob *= HALF_STEP.probs[k]
+                    if t < N - 1:
+                        cursor = policy.advance(cursor, part.state_obs[x])
+                total += prob * cost_sum
+        assert max(taken) > 0  # some path orders, where index and value differ
+        assert sol.value == pytest.approx(total, abs=1e-9)
+        res = pomdp_simulate(m, part, policy, prior, N, 4000, seed=11, alpha=alpha)
+        assert res.ci_low <= sol.value <= res.ci_high
+
+
+def count_lattice_lookups(monkeypatch):
+    """Count calls of the lattice helpers through every invlab module that binds them; returns the call list."""
+    calls = []
+    for info in pkgutil.iter_modules(invlab.__path__):
+        module = importlib.import_module(f"invlab.{info.name}")
+        for name in ("_lattice_index", "_lattice_offsets"):
+            original = getattr(module, name, None)
+            if callable(original):
+                def spy(*args, _original=original, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_no_lattice_lookup_per_node_or_step(monkeypatch):
+    m = small_mdp(demand=MIXED)
+    part = split_partition(m)
+    prior = make_belief([(-1.0, 0.5), (2.0, 0.5)], m.grid)
+    calls = count_lattice_lookups(monkeypatch)
+    counts = {}
+    for N in (2, 4):
+        for reps in (10, 1000):
+            calls.clear()
+            sol = belief_value_iteration(m, part, prior, N, 0.9)
+            pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, N, reps, seed=3, alpha=0.9)
+            counts[N, reps] = len(calls)
+    assert len(set(counts.values())) == 1, counts
 
 
 class TestPartitionAndBeliefBoundary:
