@@ -21,7 +21,7 @@ import numpy as np
 
 from . import average_cost, policy_structure
 from .costs import CostModel, HoldingCost, regime_constants
-from .demand import DemandDistribution, _lattice_index, from_atoms, quantize
+from .demand import DemandDistribution, _lattice_index, _lattice_offsets, from_atoms, quantize
 from .dp_core import (
     Dynamics,
     GridMDP,
@@ -242,24 +242,23 @@ def load_config(path) -> RunConfig:
     demand = _build(errors, "demand", _demand, sec["demand"]) if sec["demand"] is not None else None
     cost = _build(errors, "cost", _cost, sec["cost"]) if sec["cost"] is not None else None
     lo, hi, a_max = val["grid", "lo"], val["grid", "hi"], val["actions", "a_max"]
-    grid = actions = None
+    grid = None
     if lo is not None and hi is not None:
         if not lo < hi:
             errors.append("grid: needs lo < hi")
         elif demand is not None:
-            lattices = _build(errors, "grid", _lattice, lo, hi, demand.step, hi - lo if a_max is None else a_max)
-            grid, actions = lattices or (None, None)
+            if a_max is not None and not _lattice_offsets(a_max, demand.step)[1]:
+                errors.append(f"actions: a_max {a_max!r} is not on the action lattice at step {demand.step}")
+            # built from the nearest lattice cap, so an off-lattice a_max still leaves a grid for the checks below
+            a_cap = np.rint((hi - lo if a_max is None else a_max) / demand.step) * demand.step
+            lattices = _build(errors, "grid", _lattice, lo, hi, demand.step, a_cap)
+            grid = lattices[0] if lattices else None
     if demand is not None and val["grid", "step"] is not None and not abs(val["grid", "step"] - demand.step) <= 1e-12:
         errors.append("grid: step must match demand step")
 
-    def on_lattice(label: str, x: float, points: np.ndarray, where: str) -> None:
-        if _lattice_index(points, x, demand.step) < 0:
-            errors.append(f"{label} {x!r} is not on the {where} at step {demand.step}")
-
-    if actions is not None and a_max is not None:
-        on_lattice("actions: a_max", a_max, actions, "action lattice")
-    if grid is not None and val["sim", "x0"] is not None and "x0" in (sec["sim"] or {}):
-        on_lattice("sim: x0", val["sim", "x0"], grid, f"grid [{lo}, {hi}]")
+    x0 = val["sim", "x0"]
+    if grid is not None and x0 is not None and "x0" in (sec["sim"] or {}) and _lattice_index(grid, x0, demand.step) < 0:
+        errors.append(f"sim: x0 {x0!r} is not on the grid [{lo}, {hi}] at step {demand.step}")
 
     dyn_name = raw.get("dynamics", "backorder")  # custom dynamics are not configurable from file
     dynamics = next((d for d in Dynamics if d.value == dyn_name and d is not Dynamics.CUSTOM), None)

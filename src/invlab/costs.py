@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandDistribution, convolve_power
+from .demand import DemandDistribution, _lattice_offsets, convolve_power
 
 INEQ_TOL = 1e-9
 
@@ -122,15 +122,23 @@ def check_GB(c: CostModel, d: DemandDistribution, probe_range: tuple[float, floa
     Existence of such a pair says that deep backlog accrues cost faster than
     ordering out of it could ever pay back, which is exactly when threshold
     structure holds for every discount factor.  Returns the leftmost witness
-    pair when the condition holds.
+    pair when the condition holds.  The probe window runs from ``lo`` to
+    ``hi`` of ``probe_range``; ValueError when ``hi`` is not on the lattice
+    from ``lo``.
     """
     step = d.step
     if probe_range is None:
         lo = -10.0 * (d.max_value + 1.0) - d.max_value
         probe_range = (math.floor(lo / step) * step, 0.0)
     lo, hi = probe_range
-    n = int(round((hi - lo) / step)) + 1
+    k, on = _lattice_offsets(hi, step, lo)
+    if not on:
+        raise ValueError(f"hi {hi} is not on the lattice from lo {lo} at step {step}")
+    if k < 0:
+        raise ValueError(f"probe range ({lo}, {hi}) has hi below lo")
+    n = int(k) + 1
     xs = lo + step * np.arange(n)
+    xs[-1] = hi
     eh = expected_holding(c.holding, xs, d)
     # slope(i, j) for i < j, strictly below -c_unit with a roundoff margin
     for i in range(n - 1):

@@ -139,17 +139,22 @@ def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> tuple[np.
     """The state lattice from ``lo`` to ``hi`` and the action lattice up to ``a_max``.
 
     Raises ValueError, before anything is allocated, when the state lattice
-    has fewer than two points or the two make more than ``MAX_PAIRS``
-    (state, action) pairs, and then when ``hi`` is not on the lattice from ``lo``.
+    has fewer than two points, ``a_max`` is negative or the two make more
+    than ``MAX_PAIRS`` (state, action) pairs, and then when ``hi`` is not on
+    the lattice from ``lo`` or ``a_max`` is not on the lattice from 0.
     """
     spans = ((hi - lo) / step, a_max / step)
     n, n_a = (int(round(s)) + 1 if math.isfinite(s) else math.inf for s in spans)
     if n < 2:
         raise ValueError(f"grid [{lo}, {hi}] has fewer than two lattice points at step {step}")
+    if n_a < 1:
+        raise ValueError(f"a_max {a_max} is negative")
     if not n * n_a <= MAX_PAIRS:  # an unbounded span makes it inf or nan
         raise ValueError(f"{n} states x {n_a} actions make {n * n_a} (state, action) pairs, above the cap of {MAX_PAIRS}")
     if not _lattice_offsets(hi, step, lo)[1]:
         raise ValueError(f"hi {hi} is not on the lattice from lo {lo} at step {step}")
+    if not _lattice_offsets(a_max, step)[1]:
+        raise ValueError(f"a_max {a_max} is not on the lattice at step {step}")
     return lo + step * np.arange(n), step * np.arange(n_a)
 
 
@@ -180,8 +185,11 @@ def build_mdp(
 ) -> GridMDP:
     """Assemble a GridMDP from dynamics, a shock law, and a cost kernel.
 
-    ``cost_fn(x, a)`` may return ``+inf`` to mark infeasible pairs.  Raises
-    ValueError past ``MAX_PAIRS`` (state, action) pairs, ``GRID_TOO_NARROW``
+    ``cost_fn`` is a callable ``cost_fn(x, a)``, called once per pair, or a
+    precomputed ``(n, n_a)`` cost table over (state, action) indices; either
+    form may hold ``+inf`` to mark infeasible pairs.  Raises ValueError for
+    a table of another shape, for a NaN or ``-inf`` cost and past
+    ``MAX_PAIRS`` (state, action) pairs, ``GRID_TOO_NARROW``
     when a shock atom with probability above ``mass_tol`` would clamp at a
     grid edge under a finite-cost action, and ``NO_FINITE_ACTION`` when some
     state has no finite-cost action.
@@ -218,10 +226,15 @@ def build_mdp(
         y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
     clamped = (y_raw < 0) | (y_raw > n - 1)
 
-    cost = np.empty((n, n_a))
-    for i, x in enumerate(grid):
-        for j, a in enumerate(actions):
-            cost[i, j] = cost_fn(float(x), float(a))
+    if callable(cost_fn):
+        cost = np.empty((n, n_a))
+        for i, x in enumerate(grid):
+            for j, a in enumerate(actions):
+                cost[i, j] = cost_fn(float(x), float(a))
+    else:
+        cost = np.asarray(cost_fn, dtype=float)
+        if cost.shape != (n, n_a):
+            raise ValueError(f"cost table has shape {cost.shape}, expected ({n}, {n_a})")
     if np.any(np.isnan(cost)) or np.any(cost == -np.inf):
         raise ValueError("costs must be finite or +inf")
     finite = np.isfinite(cost)
@@ -266,26 +279,22 @@ def make_inventory_mdp(
 ) -> GridMDP:
     """Periodic-review instance: cost ``K 1{a>0} + c_unit a + E h(x + a - D)``.
 
-    Orders that would land above the grid top are infeasible (+inf cost), so
-    the action set is effectively ``{0, ..., hi - x}``.  Demand falling off
-    the bottom edge clamps there; that is unavoidable on a truncated
-    backorder grid, so the default ``mass_tol`` accepts it and leaves the
-    audit trail in ``mass_loss``.
+    The cost table is tabulated in one broadcast from ``E h(y - D)`` at every
+    grid level ``y``: pair ``(i, j)`` reads level ``i + j``.  Orders that
+    would land above the grid top are infeasible (+inf cost), so the action
+    set is effectively ``{0, ..., hi - x}``.  Demand falling off the bottom
+    edge clamps there; that is unavoidable on a truncated backorder grid, so
+    the default ``mass_tol`` accepts it and leaves the audit trail in
+    ``mass_loss``.
     """
     if a_max is None:
         a_max = grid_hi - grid_lo
-    grid = _lattice(grid_lo, grid_hi, demand.step, a_max)[0]
+    grid, actions = _lattice(grid_lo, grid_hi, demand.step, a_max)
     eh = expected_holding(cost_model.holding, grid, demand)  # E h(y - D) for every post-order level y
-
-    def cost_fn(x, a):
-        y = x + a
-        if y > grid_hi + 1e-9:
-            return math.inf
-        j = int(round((y - grid_lo) / demand.step))
-        setup = cost_model.K if a > 1e-12 else 0.0
-        return setup + cost_model.c_unit * a + eh[j]
-
-    return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost_fn, mass_tol=mass_tol)
+    eh = np.concatenate([eh, np.full(actions.size - 1, math.inf)])  # levels above the grid top are infeasible
+    order = np.where(np.arange(actions.size) > 0, cost_model.K, 0.0) + cost_model.c_unit * actions
+    cost = order[None, :] + eh[np.arange(grid.size)[:, None] + np.arange(actions.size)[None, :]]
+    return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost, mass_tol=mass_tol)
 
 
 def _optimal_mask(q: np.ndarray, bound) -> np.ndarray:

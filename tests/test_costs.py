@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab import costs
 from invlab.costs import (
     INFINITE,
     CostModel,
@@ -127,6 +128,25 @@ class TestCheckGB:
         assert (z, y) == (-10.0, -9.0)
         slope = (expected_holding(c.holding, y, d) - expected_holding(c.holding, z, d)) / (y - z)
         assert slope == pytest.approx(-1.0)
+
+    def test_off_lattice_window_top_refused(self):
+        c = linear_cost(0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^hi 0.0 is not on the lattice from lo -10.3 at step {UNIT_DEMAND.step}$"):
+            check_GB(c, UNIT_DEMAND, probe_range=(-10.3, 0.0))
+        with pytest.raises(ValueError, match=r"^probe range \(0.0, -10.0\) has hi below lo$"):
+            check_GB(c, UNIT_DEMAND, probe_range=(0.0, -10.0))
+
+    def test_window_ends_at_its_top(self, monkeypatch):
+        probed = []
+
+        def spy(h, x, d):
+            probed.append(np.array(x))
+            return expected_holding(h, x, d)
+
+        monkeypatch.setattr(costs, "expected_holding", spy)
+        res = check_GB(linear_cost(0, 0.5, 1.0, 1.0), UNIT_DEMAND, probe_range=(-10.0, 0.0))
+        assert res.witness == (-10.0, -9.0)
+        assert probed[0].tolist() == [float(k) for k in range(-10, 1)]
 
     @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0))
     @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from invlab.average_cost import check_optimality_inequality, long_run_average
 from invlab.cli_sim import simulate_policy
-from invlab.costs import CostModel, HoldingCost
+from invlab.costs import CostModel, HoldingCost, expected_holding
 from invlab.demand import from_atoms
 from invlab.dp_core import (
     MAX_PAIRS,
@@ -550,6 +550,82 @@ class TestLatticeEnds:
             make_inventory_mdp(ABS, d, lo, hi, a_max=20.0)
         with pytest.raises(ValueError, match=message):
             build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, lambda x, a: 0.0)
+
+    @pytest.mark.parametrize("a_max", [2.6, 2.4])
+    def test_off_lattice_a_max_refused(self, a_max):
+        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1.0)
+        with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
+            make_inventory_mdp(ABS, d, -12.0, 8.0, a_max=a_max)
+        with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
+            build_mdp(Dynamics.BACKORDER, d, -12.0, 8.0, a_max, lambda x, a: 0.0)
+
+    def test_negative_a_max_refused(self):
+        with pytest.raises(ValueError, match=r"^a_max -2.0 is negative$"):
+            make_inventory_mdp(ABS, UNIT, -2, 2, a_max=-2.0)
+
+    def test_on_lattice_a_max_is_the_top_action(self):
+        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1.0)
+        assert make_inventory_mdp(ABS, d, -12.0, 8.0, a_max=3.0).actions.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def per_pair_inventory_cost(cost, d, lo, hi):
+    """``K 1{a>0} + c_unit a + E h(x + a - D)`` one pair at a time, ``+inf`` above the grid top."""
+    n = int(round((hi - lo) / d.step)) + 1
+    eh = expected_holding(cost.holding, lo + d.step * np.arange(n), d)
+
+    def cost_fn(x, a):
+        level = int(round((x + a - lo) / d.step))
+        if level > n - 1:
+            return math.inf
+        return (cost.K if a > 0 else 0.0) + cost.c_unit * a + eh[level]
+
+    return cost_fn
+
+
+class TestInventoryCostTable:
+    """``make_inventory_mdp`` tabulates its cost in one broadcast; the per-pair callable path is the oracle."""
+
+    COST = CostModel(2.5, 1.3, HoldingCost(np.array([-3.0, 0.0, 2.0]), np.array([-5.0, -2.0, 1.5, 3.0])))
+
+    @pytest.mark.parametrize(
+        "dynamics, step, lo, hi, a_max",
+        [
+            (Dynamics.BACKORDER, 1.0, -12.0, 8.0, None),
+            (Dynamics.BACKORDER, 1.0, -12.0, 8.0, 3.0),
+            (Dynamics.LOST_SALES, 1.0, -12.0, 8.0, 5.0),
+            (Dynamics.BACKORDER, 0.5, -25.5, 11.5, 4.0),
+            (Dynamics.LOST_SALES, 0.5, -25.5, 11.5, None),
+            (Dynamics.BACKORDER, 0.1, -3.0, 2.0, None),
+            (Dynamics.LOST_SALES, 0.1, -3.0, 2.0, 0.7),
+        ],
+    )
+    def test_table_equals_per_pair_costs(self, dynamics, step, lo, hi, a_max):
+        d = from_atoms([(0, 0.2), (step, 0.5), (3 * step, 0.3)], step=step)
+        table = make_inventory_mdp(self.COST, d, lo, hi, a_max, dynamics).cost
+        cap = hi - lo if a_max is None else a_max
+        oracle = build_mdp(dynamics, d, lo, hi, cap, per_pair_inventory_cost(self.COST, d, lo, hi), mass_tol=1.0).cost
+        assert np.array_equal(table, oracle)
+        assert np.isinf(table).any()  # some orders land above the grid top
+
+    def test_table_of_wrong_shape_refused(self):
+        with pytest.raises(ValueError, match=r"cost table has shape \(5, 2\), expected \(5, 3\)"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, np.zeros((5, 2)), mass_tol=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_table_checked_like_a_callable(self, bad):
+        table = np.zeros((5, 3))
+        table[2, 1] = bad
+        for cost in (table, lambda x, a: bad if (x, a) == (0.0, 1.0) else 0.0):
+            with pytest.raises(ValueError, match="costs must be finite or \\+inf"):
+                build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, cost, mass_tol=1.0)
+
+    def test_table_without_a_finite_action_refused_like_a_callable(self):
+        table = np.zeros((5, 3))
+        table[3] = math.inf
+        for cost in (table, lambda x, a: math.inf if x == 1.0 else 0.0):
+            with pytest.raises(InvLabError) as err:
+                build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, cost, mass_tol=1.0)
+            assert err.value.code == "NO_FINITE_ACTION"
 
 
 class TestIndexLookups:
