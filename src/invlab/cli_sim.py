@@ -323,20 +323,17 @@ def load_config(path) -> RunConfig:
 
 def _cell(v) -> str:
     if isinstance(v, (np.floating, float)):
-        v = float(v)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
+        return repr(float(v))  # shortest round-trip digits; inf, -inf and nan as such
     if isinstance(v, (np.integer, int)):
         return str(int(v))
     return str(v)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``header`` and ``rows``, one line each, streaming the rows to the file."""
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _jsonable(obj):
@@ -573,7 +570,7 @@ def _run_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     write_csv(
         out / "samples.csv",
         ["rep", "discounted", "running_average"],
-        ((r, d, a) for r, (d, a) in enumerate(zip(disc.samples, avg.samples))),
+        zip(range(reps), map(float, disc.samples), map(float, avg.samples)),
     )
     truncation = max_cost * alpha**N / (1 - alpha) if alpha > 0 else 0.0
     outputs = {
@@ -615,7 +612,7 @@ def _run_pomdp_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
         mdp, config.partition, TreePolicy(sol, mdp, config.partition), config.prior,
         config.pomdp_horizon, reps, seed, config.solver.alpha,
     )
-    write_csv(out / "samples.csv", ["rep", "discounted"], enumerate(result.samples))
+    write_csv(out / "samples.csv", ["rep", "discounted"], enumerate(map(float, result.samples)))
     outputs = {
         "tree_value": sol.value,
         "reps": reps,

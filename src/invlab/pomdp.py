@@ -200,25 +200,71 @@ def bayes_filter(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float
     return masked / denom
 
 
-def comdp_cost(mdp: GridMDP, z: np.ndarray, j: int) -> float:
-    """Expected one-step cost under the belief of the action with index ``j``; +inf if any charged state is infeasible."""
+def comdp_cost(mdp: GridMDP, z: np.ndarray) -> np.ndarray:
+    """Expected one-step cost under the belief ``z`` of every action, ``(n_a,)``.
+
+    Only the charged states (``z > 0``) count, so an action is ``+inf`` when
+    some charged state makes it infeasible.  Each action's cost is one dot
+    product of the charged masses with that action's charged costs, taken
+    from a contiguous copy of the columns: a strided column can move the
+    last bit.
+    """
     z = validate_belief(z)
-    col = mdp.cost[:, j]
     charged = z > 0
-    if np.any(np.isinf(col[charged])):
-        return math.inf
-    return float(z[charged] @ col[charged])
+    zc = z[charged]
+    return np.array([zc @ col for col in np.ascontiguousarray(mdp.cost[charged].T)])
 
 
-def _belief_key(z: np.ndarray) -> bytes:
-    return (np.round(z, MERGE_DECIMALS) + 0.0).tobytes()
+def _posteriors(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, actions: np.ndarray):
+    """Posteriors of the belief ``z`` after each action index in ``actions`` and each observation of positive mass.
+
+    Returns ``(act, obs, marg, states, mass, bounds)``: posterior ``g``
+    follows action ``actions[act[g]]`` and observation ``obs[g]``, whose
+    probability is ``marg[g]``, and holds the masses ``mass[bounds[g]:bounds[g + 1]]``
+    on the ascending states ``states[...]``; posteriors come by action, then
+    observation.  Every predictive law comes from one ``bincount`` over
+    (action, state, atom) and every marginal from one over the nonzero
+    predictive entries; each sum adds its terms in the order of a
+    separate law per action.
+    """
+    n = mdp.n_states
+    charged = np.flatnonzero(z > 0)
+    succ = mdp._y_next[mdp._y_of[charged][:, actions].T]  # (action, state, atom)
+    weights = np.broadcast_to(z[charged, None] * mdp.shock_probs, succ.shape)
+    pred = np.bincount((succ + n * np.arange(actions.size)[:, None, None]).ravel(), weights=weights.ravel(), minlength=actions.size * n)
+    hit = np.flatnonzero(pred)
+    act, states = np.divmod(hit, n)
+    group = act * part.n_obs + part.state_obs[states]
+    order = np.argsort(group, kind="stable")  # keeps the states ascending within a posterior
+    group, states, mass = group[order], states[order], pred[hit][order]
+    new = np.concatenate(([True], group[1:] != group[:-1]))
+    gid = np.cumsum(new) - 1
+    marg = np.bincount(gid, weights=mass)
+    mass /= marg[gid]
+    first = np.flatnonzero(new)
+    act, obs = np.divmod(group[first], part.n_obs)
+    return act, obs, marg, states, mass, np.append(first, group.size)
+
+
+def _belief_keys(states: np.ndarray, mass: np.ndarray, bounds: np.ndarray) -> list[bytes]:
+    """Merge keys of the beliefs ``mass[bounds[g]:bounds[g + 1]]`` on ``states[...]``, one per ``g``.
+
+    A key is the belief's nonzero entries after rounding to
+    ``MERGE_DECIMALS``: their states, then their values.  Two beliefs share a
+    key exactly when their rounded vectors over the grid are equal.
+    """
+    r = np.round(mass, MERGE_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+    keep = r != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))[bounds] * 8  # byte offsets; states and values are 8 bytes each
+    sb, rb = states[keep].astype(np.int64).tobytes(), r[keep].tobytes()
+    return [sb[a:b] + rb[a:b] for a, b in zip(kept[:-1].tolist(), kept[1:].tolist())]
 
 
 @dataclass
 class BeliefNode:
     value: float
     optimal: np.ndarray  # (n_a,) bool mask of the optimal actions; all False at depth 0
-    children: dict  # (action_index, obs_id) -> child key at depth remaining - 1
+    children: np.ndarray  # (k, 3) int rows (action index, obs id, child node id), in (action, obs) order
 
 
 @dataclass
@@ -226,8 +272,8 @@ class BeliefSolution:
     value: float
     root_actions: np.ndarray
     horizon: int
-    root_key: bytes
-    nodes: dict  # (key, remaining) -> BeliefNode
+    root: int  # node id of the prior at the full horizon
+    nodes: list  # BeliefNode by node id; a node's children come before it
     node_count: int
 
 
@@ -244,71 +290,93 @@ def belief_value_iteration(
 
     Beliefs agreeing to within the merge tolerance share a node; merging is
     an optimization only, since such beliefs have equal values to well below
-    the solver tolerance.  Raises ``TREE_TOO_LARGE`` past ``max_nodes``.
+    the solver tolerance.  A node is solved in a few array operations: the
+    one-step costs from ``comdp_cost``, every feasible action's predictive
+    law from one ``bincount`` over (action, state, atom), and every
+    observation marginal and posterior from the nonzero entries of those
+    laws.  Children are then visited by action and observation, ascending.
+    Nodes are stored under integer ids in the order they are finished; a
+    memo maps each merge key and remaining horizon to its id.  Raises
+    ``TREE_TOO_LARGE`` past ``max_nodes``.
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
     p0 = validate_belief(np.asarray(p0, dtype=float))
-    nodes: dict = {}
+    nodes: list[BeliefNode] = []
+    memo: dict = {}  # (key, remaining) -> node id
 
-    def solve(z: np.ndarray, remaining: int) -> tuple[bytes, float]:
-        key = _belief_key(z)
-        memo = nodes.get((key, remaining))
-        if memo is not None:
-            return key, memo.value
+    def solve(z: np.ndarray, key: bytes, remaining: int) -> int:
         if len(nodes) >= max_nodes:
             raise InvLabError("TREE_TOO_LARGE", f"belief tree exceeded {max_nodes} nodes")
+        children = np.empty((0, 3), dtype=np.int64)
         if remaining == 0:
-            nodes[(key, 0)] = BeliefNode(0.0, np.zeros(mdp.n_actions, dtype=bool), {})
-            return key, 0.0
-        q = np.full(mdp.n_actions, math.inf)
-        children: dict = {}
-        for j in range(mdp.n_actions):
-            cbar = comdp_cost(mdp, z, j)
-            if not np.isfinite(cbar):
-                continue
-            total = cbar
-            if remaining > 1:  # depth-0 children carry value 0 and are never replayed
-                pred = mdp.predictive(z, j)
-                marg = np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
-                cont = 0.0
-                for obs_id in np.nonzero(marg > 0)[0]:
-                    masked = np.where(part.state_obs == obs_id, pred, 0.0)
-                    child = masked / marg[obs_id]
-                    ckey, cval = solve(child, remaining - 1)
-                    children[(j, int(obs_id))] = ckey
-                    cont += marg[obs_id] * cval
-                total += alpha * cont
-            q[j] = total
-        vmin = float(q.min())
-        nodes[(key, remaining)] = BeliefNode(vmin, _optimal_mask(q, vmin), children)
-        return key, vmin
+            node = BeliefNode(0.0, np.zeros(mdp.n_actions, dtype=bool), children)
+        else:
+            q = comdp_cost(mdp, z)
+            feasible = np.flatnonzero(q < math.inf)
+            if remaining > 1 and feasible.size:  # depth-0 children carry value 0 and are never replayed
+                act, obs, marg, states, mass, bounds = _posteriors(mdp, part, z, feasible)
+                ids = []
+                cont = [0.0] * feasible.size  # one term at a time, observations ascending
+                for g, (ckey, k, m) in enumerate(zip(_belief_keys(states, mass, bounds), act.tolist(), marg.tolist())):
+                    child = memo.get((ckey, remaining - 1))
+                    if child is None:
+                        zg = np.zeros(z.size)
+                        zg[states[bounds[g]:bounds[g + 1]]] = mass[bounds[g]:bounds[g + 1]]
+                        child = solve(zg, ckey, remaining - 1)
+                    ids.append(child)
+                    cont[k] += m * nodes[child].value
+                q[feasible] += alpha * np.array(cont)
+                children = np.column_stack((feasible[act], obs, ids))
+            vmin = float(q.min())
+            node = BeliefNode(vmin, _optimal_mask(q, vmin), children)
+        memo[(key, remaining)] = len(nodes)
+        nodes.append(node)
+        return len(nodes) - 1
 
-    root_key, value = solve(p0, N)
-    root = nodes[(root_key, N)]
-    return BeliefSolution(value, mdp.actions[root.optimal], N, root_key, nodes, len(nodes))
+    n = mdp.n_states
+    root = solve(p0, _belief_keys(np.arange(n), p0, np.array([0, n]))[0], N)
+    return BeliefSolution(nodes[root].value, mdp.actions[nodes[root].optimal], N, root, nodes, len(nodes))
 
 
 class TreePolicy:
-    """Replay the optimal actions of a solved belief tree along observations; both are indices, as the tree stores them."""
+    """Replay the optimal actions of a solved belief tree along observations.
+
+    Cursors are node ids, actions are indices and observations are ids, as
+    the tree stores them; ``action`` and ``advance`` take one cursor or an
+    array of them.  The replayed action of each node is its smallest optimal
+    one, and the children of the replayed actions are kept as a sorted table
+    of ``node * n_obs + obs`` keys, so its size is the number of those
+    children whatever the number of observations.
+    """
 
     def __init__(self, solution: BeliefSolution, mdp: GridMDP, part: ContainerPartition):
         self.solution = solution
         self.mdp = mdp
         self.part = part
+        nodes = solution.nodes
+        self._actions = np.stack([node.optimal for node in nodes]).argmax(axis=1)
+        owner = np.repeat(np.arange(len(nodes)), [len(node.children) for node in nodes])
+        act, obs, child = np.concatenate([node.children for node in nodes]).T
+        replayed = act == self._actions[owner]
+        # a sentinel past every key keeps each lookup inside the table
+        self._keys = np.append(owner[replayed] * part.n_obs + obs[replayed], len(nodes) * part.n_obs)
+        self._children = np.append(child[replayed], -1)
 
     def start(self):
-        return (self.solution.root_key, self.solution.horizon)
+        return self.solution.root
 
-    def action(self, cursor) -> int:
-        return int(self.solution.nodes[cursor].optimal.argmax())  # the smallest optimal action
+    def action(self, cursor):
+        return self._actions[cursor]
 
-    def advance(self, cursor, obs_id: int):
-        child = self.solution.nodes[cursor].children.get((self.action(cursor), int(obs_id)))
-        if child is None:
-            y = self.part.obs_values[obs_id]
+    def advance(self, cursor, obs_id):
+        key = cursor * self.part.n_obs + obs_id
+        pos = np.searchsorted(self._keys, key)
+        missing = np.atleast_1d(self._keys[pos] != key)
+        if missing.any():
+            y = self.part.obs_values[np.atleast_1d(obs_id)[missing][0]]
             raise InvLabError("IMPOSSIBLE_OBSERVATION", f"observation {y} was unreachable in the solved tree")
-        return (child, cursor[1] - 1)
+        return self._children[pos]
 
 
 @dataclass
@@ -357,6 +425,26 @@ def summarize_samples(samples: np.ndarray) -> SimulationResult:
     return SimulationResult(samples, mean, mean - half, mean + half)
 
 
+def _successor_cdf(mdp: GridMDP) -> tuple[np.ndarray, np.ndarray]:
+    """Each level's distinct successors in state order and their cumulative masses, both ``(levels, n_atoms)``.
+
+    Duplicate successors merge in atom order, so each mass is added as in
+    the level's dense next-state law.  Past a level's last distinct
+    successor the cumulative mass stays at its total.
+    """
+    y_next = mdp._y_next
+    order = np.argsort(y_next, axis=1, kind="stable")
+    succ = np.take_along_axis(y_next, order, axis=1)
+    new = np.ones(succ.shape, dtype=bool)
+    new[:, 1:] = succ[:, 1:] != succ[:, :-1]
+    rows, slot = np.arange(succ.shape[0])[:, None], np.cumsum(new, axis=1) - 1
+    mass = np.zeros(succ.shape)
+    np.add.at(mass, (rows, slot), mdp.shock_probs[order])
+    states = np.zeros_like(succ)
+    states[rows, slot] = succ
+    return states, np.cumsum(mass, axis=1)
+
+
 def pomdp_simulate(
     mdp: GridMDP,
     part: ContainerPartition,
@@ -367,44 +455,47 @@ def pomdp_simulate(
     seed: int,
     alpha: float,
 ) -> SimulationResult:
-    """Monte Carlo rollout of a policy on the hidden chain.
+    """Monte Carlo rollout of a policy on the hidden chain, every replication in lockstep.
 
     The hidden state starts from the prior, moves by the transition rows,
     and emits container observations; the policy sees only those.  Each
     replication consumes its own counter-based stream keyed by
     ``(seed, replication)``, so results are reproducible and order
-    independent.
+    independent.  A draw ``u`` picks the first state of the support whose
+    cumulative mass reaches ``u`` times the total, on the prior's nonzero
+    states and then on the distinct successors of the current level, both
+    in state order.  A ``TreePolicy`` moves all cursors at once; any other
+    policy is a callable ``policy(belief, t) -> action``, called once per
+    replication and step, with one Bayes-filtered belief kept per
+    replication.
     """
     p0 = validate_belief(np.asarray(p0, dtype=float))
     is_tree = isinstance(policy, TreePolicy)
-    samples = np.empty(reps)
-    n = mdp.n_states
-    point = np.eye(n)  # one-hot state laws, so predictive gives one state's row
+    succ, cdf = _successor_cdf(mdp)
     draws = replication_uniforms(seed, reps, horizon + 1)
-    for rep in range(reps):
-        u = draws[rep]
-        x_idx = int(np.searchsorted(np.cumsum(p0), u[0] * p0.sum()))
-        x_idx = min(x_idx, n - 1)
-        total = 0.0
-        disc = 1.0
-        cursor = policy.start() if is_tree else None
-        belief = p0.copy()
-        for t in range(horizon):
-            if is_tree:
-                j = policy.action(cursor)
-            else:
-                a = float(policy(belief, t))
-                j = mdp.action_index(a)
-            total += disc * float(mdp.cost[x_idx, j])
-            # inverse transform over the state-ordered row; sampling atoms would change the draws
-            row_cum = np.cumsum(mdp.predictive(point[x_idx], j))
-            x_idx = int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1]))
-            x_idx = min(x_idx, n - 1)
-            obs_id = part.state_obs[x_idx]
-            if not is_tree:
-                belief = bayes_filter(mdp, part, belief, a, float(part.obs_values[obs_id]))
-            elif t < horizon - 1:
-                cursor = policy.advance(cursor, obs_id)
-            disc *= alpha
-        samples[rep] = total
-    return summarize_samples(samples)
+    support = np.flatnonzero(p0 > 0)
+    prior_cdf = np.cumsum(p0[support])
+    x = support[np.searchsorted(prior_cdf, draws[:, 0] * prior_cdf[-1])]
+    total = np.zeros(reps)
+    disc = 1.0
+    if is_tree:
+        cursor = np.full(reps, policy.start())
+    else:
+        beliefs = [p0] * reps
+    for t in range(horizon):
+        if is_tree:
+            j = policy.action(cursor)
+        else:
+            a = np.array([float(policy(belief, t)) for belief in beliefs])
+            j = mdp.action_index(a)
+        total += disc * mdp.cost[x, j]
+        level = mdp._y_of[x, j]
+        x = succ[level, (cdf[level] < (draws[:, t + 1] * cdf[level, -1])[:, None]).sum(axis=1)]
+        obs_id = part.state_obs[x]
+        if not is_tree:
+            y = part.obs_values[obs_id]
+            beliefs = [bayes_filter(mdp, part, b, float(ai), float(yi)) for b, ai, yi in zip(beliefs, a, y)]
+        elif t < horizon - 1:
+            cursor = policy.advance(cursor, obs_id)
+        disc *= alpha
+    return summarize_samples(total)

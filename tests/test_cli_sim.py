@@ -214,6 +214,17 @@ class TestRunCommands:
                             continue
                         float(token)  # must parse
 
+    def test_write_csv_golden_bytes(self, tmp_path):
+        rows = [
+            (0.1, np.float64(2.5), np.float32(0.1), -0.0),
+            (float("inf"), -np.inf, float("nan"), np.nan),
+            (np.int64(7), 3, True, "a;b"),
+        ]
+        cli_sim.write_csv(tmp_path / "t.csv", ["w", "x", "y", "z"], iter(rows))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"w,x,y,z\n0.1,2.5,0.10000000149011612,-0.0\ninf,-inf,nan,nan\n7,3,1,a;b\n"
+        )
+
     def test_verify_structure_clean_instance(self, tmp_path, capsys):
         config = load_config(write_config(tmp_path, base_config()))
         report = run(config, "verify-structure", out_dir=tmp_path / "out")

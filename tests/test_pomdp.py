@@ -2,15 +2,18 @@
 
 import importlib
 import itertools
+import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import invlab
+from invlab import pomdp
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
-from invlab.dp_core import finite_horizon_vi, make_inventory_mdp
+from invlab.dp_core import Dynamics, _optimal_mask, finite_horizon_vi, make_inventory_mdp
 from invlab.errors import InvLabError
 from invlab.pomdp import (
     Container,
@@ -23,6 +26,8 @@ from invlab.pomdp import (
     observation_marginal,
     observe_psi,
     pomdp_simulate,
+    replication_uniforms,
+    summarize_samples,
     validate_belief,
 )
 
@@ -240,18 +245,18 @@ class TestComdpCost:
     def test_point_mass(self):
         m = small_mdp()
         z = make_belief([(1.0, 1.0)], m.grid)
-        assert comdp_cost(m, z, m.action_index(2)) == pytest.approx(m.cost[m.state_index(1), m.action_index(2)])
+        assert comdp_cost(m, z)[m.action_index(2)] == pytest.approx(m.cost[m.state_index(1), m.action_index(2)])
 
     def test_uniform_two_states(self):
         m = small_mdp()
         z = make_belief([(0.0, 0.5), (2.0, 0.5)], m.grid)
         expected = 0.5 * m.cost[m.state_index(0), 0] + 0.5 * m.cost[m.state_index(2), 0]
-        assert comdp_cost(m, z, m.action_index(0)) == pytest.approx(expected)
+        assert comdp_cost(m, z)[m.action_index(0)] == pytest.approx(expected)
 
     def test_infeasible_state_poisons_cost(self):
         m = small_mdp()  # ordering above the grid top is infeasible
         z = make_belief([(4.0, 0.5), (0.0, 0.5)], m.grid)
-        assert comdp_cost(m, z, m.action_index(1)) == np.inf
+        assert comdp_cost(m, z)[m.action_index(1)] == np.inf
 
 
 class TestBeliefValueIteration:
@@ -268,7 +273,7 @@ class TestBeliefValueIteration:
         rng = np.random.default_rng(1)
         z = rng.dirichlet(np.ones(m.n_states))
         sol = belief_value_iteration(m, part, z, 1, 0.9)
-        oracle = min(comdp_cost(m, z, j) for j in range(m.n_actions))
+        oracle = min(comdp_cost(m, z)[j] for j in range(m.n_actions))
         assert sol.value == pytest.approx(oracle, abs=1e-12)
 
     def test_transparent_partition_reproduces_mdp(self):
@@ -379,7 +384,7 @@ class TestHalfStepLattice:
         z = make_belief([(-2.5, 0.2), (-2.0, 0.3), (-1.5, 0.5)], m.grid)  # every action up to 4.0 is feasible
         for j in range(m.n_actions):
             cost = m.cost[z > 0, j]
-            assert comdp_cost(m, z, j) == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
+            assert comdp_cost(m, z)[j] == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
         sol = belief_value_iteration(m, part, prior, N, alpha)
         policy = TreePolicy(sol, m, part)
         total, taken = 0.0, set()
@@ -457,3 +462,189 @@ class TestPartitionAndBeliefBoundary:
         m = small_mdp()
         with pytest.raises(ValueError, match=r"prior\[1\] state nan is not on the grid \[-4.0, 4.0\] at step 1.0"):
             make_belief([(0.0, 0.5), (float("nan"), 0.5)], m.grid)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: one action, one observation and one replication at a time
+
+
+def reference_tree(m, part, p0, N, alpha):
+    """Belief value iteration by the per-action recursion; returns the root's memo entry and the memo.
+
+    The memo maps (rounded belief bytes, remaining) to (value, optimal mask,
+    {(action index, obs id): child memo entry}).
+    """
+    nodes = {}
+
+    def cost(z, j):
+        z = validate_belief(z)
+        col = m.cost[:, j]
+        charged = z > 0
+        if np.any(np.isinf(col[charged])):
+            return math.inf
+        return float(z[charged] @ col[charged])
+
+    def solve(z, remaining):
+        key = (np.round(z, 10) + 0.0).tobytes()
+        if (key, remaining) in nodes:
+            return (key, remaining), nodes[key, remaining][0]
+        if remaining == 0:
+            nodes[key, 0] = (0.0, np.zeros(m.n_actions, dtype=bool), {})
+            return (key, 0), 0.0
+        q = np.full(m.n_actions, math.inf)
+        children = {}
+        for j in range(m.n_actions):
+            cbar = cost(z, j)
+            if not np.isfinite(cbar):
+                continue
+            total = cbar
+            if remaining > 1:
+                pred = m.predictive(z, j)
+                marg = np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
+                cont = 0.0
+                for obs_id in np.nonzero(marg > 0)[0]:
+                    child = np.where(part.state_obs == obs_id, pred, 0.0) / marg[obs_id]
+                    entry, cval = solve(child, remaining - 1)
+                    children[j, int(obs_id)] = entry
+                    cont += marg[obs_id] * cval
+                total += alpha * cont
+            q[j] = total
+        vmin = float(q.min())
+        nodes[key, remaining] = (vmin, _optimal_mask(q, vmin), children)
+        return (key, remaining), vmin
+
+    return solve(p0, N)[0], nodes
+
+
+def reference_rollout(m, part, policy, p0, horizon, reps, seed, alpha):
+    """Rollouts one replication at a time, each step drawn from the state's dense next-state law."""
+    is_tree = isinstance(policy, TreePolicy)
+    samples = np.empty(reps)
+    point = np.eye(m.n_states)
+    draws = replication_uniforms(seed, reps, horizon + 1)
+    for rep in range(reps):
+        u = draws[rep]
+        x = min(int(np.searchsorted(np.cumsum(p0), u[0] * p0.sum())), m.n_states - 1)
+        total, disc = 0.0, 1.0
+        cursor = policy.start() if is_tree else None
+        belief = p0.copy()
+        for t in range(horizon):
+            if is_tree:
+                j = policy.action(cursor)
+            else:
+                a = float(policy(belief, t))
+                j = m.action_index(a)
+            total += disc * float(m.cost[x, j])
+            row_cum = np.cumsum(m.predictive(point[x], j))
+            x = min(int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1])), m.n_states - 1)
+            obs_id = part.state_obs[x]
+            if not is_tree:
+                belief = bayes_filter(m, part, belief, a, float(part.obs_values[obs_id]))
+            elif t < horizon - 1:
+                cursor = policy.advance(cursor, obs_id)
+            disc *= alpha
+        samples[rep] = total
+    return summarize_samples(samples)
+
+
+def assert_same_tree(sol, root_entry, ref_nodes):
+    """Walk both trees from the root: same node count, and per node the same value bits, mask and children."""
+    assert sol.node_count == len(sol.nodes) == len(ref_nodes)
+    pairs, stack = {}, [(sol.root, root_entry)]
+    while stack:
+        node_id, entry = stack.pop()
+        if pairs.setdefault(node_id, entry) != entry:
+            raise AssertionError(f"node {node_id} stands for two reference nodes")
+        node = sol.nodes[node_id]
+        value, optimal, children = ref_nodes[entry]
+        assert np.float64(node.value).tobytes() == np.float64(value).tobytes()
+        assert np.array_equal(node.optimal, optimal)
+        got = {(int(j), int(o)): int(c) for j, o, c in node.children}
+        assert list(got) == list(children)  # (action, observation) order too
+        stack.extend((got[k], children[k]) for k in children)
+    assert len(pairs) == len(set(pairs.values())) == sol.node_count
+
+
+README_COST = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
+
+
+def readme_mdp(lo=-12, hi=8, a_max=20):
+    return make_inventory_mdp(README_COST, MIXED, lo, hi, a_max)
+
+
+def oracle_cases():
+    """(mdp, partition, prior) of the README config, lost sales and the half-step lattice."""
+    m = readme_mdp()
+    ls = make_inventory_mdp(README_COST, MIXED, 0, 10, 6, Dynamics.LOST_SALES)
+    half = make_inventory_mdp(CostModel(0.2, 0.5, HoldingCost.linear(4.0, 1.0)), HALF_STEP, -2.5, 2.5)
+    return [
+        pytest.param(m, split_partition(m), make_belief([(0.0, 1.0)], m.grid), id="readme"),
+        pytest.param(ls, split_partition(ls, boundary=4.0), make_belief([(2.0, 0.5), (5.0, 0.5)], ls.grid), id="lost-sales"),
+        pytest.param(half, split_partition(half), make_belief([(-0.5, 0.4), (0.5, 0.6)], half.grid), id="half-step"),
+    ]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("N", range(6))
+    def test_readme_tree_node_by_node(self, N):
+        m = readme_mdp()
+        part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
+        sol = belief_value_iteration(m, part, prior, N, 0.9)
+        assert_same_tree(sol, *reference_tree(m, part, prior, N, 0.9))
+
+    @pytest.mark.parametrize("m, part, prior", oracle_cases())
+    def test_trees_and_rollouts(self, m, part, prior):
+        alpha, N = 0.9, 4
+        sol = belief_value_iteration(m, part, prior, N, alpha)
+        assert_same_tree(sol, *reference_tree(m, part, prior, N, alpha))
+        policy = TreePolicy(sol, m, part)
+        got = pomdp_simulate(m, part, policy, prior, N, 300, seed=17, alpha=alpha)
+        assert np.array_equal(got.samples, reference_rollout(m, part, policy, prior, N, 300, 17, alpha).samples)
+
+        def myopic(belief, t):  # the cheapest feasible action of the current belief
+            return float(m.actions[np.argmin(comdp_cost(m, belief))])
+
+        got = pomdp_simulate(m, part, myopic, prior, 3, 40, seed=5, alpha=alpha)
+        assert np.array_equal(got.samples, reference_rollout(m, part, myopic, prior, 3, 40, 5, alpha).samples)
+
+
+class TestZeroDraw:
+    """A zero uniform picks the lowest state of the support, never the grid bottom."""
+
+    def test_zero_draws_stay_on_the_support(self, monkeypatch):
+        m = readme_mdp()
+        part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
+        monkeypatch.setattr(pomdp, "replication_uniforms", lambda seed, reps, n: np.zeros((reps, n)))
+        zero = m.state_index(0.0)
+        one = TreePolicy(belief_value_iteration(m, part, prior, 1, 0.9), m, part)
+        res = pomdp_simulate(m, part, one, prior, 1, 3, seed=1, alpha=0.9)
+        assert np.all(res.samples == m.cost[zero, one.action(one.start())])
+        # the second step starts from the lowest successor, after the largest demand (2)
+        two = TreePolicy(belief_value_iteration(m, part, prior, 2, 0.9), m, part)
+        j0 = two.action(two.start())
+        x1 = m.state_index(float(m.actions[j0]) - 2.0)
+        j1 = two.action(two.advance(two.start(), part.state_obs[x1]))
+        res = pomdp_simulate(m, part, two, prior, 2, 3, seed=1, alpha=0.9)
+        assert np.all(res.samples == m.cost[zero, j0] + 0.9 * m.cost[x1, j1])
+
+
+class TestWideLattice:
+    """The README config on 4,001 states: nodes and rollouts hold no (n x n) array."""
+
+    def test_tree_and_rollouts_stay_small(self):
+        m = readme_mdp(-2000, 2000, 30)
+        part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
+        tracemalloc.start()
+        try:
+            sol = belief_value_iteration(m, part, prior, 3, 0.9)
+            tree_peak = tracemalloc.get_traced_memory()[1]
+            policy = TreePolicy(sol, m, part)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            res = pomdp_simulate(m, part, policy, prior, 3, 10_000, seed=3, alpha=0.9)
+            rollout_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert tree_peak < 20e6, tree_peak
+        assert rollout_peak < 20e6, rollout_peak
+        assert res.ci_low <= sol.value <= res.ci_high
