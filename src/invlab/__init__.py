@@ -7,7 +7,6 @@ from .average_cost import (
     assumption_B_diagnostic,
     check_optimality_inequality,
     greedy_policy,
-    long_run_average,
     relative_value,
     solve_ladder,
 )
@@ -16,10 +15,7 @@ from .costs import (
     CostModel,
     HoldingCost,
     N_alpha,
-    check_GB,
     expected_holding,
-    f_t_alpha,
-    is_K_convex,
     regime_constants,
 )
 from .demand import DemandDistribution, convolve, convolve_power, from_atoms, quantize
@@ -31,7 +27,6 @@ from .dp_core import (
     check_stationary_optimality,
     finite_horizon_vi,
     infinite_horizon_vi,
-    k0_clone,
     make_inventory_mdp,
     min_action_policy,
     policy_values,
@@ -44,20 +39,15 @@ from .policy_structure import (
     extract_sS,
     g_function,
     predict_finite_horizon,
-    threshold_limits,
-    v0_terminal,
     verify_structure,
 )
 from .pomdp import (
     Container,
     ContainerPartition,
     TreePolicy,
-    bayes_filter,
     belief_value_iteration,
     comdp_cost,
     make_belief,
-    observation_marginal,
-    observe_psi,
     pomdp_simulate,
 )
 

@@ -167,21 +167,3 @@ def assumption_B_diagnostic(ladder: DiscountLadder, c: CostModel) -> ABDiagnosti
         for x, val, b in zip(ladder.grid[left][over], e.u_alpha[left][over], bounds[over]):
             violations.append((e.alpha, float(x), float(val), float(b - SLACK_TOL)))
     return ABDiagnostic(sup_u, growth_flags, (x_lo, x_up), violations)
-
-
-def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
-    """Time-averaged cost of a stationary policy over ``N`` undiscounted steps.
-
-    Exact policy evaluation by backward recursion; returns the per-start-state
-    average ``v_N / N``, which converges to the long-run rate as the horizon
-    grows.
-    """
-    if N < 1:
-        raise ValueError(f"horizon must be positive, got {N}")
-    phi_idx = mdp.action_index(phi)
-    if not np.all(np.isfinite(mdp.policy_rows(phi_idx)[0])):
-        raise ValueError("policy takes an infeasible action")
-    v = np.zeros(mdp.n_states)
-    for _ in range(N):
-        v = mdp.policy_backup(phi_idx, v)
-    return v / N

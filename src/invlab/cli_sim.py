@@ -609,7 +609,7 @@ def _run_pomdp_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     sol = _solve_pomdp(config, mdp)
     reps = config.sim_reps
     result = pomdp_simulate(
-        mdp, config.partition, TreePolicy(sol, mdp, config.partition), config.prior,
+        mdp, config.partition, TreePolicy(sol, config.partition), config.prior,
         config.pomdp_horizon, reps, seed, config.solver.alpha,
     )
     write_csv(out / "samples.csv", ["rep", "discounted"], enumerate(map(float, result.samples)))

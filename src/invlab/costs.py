@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandDistribution, _lattice_offsets, convolve_power
+from .demand import DemandDistribution
 
 INEQ_TOL = 1e-9
 
@@ -108,106 +108,6 @@ def regime_constants(c: CostModel) -> tuple[float, float]:
     """Return ``(k_h, alpha_star)``: deep-backlog cost rate and critical discount factor."""
     k_h = -float(c.holding.slopes[0])
     return k_h, 1.0 - k_h / c.c_unit
-
-
-@dataclass(frozen=True)
-class GBResult:
-    holds: bool
-    witness: tuple[float, float] | None
-
-
-def check_GB(c: CostModel, d: DemandDistribution, probe_range: tuple[float, float] | None = None) -> GBResult:
-    """Search for a lattice pair ``z < y`` with slope of ``E h(. - D)`` below ``-c_unit``.
-
-    Existence of such a pair says that deep backlog accrues cost faster than
-    ordering out of it could ever pay back, which is exactly when threshold
-    structure holds for every discount factor.  Returns the leftmost witness
-    pair when the condition holds.  The probe window runs from ``lo`` to
-    ``hi`` of ``probe_range``; ValueError when ``hi`` is not on the lattice
-    from ``lo``.
-    """
-    step = d.step
-    if probe_range is None:
-        lo = -10.0 * (d.max_value + 1.0) - d.max_value
-        probe_range = (math.floor(lo / step) * step, 0.0)
-    lo, hi = probe_range
-    k, on = _lattice_offsets(hi, step, lo)
-    if not on:
-        raise ValueError(f"hi {hi} is not on the lattice from lo {lo} at step {step}")
-    if k < 0:
-        raise ValueError(f"probe range ({lo}, {hi}) has hi below lo")
-    n = int(k) + 1
-    xs = lo + step * np.arange(n)
-    xs[-1] = hi
-    eh = expected_holding(c.holding, xs, d)
-    # slope(i, j) for i < j, strictly below -c_unit with a roundoff margin
-    for i in range(n - 1):
-        gaps = xs[i + 1 :] - xs[i]
-        slopes = (eh[i + 1 :] - eh[i]) / gaps
-        hits = np.nonzero(slopes < -c.c_unit - INEQ_TOL)[0]
-        if hits.size:
-            j = i + 1 + int(hits[0])
-            return GBResult(True, (float(xs[i]), float(xs[j])))
-    return GBResult(False, None)
-
-
-@dataclass(frozen=True)
-class KConvexityResult:
-    ok: bool
-    violation: tuple[int, int, int] | None  # grid indices (x, m, y) of the first failure
-    slack: float  # most negative margin encountered (0 when convex comfortably)
-
-
-def is_K_convex(g: np.ndarray, K: float) -> KConvexityResult:
-    """Brute-force K-convexity over all lattice triples ``x < m < y``.
-
-    Checks ``g(m) <= (1-lam) g(x) + lam g(y) + lam K`` with
-    ``lam = (m-x)/(y-x)`` for every triple of grid indices.  Cubic in the
-    grid size, which is fine at desk scale and matches the definition
-    exactly.  Every row is scanned, so ``slack`` is the deepest violation
-    even when ``violation`` is an earlier, shallower one.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 3:
-        return KConvexityResult(True, None, 0.0)
-    if K < 0:
-        raise ValueError(f"K must be nonnegative, got {K}")
-    n = g.size
-    worst = 0.0
-    first = None
-    idx = np.arange(n)
-    for ix in range(n - 2):
-        ms = idx[ix + 1 : n - 1]
-        ys = idx[ix + 2 :]
-        lam = (ms[:, None] - ix) / (ys[None, :] - ix)  # rows m, cols y
-        margin = (1.0 - lam) * g[ix] + lam * g[ys][None, :] + lam * K - g[ms][:, None]
-        margin = np.where(ys[None, :] > ms[:, None], margin, np.inf)
-        bad = margin < -INEQ_TOL
-        if bad.any():
-            if first is None:
-                m_off, y_off = np.argwhere(bad)[0]
-                first = (ix, int(ms[m_off]), int(ys[y_off]))
-            worst = min(worst, float(margin[bad].min()))
-    return KConvexityResult(first is None, first, worst)
-
-
-def f_t_alpha(c: CostModel, d: DemandDistribution, t: int, alpha: float, x):
-    """Horizon cost profile ``c_unit*x + sum_{i<=t} alpha^i E h(x - S_{i+1})``.
-
-    ``S_i`` is the i-fold demand sum.  The left tail of this function flips
-    from flat to increasing exactly at ``t = N_alpha``, which is what the
-    regime classifier keys on.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    total = c.c_unit * x_arr.astype(float).copy()
-    for i in range(t + 1):
-        s = convolve_power(d, i + 1)
-        total = total + alpha**i * expected_holding(c.holding, x_arr, s)
-    return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
 
 def N_alpha(c: CostModel, alpha: float):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class GridMDP:
     def n_actions(self) -> int:
         return self.actions.size
 
-    @property
-    def min_finite_cost(self) -> float:
-        return float(self.cost[np.isfinite(self.cost)].min())
-
     @functools.cached_property
     def next_idx(self) -> np.ndarray:
         """Per-pair successors ``(n, n_a, n_atoms)``, built from the level table on first access."""
@@ -110,11 +106,6 @@ class GridMDP:
         """``T_phi v = c(x, phi(x)) + alpha E v(next)`` at every state, for the action indices ``phi_idx``."""
         cost_phi, succ = self.policy_rows(phi_idx)
         return cost_phi + alpha * (np.asarray(v, dtype=float)[succ] @ self.shock_probs)
-
-    def predictive(self, z: np.ndarray, j: int) -> np.ndarray:
-        """Next-state law ``sum_i z_i P(i, j, .)`` of the state law ``z`` under action index ``j``."""
-        weights = z[:, None] * self.shock_probs
-        return np.bincount(self._y_next[self._y_of[:, j]].ravel(), weights=weights.ravel(), minlength=self.n_states)
 
 
 @dataclass
@@ -419,8 +410,3 @@ def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, al
     """
     rhs = mdp.policy_backup(mdp.action_index(phi), v, alpha)
     return float(np.max(np.abs(np.asarray(v) - rhs)))
-
-
-def k0_clone(cost_model: CostModel) -> CostModel:
-    """Same cost structure with the setup cost removed."""
-    return replace(cost_model, K=0.0)

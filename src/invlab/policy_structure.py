@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
 from .demand import _lattice_index
-from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi
+from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
 from .errors import InvLabError
 
 
@@ -139,39 +139,3 @@ def verify_structure(
         for i in np.nonzero(~good)[0]:
             violations.append((t, float(mdp.grid[i]), float(predicted[i]), mdp.actions[optimal[i]].tolist()))
     return StructureReport(violations, thresholds, N, mdp.n_states)
-
-
-def v0_terminal(mdp_k0: GridMDP, alpha: float, eps: float) -> np.ndarray:
-    """Infinite-horizon values of the setup-cost-free clone, for use as terminal values."""
-    return infinite_horizon_vi(mdp_k0, alpha, eps).values
-
-
-@dataclass
-class ThresholdLimitReport:
-    envelope: tuple  # (s_min, s_max, S_min, S_max)
-    candidates: list  # recurring tail pairs, in order of first appearance
-
-
-def threshold_limits(pairs: list[tuple[float, float]]) -> ThresholdLimitReport:
-    """Envelope and recurring tail values of a threshold sequence.
-
-    On a lattice the threshold sequence is eventually periodic or constant,
-    so pairs recurring in the last third of the sequence stand in for its
-    limit points; each such pair defines a stationary policy worth
-    certifying against the infinite-horizon solve.  The pairs are grid
-    values, as ``extract_sS`` returns them, so equal pairs are equal floats.
-    """
-    if not pairs:
-        raise ValueError("need at least one threshold pair")
-    arr = np.asarray(pairs, dtype=float)
-    envelope = (
-        float(arr[:, 0].min()),
-        float(arr[:, 0].max()),
-        float(arr[:, 1].min()),
-        float(arr[:, 1].max()),
-    )
-    tail = [(float(s), float(S)) for s, S in arr[-max(len(pairs) // 3, 1):]]
-    candidates = [pair for pair in dict.fromkeys(tail) if tail.count(pair) >= 2]
-    if not candidates and len(tail) == 1:
-        candidates = tail
-    return ThresholdLimitReport(envelope, candidates)

@@ -1,4 +1,4 @@
-"""Partially observed inventory: container observations and belief dynamics.
+"""Partially observed inventory: container observations, the belief tree and its rollouts.
 
 The grid range is split into containers (intervals of at least two lattice
 points, lower-closed).  A transparent container reveals the exact inventory
@@ -7,7 +7,10 @@ it.  Because the observation is a deterministic function of the hidden next
 state, the Bayes update is a restriction of the one-step predictive
 distribution to the observed container followed by renormalization, and the
 observation space is finite, so the belief value iteration is exact over the
-reachable tree.
+reachable tree.  ``_posteriors`` computes a node's predictive laws,
+observation marginals and posteriors for all its actions at once;
+``TreePolicy`` replays the solved tree along observation ids, and
+``pomdp_simulate`` rolls it out on the hidden chain.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ class ContainerPartition:
     ``state_container[i]`` maps grid states to container ordinals,
     ``state_obs[i]`` to observation ids, and ``obs_values`` carries the
     emitted value per observation id (the state itself in transparent
-    containers, the representative otherwise).  Container labels are
-    1-based at the container holding inventory level zero.
+    containers, the representative otherwise).
     """
 
     containers: list[Container]
@@ -50,7 +52,6 @@ class ContainerPartition:
     state_container: np.ndarray = field(repr=False, default=None)
     state_obs: np.ndarray = field(repr=False, default=None)
     obs_values: np.ndarray = field(repr=False, default=None)
-    labels: list[int] = field(repr=False, default=None)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -117,33 +118,15 @@ class ContainerPartition:
                     obs_values.append(reps[k])
                 state_obs[i] = cont_obs[k]
 
-        zero_k = None
-        for k, cont in enumerate(fixed):
-            if cont.lo - 1e-9 <= 0 < cont.hi - 1e-9 or (k == len(fixed) - 1 and abs(cont.hi) <= 1e-9):
-                zero_k = k
-                break
-        if zero_k is None:
-            zero_k = 0  # zero lies outside the grid range; label from the bottom
-        labels = [k - zero_k + 1 for k in range(len(fixed))]
-
         self.containers = fixed
         self.grid = grid
         self.state_container = assignment
         self.state_obs = state_obs
         self.obs_values = np.asarray(obs_values)
-        self.labels = labels
 
     @property
     def n_obs(self) -> int:
         return self.obs_values.size
-
-    def obs_id_of_value(self, y: float) -> int:
-        """Resolve an emitted observation value back to its id."""
-        # y is emittable when the state at y emits y itself
-        i = _lattice_index(self.grid, y, self.step)
-        if i < 0 or _lattice_index(self.grid, self.obs_values[self.state_obs[i]], self.step) != i:
-            raise InvLabError("IMPOSSIBLE_OBSERVATION", f"{y} is not an emittable observation")
-        return int(self.state_obs[i])
 
 
 def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
@@ -154,6 +137,8 @@ def make_belief(atoms, grid: np.ndarray) -> np.ndarray:
         i = _lattice_index(grid, x, step)
         if i < 0:
             raise ValueError(f"prior[{k}] state {x!r} is not on the grid [{lo}, {hi}] at step {step}")
+        if p < 0:
+            raise ValueError(f"prior[{k}] mass {p!r} is negative")
         z[i] += p
     return validate_belief(z)
 
@@ -166,38 +151,6 @@ def validate_belief(z: np.ndarray) -> np.ndarray:
     if not abs(float(z.sum()) - 1.0) <= BELIEF_TOL:
         raise ValueError(f"belief mass sums to {float(z.sum())!r}, not 1")
     return z
-
-
-def observe_psi(part: ContainerPartition, x: float) -> float:
-    """Observation emitted by a hidden state: itself, or its container's representative."""
-    i = _lattice_index(part.grid, x, part.step)
-    if i < 0:
-        raise ValueError(f"state {x} is not on the grid")
-    return float(part.obs_values[part.state_obs[i]])
-
-
-def observation_marginal(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float) -> np.ndarray:
-    """Distribution of the next observation, aligned with ``part.obs_values``."""
-    z = validate_belief(z)
-    pred = mdp.predictive(z, mdp.action_index(a))
-    return np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
-
-
-def bayes_filter(mdp: GridMDP, part: ContainerPartition, z: np.ndarray, a: float, y: float) -> np.ndarray:
-    """Posterior over states after acting and observing.
-
-    The predictive distribution restricted to the states consistent with the
-    observation, renormalized.  Raises ``IMPOSSIBLE_OBSERVATION`` when the
-    observation has zero predictive mass.
-    """
-    z = validate_belief(z)
-    obs_id = part.obs_id_of_value(y)
-    pred = mdp.predictive(z, mdp.action_index(a))
-    masked = np.where(part.state_obs == obs_id, pred, 0.0)
-    denom = float(masked.sum())
-    if denom <= 0.0:
-        raise InvLabError("IMPOSSIBLE_OBSERVATION", f"observation {y} has zero probability under this belief")
-    return masked / denom
 
 
 def comdp_cost(mdp: GridMDP, z: np.ndarray) -> np.ndarray:
@@ -350,9 +303,8 @@ class TreePolicy:
     children whatever the number of observations.
     """
 
-    def __init__(self, solution: BeliefSolution, mdp: GridMDP, part: ContainerPartition):
+    def __init__(self, solution: BeliefSolution, part: ContainerPartition):
         self.solution = solution
-        self.mdp = mdp
         self.part = part
         nodes = solution.nodes
         self._actions = np.stack([node.optimal for node in nodes]).argmax(axis=1)
@@ -448,29 +400,25 @@ def _successor_cdf(mdp: GridMDP) -> tuple[np.ndarray, np.ndarray]:
 def pomdp_simulate(
     mdp: GridMDP,
     part: ContainerPartition,
-    policy,
+    policy: TreePolicy,
     p0: np.ndarray,
     horizon: int,
     reps: int,
     seed: int,
     alpha: float,
 ) -> SimulationResult:
-    """Monte Carlo rollout of a policy on the hidden chain, every replication in lockstep.
+    """Monte Carlo rollout of a solved tree's policy on the hidden chain, every replication in lockstep.
 
     The hidden state starts from the prior, moves by the transition rows,
-    and emits container observations; the policy sees only those.  Each
-    replication consumes its own counter-based stream keyed by
-    ``(seed, replication)``, so results are reproducible and order
-    independent.  A draw ``u`` picks the first state of the support whose
-    cumulative mass reaches ``u`` times the total, on the prior's nonzero
-    states and then on the distinct successors of the current level, both
-    in state order.  A ``TreePolicy`` moves all cursors at once; any other
-    policy is a callable ``policy(belief, t) -> action``, called once per
-    replication and step, with one Bayes-filtered belief kept per
-    replication.
+    and emits container observations; the policy sees only those, one
+    cursor per replication, all moved at once.  Each replication consumes
+    its own counter-based stream keyed by ``(seed, replication)``, so
+    results are reproducible and order independent.  A draw ``u`` picks the
+    first state of the support whose cumulative mass reaches ``u`` times the
+    total, on the prior's nonzero states and then on the distinct successors
+    of the current level, both in state order.
     """
     p0 = validate_belief(np.asarray(p0, dtype=float))
-    is_tree = isinstance(policy, TreePolicy)
     succ, cdf = _successor_cdf(mdp)
     draws = replication_uniforms(seed, reps, horizon + 1)
     support = np.flatnonzero(p0 > 0)
@@ -478,24 +426,13 @@ def pomdp_simulate(
     x = support[np.searchsorted(prior_cdf, draws[:, 0] * prior_cdf[-1])]
     total = np.zeros(reps)
     disc = 1.0
-    if is_tree:
-        cursor = np.full(reps, policy.start())
-    else:
-        beliefs = [p0] * reps
+    cursor = np.full(reps, policy.start())
     for t in range(horizon):
-        if is_tree:
-            j = policy.action(cursor)
-        else:
-            a = np.array([float(policy(belief, t)) for belief in beliefs])
-            j = mdp.action_index(a)
+        j = policy.action(cursor)
         total += disc * mdp.cost[x, j]
         level = mdp._y_of[x, j]
         x = succ[level, (cdf[level] < (draws[:, t + 1] * cdf[level, -1])[:, None]).sum(axis=1)]
-        obs_id = part.state_obs[x]
-        if not is_tree:
-            y = part.obs_values[obs_id]
-            beliefs = [bayes_filter(mdp, part, b, float(ai), float(yi)) for b, ai, yi in zip(beliefs, a, y)]
-        elif t < horizon - 1:
-            cursor = policy.advance(cursor, obs_id)
+        if t < horizon - 1:
+            cursor = policy.advance(cursor, part.state_obs[x])
         disc *= alpha
     return summarize_samples(total)

@@ -16,12 +16,11 @@ from invlab import average_cost
 from invlab.average_cost import (
     check_optimality_inequality,
     greedy_policy,
-    long_run_average,
     relative_value,
     solve_ladder,
 )
 from invlab.cli_sim import simulate_policy
-from invlab.costs import CostModel, HoldingCost, N_alpha, f_t_alpha, is_K_convex, regime_constants
+from invlab.costs import CostModel, HoldingCost, N_alpha, regime_constants
 from invlab.demand import from_atoms
 from invlab.dp_core import (
     GridMDP,
@@ -36,19 +35,10 @@ from invlab.policy_structure import (
     extract_sS,
     g_function,
     predict_finite_horizon,
-    threshold_limits,
     verify_structure,
 )
-from invlab.pomdp import (
-    Container,
-    ContainerPartition,
-    TreePolicy,
-    bayes_filter,
-    belief_value_iteration,
-    make_belief,
-    observation_marginal,
-    pomdp_simulate,
-)
+from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
+from oracles import bayes_filter, f_t_alpha, is_K_convex, long_run_average, observation_marginal, threshold_limits
 
 EPS = 1e-6
 DEFAULT_LADDER = [0.9, 0.95, 0.99, 0.995, 0.999]
@@ -326,10 +316,10 @@ def test_criterion_7_pomdp_reduction_sanity():
             z = rng.dirichlet(np.ones(mdp.n_states) * rng.uniform(0.4, 4.0))
             a = float(rng.choice(mdp.actions[:6]))
             pred = z @ mdp.P[:, mdp.action_index(a), :]
-            marg = observation_marginal(mdp, part, z, a)
+            marg = observation_marginal(mdp, part, demand, z, a)
             mixture = np.zeros(mdp.n_states)
             for obs_id in np.nonzero(marg > 0)[0]:
-                post = bayes_filter(mdp, part, z, a, float(part.obs_values[obs_id]))
+                post = bayes_filter(mdp, part, demand, z, a, obs_id)
                 mixture += marg[obs_id] * post
             assert np.max(np.abs(mixture - pred)) <= 1e-12
 
@@ -345,7 +335,7 @@ def test_criterion_7_pomdp_reduction_sanity():
         N = 4
         prior = make_belief([(-1.0, 0.35), (2.0, 0.65)], mdp.grid)
         sol = belief_value_iteration(mdp, part, prior, N, alpha)
-        policy = TreePolicy(sol, mdp, part)
+        policy = TreePolicy(sol, part)
         offsets = demand.offsets()
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:

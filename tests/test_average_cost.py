@@ -7,13 +7,13 @@ from invlab.average_cost import (
     assumption_B_diagnostic,
     check_optimality_inequality,
     greedy_policy,
-    long_run_average,
     relative_value,
     solve_ladder,
 )
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
 from invlab.dp_core import Dynamics, build_mdp, make_inventory_mdp
+from oracles import long_run_average, threshold_limits
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 MIXED = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -142,7 +142,7 @@ class TestGreedyPolicy:
             assert np.allclose(up_to, up_to[0])
 
     def test_greedy_thresholds_match_discount_limit_pair(self):
-        from invlab.policy_structure import extract_sS, g_function, threshold_limits
+        from invlab.policy_structure import extract_sS, g_function
 
         cost = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
         m = make_inventory_mdp(cost, MIXED, -12, 10)

@@ -656,7 +656,8 @@ LOAD_TIME_FAULTS = [
         [{"lo": -12.0, "hi": 0.5, "transparent": False}, {"lo": 0.7, "hi": 8.0, "transparent": True}],
         "pomdp: containers leave a gap: [0.5, 0.7] is uncovered",
     ),
-    (("pomdp", "prior"), [[0.0, 1.5], [1.0, -0.5]], "pomdp: belief has negative mass"),
+    (("pomdp", "prior"), [[0.0, 1.5], [1.0, -0.5]], "pomdp: prior[1] mass -0.5 is negative"),
+    (("pomdp", "prior"), [[0.0, 1.0], [1.0, -1e-13]], "pomdp: prior[1] mass -1e-13 is negative"),
     (("pomdp", "prior"), [[0.0, 0.5]], "pomdp: belief mass sums to 0.5, not 1"),
     (("pomdp", "prior"), [[0.0, NAN]], "pomdp: belief mass sums to nan, not 1"),
     (("pomdp", "prior"), [[0.0, NAN], [1.0, 1.0]], "pomdp: belief mass sums to nan, not 1"),

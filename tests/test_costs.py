@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab import costs
 from invlab.costs import (
     INFINITE,
     CostModel,
     HoldingCost,
     N_alpha,
-    check_GB,
     expected_holding,
-    f_t_alpha,
-    is_K_convex,
     regime_constants,
 )
 from invlab.demand import convolve_power, from_atoms
+import oracles
+from oracles import check_GB, f_t_alpha, is_K_convex
 
 
 def abs_cost(K=0.0, c_unit=1.0):
@@ -143,7 +141,7 @@ class TestCheckGB:
             probed.append(np.array(x))
             return expected_holding(h, x, d)
 
-        monkeypatch.setattr(costs, "expected_holding", spy)
+        monkeypatch.setattr(oracles, "expected_holding", spy)
         res = check_GB(linear_cost(0, 0.5, 1.0, 1.0), UNIT_DEMAND, probe_range=(-10.0, 0.0))
         assert res.witness == (-10.0, -9.0)
         assert probed[0].tolist() == [float(k) for k in range(-10, 1)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.average_cost import check_optimality_inequality, long_run_average
+from invlab.average_cost import check_optimality_inequality
 from invlab.cli_sim import simulate_policy
 from invlab.costs import CostModel, HoldingCost, expected_holding
 from invlab.demand import from_atoms
@@ -28,6 +28,7 @@ from invlab.dp_core import (
 from invlab.errors import InvLabError
 from invlab.policy_structure import g_function
 from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
+from oracles import long_run_average
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 ABS = CostModel(0.0, 1.0, HoldingCost.linear(1.0, 1.0))
@@ -118,11 +119,6 @@ class TestBuildMdp:
             build_mdp(Dynamics.BACKORDER, UNIT, 0, 3, 1, lambda x, a: np.inf, mass_tol=1.0)
         assert err.value.code == "NO_FINITE_ACTION"
 
-    def test_min_finite_cost_recorded(self):
-        m = make_inventory_mdp(ABS, UNIT, -2, 2)
-        assert m.min_finite_cost == pytest.approx(float(m.cost[np.isfinite(m.cost)].min()))
-        assert np.isfinite(m.min_finite_cost)
-
     def test_custom_dynamics_table(self):
         # deterministic drift downward by the shock regardless of action
         m = build_mdp(
@@ -146,7 +142,7 @@ class TestBuildMdp:
         part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
         prior = make_belief([(0.0, 1.0)], m.grid)
         tree = belief_value_iteration(m, part, prior, 3, alpha)
-        pomdp_simulate(m, part, TreePolicy(tree, m, part), prior, 3, 20, 1, alpha)
+        pomdp_simulate(m, part, TreePolicy(tree, part), prior, 3, 20, 1, alpha)
         assert "P" not in m.__dict__
         assert m.P.shape == (m.n_states, m.n_actions, m.n_states)
 
@@ -165,7 +161,7 @@ class TestBuildMdp:
             "long-run average": lambda: long_run_average(m, phi, 5),
             "G-function": lambda: g_function(m, sol.values, alpha, cost),
             "belief tree": lambda: belief_value_iteration(m, part, prior, 3, alpha),
-            "POMDP rollout": lambda: pomdp_simulate(m, part, TreePolicy(tree, m, part), prior, 3, 20, 1, alpha),
+            "POMDP rollout": lambda: pomdp_simulate(m, part, TreePolicy(tree, part), prior, 3, 20, 1, alpha),
             "policy simulation": lambda: simulate_policy(m, phi, 0.0, 10, alpha, 20, 1),
         }
         assert "next_idx" not in m.__dict__, "value iteration"
@@ -400,9 +396,6 @@ class TestStationaryCheck:
             for alpha in (0.0, 0.5, 1.0):
                 oracle = m.cost[rows, phi_idx] + alpha * m.P[rows, phi_idx] @ v
                 assert np.allclose(m.policy_backup(phi_idx, v, alpha), oracle, atol=1e-12)
-            z = rng.dirichlet(np.ones(m.n_states))
-            for j in range(m.n_actions):
-                assert np.allclose(m.predictive(z, j), z @ m.P[:, j, :], atol=1e-12)
 
 
 @st.composite

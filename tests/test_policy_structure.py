@@ -1,9 +1,11 @@
 """Threshold extraction, regime classification, and structure verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from invlab.costs import CostModel, HoldingCost, INFINITE, is_K_convex
+from invlab.costs import CostModel, HoldingCost, INFINITE
 from invlab.demand import from_atoms
 from invlab.dp_core import (
     TIE_TOL,
@@ -12,7 +14,6 @@ from invlab.dp_core import (
     check_stationary_optimality,
     finite_horizon_vi,
     infinite_horizon_vi,
-    k0_clone,
     make_inventory_mdp,
 )
 from invlab.errors import InvLabError
@@ -22,10 +23,9 @@ from invlab.policy_structure import (
     extract_sS,
     g_function,
     predict_finite_horizon,
-    threshold_limits,
-    v0_terminal,
     verify_structure,
 )
+from oracles import check_GB, is_K_convex, threshold_limits
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 MIXED = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -309,20 +309,20 @@ class TestVerifyStructureOracle:
 class TestV0Terminal:
     def test_k_zero_instance_unchanged(self):
         cost = gb_cost(K=0.0)
-        mdp = make_inventory_mdp(cost, MIXED, -20, 10)
-        v0 = v0_terminal(mdp, 0.9, 1e-6)
-        direct = infinite_horizon_vi(mdp, 0.9, 1e-6).values
+        mdp0 = make_inventory_mdp(replace(cost, K=0.0), MIXED, -20, 10)
+        v0 = infinite_horizon_vi(mdp0, 0.9, 1e-6).values
+        direct = infinite_horizon_vi(make_inventory_mdp(cost, MIXED, -20, 10), 0.9, 1e-6).values
         assert np.allclose(v0, direct)
 
     def test_constant_cost_fixed_point(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
-        assert np.allclose(v0_terminal(m, 0.5, 1e-9), 2.0, atol=1e-8)
+        assert np.allclose(infinite_horizon_vi(m, 0.5, 1e-9).values, 2.0, atol=1e-8)
 
     def test_relaxation_lower_bounds_true_values(self):
         cost = gb_cost(K=3.0)
         mdp = make_inventory_mdp(cost, MIXED, -20, 10)
-        mdp0 = make_inventory_mdp(k0_clone(cost), MIXED, -20, 10)
-        v0 = v0_terminal(mdp0, 0.9, 1e-6)
+        mdp0 = make_inventory_mdp(replace(cost, K=0.0), MIXED, -20, 10)
+        v0 = infinite_horizon_vi(mdp0, 0.9, 1e-6).values
         v = infinite_horizon_vi(mdp, 0.9, 1e-6).values
         assert np.all(v0 <= v + 1e-6)
 
@@ -388,8 +388,6 @@ class TestStructureInvariants:
                 assert res.ok, (alpha, t, res.violation)
 
     def test_regime_matches_growth_check(self):
-        from invlab.costs import check_GB
-
         d = MIXED
         for c_unit, k_h in [(1.0, 3.0), (2.0, 1.0), (0.7, 0.9), (1.5, 1.2)]:
             cost = CostModel(1.0, c_unit, HoldingCost.linear(k_h, 1.0))
@@ -423,8 +421,8 @@ class TestStructureInvariants:
         cost = hybrid_cost()
         alpha, N = 0.9, 6
         mdp = make_inventory_mdp(cost, MIXED, -40, 14)
-        mdp0 = make_inventory_mdp(k0_clone(cost), MIXED, -40, 14)
-        v0 = v0_terminal(mdp0, alpha, 1e-6)
+        mdp0 = make_inventory_mdp(replace(cost, K=0.0), MIXED, -40, 14)
+        v0 = infinite_horizon_vi(mdp0, alpha, 1e-6).values
         sols = finite_horizon_vi(mdp, N, alpha, v0)
         g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
         plan = [N - t - 1 for t in range(N)]

@@ -19,17 +19,15 @@ from invlab.pomdp import (
     Container,
     ContainerPartition,
     TreePolicy,
-    bayes_filter,
     belief_value_iteration,
     comdp_cost,
     make_belief,
-    observation_marginal,
-    observe_psi,
     pomdp_simulate,
     replication_uniforms,
     summarize_samples,
     validate_belief,
 )
+from oracles import bayes_filter, dense_rows, observation_marginal, observe_psi, successors
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 TWO_POINT = from_atoms([(0, 0.5), (2, 0.5)], step=1)
@@ -93,11 +91,6 @@ class TestContainerPartition:
         part = split_partition(m)  # container [-4, 0): midpoint -2
         assert part.containers[0].rep == -2.0
 
-    def test_zero_container_labeled_one(self):
-        m = small_mdp()
-        part = split_partition(m)
-        assert part.labels == [0, 1]  # container holding level 0 gets label 1
-
     def test_explicit_rep_must_be_interior(self):
         m = small_mdp()
         with pytest.raises(ValueError, match="strictly inside"):
@@ -132,14 +125,14 @@ class TestObservationMarginal:
         for _ in range(25):
             z = rng.dirichlet(np.ones(m.n_states))
             a = float(rng.choice([0.0, 1.0, 2.0]))
-            marg = observation_marginal(m, part, z, a)
+            marg = observation_marginal(m, part, MIXED, z, a)
             assert marg.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_transparent_deterministic_chain(self):
         m = small_mdp(demand=UNIT)
         part = transparent_partition(m)
         z = make_belief([(1.0, 1.0)], m.grid)
-        marg = observation_marginal(m, part, z, 1.0)
+        marg = observation_marginal(m, part, UNIT, z, 1.0)
         obs_id = np.argmax(marg)
         assert part.obs_values[obs_id] == 1.0  # 1 + 1 - 1
         assert marg[obs_id] == pytest.approx(1.0)
@@ -150,7 +143,7 @@ class TestObservationMarginal:
             [Container(-2, 0, False, -1.0), Container(0, 2, True)], m.grid, m.step
         )
         z = make_belief([(0.0, 1.0)], m.grid)
-        marg = observation_marginal(m, part, z, 0.0)
+        marg = observation_marginal(m, part, TWO_POINT, z, 0.0)
         val_to_mass = dict(zip(part.obs_values, marg))
         assert val_to_mass[0.0] == pytest.approx(0.5)   # demand 0 keeps level 0
         assert val_to_mass[-1.0] == pytest.approx(0.5)  # demand 2 drops to -2, seen as rep -1
@@ -161,7 +154,7 @@ class TestBayesFilter:
         m = small_mdp()
         part = split_partition(m)
         z = np.full(m.n_states, 1.0 / m.n_states)
-        post = bayes_filter(m, part, z, 1.0, 2.0)
+        post = bayes_filter(m, part, MIXED, z, 1.0, part.state_obs[m.state_index(2)])
         expected = np.zeros(m.n_states)
         expected[m.state_index(2)] = 1.0
         assert np.allclose(post, expected)
@@ -172,7 +165,7 @@ class TestBayesFilter:
         z = make_belief([(0.0, 0.5), (1.0, 0.5)], m.grid)
         a = 0.0
         pred = z @ m.P[:, m.action_index(a), :]
-        post = bayes_filter(m, part, z, a, -2.0)  # the container's representative
+        post = bayes_filter(m, part, MIXED, z, a, part.state_obs[m.state_index(-2.0)])  # the container's representative
         inside = part.state_container == 0
         expected = np.where(inside, pred, 0.0)
         expected /= expected.sum()
@@ -183,7 +176,7 @@ class TestBayesFilter:
         part = split_partition(m)
         z = make_belief([(3.0, 1.0)], m.grid)
         with pytest.raises(InvLabError) as err:
-            bayes_filter(m, part, z, 0.0, 3.0)  # 3 - 1 = 2, observing 3 is impossible
+            bayes_filter(m, part, UNIT, z, 0.0, part.state_obs[m.state_index(3.0)])  # 3 - 1 = 2, observing 3 is impossible
         assert err.value.code == "IMPOSSIBLE_OBSERVATION"
 
     def test_posterior_sums_to_one(self):
@@ -193,9 +186,9 @@ class TestBayesFilter:
         for _ in range(40):
             z = rng.dirichlet(np.ones(m.n_states))
             a = float(rng.choice([0.0, 1.0]))
-            marg = observation_marginal(m, part, z, a)
+            marg = observation_marginal(m, part, MIXED, z, a)
             for obs_id in np.nonzero(marg > 1e-12)[0]:
-                post = bayes_filter(m, part, z, a, float(part.obs_values[obs_id]))
+                post = bayes_filter(m, part, MIXED, z, a, obs_id)
                 assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_disintegration_identity(self):
@@ -207,10 +200,10 @@ class TestBayesFilter:
             z = rng.dirichlet(np.ones(m.n_states) * rng.uniform(0.3, 3.0))
             a = float(rng.choice([0.0, 1.0, 3.0]))
             pred = z @ m.P[:, m.action_index(a), :]
-            marg = observation_marginal(m, part, z, a)
+            marg = observation_marginal(m, part, MIXED, z, a)
             mixture = np.zeros(m.n_states)
             for obs_id in np.nonzero(marg > 0)[0]:
-                post = bayes_filter(m, part, z, a, float(part.obs_values[obs_id]))
+                post = bayes_filter(m, part, MIXED, z, a, obs_id)
                 mixture += marg[obs_id] * post
             assert np.allclose(mixture, pred, atol=1e-12)
 
@@ -220,7 +213,7 @@ class TestBayesFilter:
         z = np.full(m.n_states, 1.0 / m.n_states)
         a = 1.0
         pred = z @ m.P[:, m.action_index(a), :]
-        post = bayes_filter(m, part, z, a, float(part.obs_values[0]))
+        post = bayes_filter(m, part, MIXED, z, a, 0)
         assert np.allclose(post, pred, atol=1e-12)
 
     def test_transparent_trajectory_tracks_hidden_state(self):
@@ -234,8 +227,7 @@ class TestBayesFilter:
             a = float(rng.choice([0.0, 1.0]))
             row = m.P[x, m.action_index(a), :]
             x = int(rng.choice(m.n_states, p=row))
-            y = observe_psi(part, float(m.grid[x]))
-            belief = bayes_filter(m, part, belief, a, y)
+            belief = bayes_filter(m, part, MIXED, belief, a, part.state_obs[x])
             expected = np.zeros(m.n_states)
             expected[x] = 1.0
             assert np.allclose(belief, expected)
@@ -310,7 +302,7 @@ class TestBeliefValueIteration:
         alpha, N = 0.9, 3
         prior = make_belief([(-1.0, 0.4), (1.0, 0.6)], m.grid)
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        policy = TreePolicy(sol, m, part)
+        policy = TreePolicy(sol, part)
         atoms = list(zip(TWO_POINT.offsets(), TWO_POINT.probs))
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:
@@ -337,7 +329,7 @@ class TestPomdpSimulate:
         prior = make_belief([(2.0, 1.0)], m.grid)
         alpha, N = 0.9, 3
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        res = pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, N, 50, seed=9, alpha=alpha)
+        res = pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, 50, seed=9, alpha=alpha)
         assert np.allclose(res.samples, sol.value, atol=1e-9)
 
     def test_same_seed_identical_samples(self):
@@ -345,8 +337,8 @@ class TestPomdpSimulate:
         part = split_partition(m)
         prior = make_belief([(0.0, 1.0)], m.grid)
         sol = belief_value_iteration(m, part, prior, 3, 0.9)
-        a = pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, 3, 40, seed=5, alpha=0.9)
-        b = pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, 3, 40, seed=5, alpha=0.9)
+        a = pomdp_simulate(m, part, TreePolicy(sol, part), prior, 3, 40, seed=5, alpha=0.9)
+        b = pomdp_simulate(m, part, TreePolicy(sol, part), prior, 3, 40, seed=5, alpha=0.9)
         assert np.array_equal(a.samples, b.samples)
 
     def test_ci_covers_tree_value(self):
@@ -355,19 +347,8 @@ class TestPomdpSimulate:
         prior = make_belief([(-1.0, 0.5), (2.0, 0.5)], m.grid)
         alpha, N = 0.9, 3
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        res = pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, N, 4000, seed=123, alpha=alpha)
+        res = pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, 4000, seed=123, alpha=alpha)
         assert res.ci_low <= sol.value <= res.ci_high
-
-    def test_callable_policy_with_filter(self):
-        m = small_mdp(demand=MIXED)
-        part = split_partition(m)
-        prior = make_belief([(0.0, 1.0)], m.grid)
-
-        def never_order(belief, t):
-            return 0.0
-
-        res = pomdp_simulate(m, part, never_order, prior, 4, 30, seed=2, alpha=0.9)
-        assert np.all(np.isfinite(res.samples))
 
 
 HALF_STEP = from_atoms([(0.5, 0.5), (1.0, 0.5)], step=0.5)
@@ -386,7 +367,7 @@ class TestHalfStepLattice:
             cost = m.cost[z > 0, j]
             assert comdp_cost(m, z)[j] == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        policy = TreePolicy(sol, m, part)
+        policy = TreePolicy(sol, part)
         total, taken = 0.0, set()
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(range(HALF_STEP.probs.size), repeat=N):
@@ -432,7 +413,7 @@ def test_no_lattice_lookup_per_node_or_step(monkeypatch):
         for reps in (10, 1000):
             calls.clear()
             sol = belief_value_iteration(m, part, prior, N, 0.9)
-            pomdp_simulate(m, part, TreePolicy(sol, m, part), prior, N, reps, seed=3, alpha=0.9)
+            pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, reps, seed=3, alpha=0.9)
             counts[N, reps] = len(calls)
     assert len(set(counts.values())) == 1, counts
 
@@ -465,15 +446,19 @@ class TestPartitionAndBeliefBoundary:
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: one action, one observation and one replication at a time
+# reference implementations: one action, one observation and one replication at a time,
+# on transition laws built from the demand law alone
 
 
-def reference_tree(m, part, p0, N, alpha):
+def reference_tree(m, demand, part, p0, N, alpha):
     """Belief value iteration by the per-action recursion; returns the root's memo entry and the memo.
 
     The memo maps (rounded belief bytes, remaining) to (value, optimal mask,
-    {(action index, obs id): child memo entry}).
+    {(action index, obs id): child memo entry}).  Each predictive law adds
+    one term per (state, atom), states then atoms ascending, from the
+    successors of ``oracles.successors``.
     """
+    succ = successors(m.grid, m.actions, demand, m.dynamics)
     nodes = {}
 
     def cost(z, j):
@@ -499,7 +484,7 @@ def reference_tree(m, part, p0, N, alpha):
                 continue
             total = cbar
             if remaining > 1:
-                pred = m.predictive(z, j)
+                pred = np.bincount(succ[:, j].ravel(), weights=(z[:, None] * demand.probs).ravel(), minlength=m.n_states)
                 marg = np.bincount(part.state_obs, weights=pred, minlength=part.n_obs)
                 cont = 0.0
                 for obs_id in np.nonzero(marg > 0)[0]:
@@ -516,32 +501,23 @@ def reference_tree(m, part, p0, N, alpha):
     return solve(p0, N)[0], nodes
 
 
-def reference_rollout(m, part, policy, p0, horizon, reps, seed, alpha):
-    """Rollouts one replication at a time, each step drawn from the state's dense next-state law."""
-    is_tree = isinstance(policy, TreePolicy)
+def reference_rollout(m, demand, part, policy, p0, horizon, reps, seed, alpha):
+    """Rollouts of a ``TreePolicy`` one replication at a time, each step drawn from the state's row of ``oracles.dense_rows``."""
+    rows = dense_rows(m.grid, m.actions, demand, m.dynamics)
     samples = np.empty(reps)
-    point = np.eye(m.n_states)
     draws = replication_uniforms(seed, reps, horizon + 1)
     for rep in range(reps):
         u = draws[rep]
         x = min(int(np.searchsorted(np.cumsum(p0), u[0] * p0.sum())), m.n_states - 1)
         total, disc = 0.0, 1.0
-        cursor = policy.start() if is_tree else None
-        belief = p0.copy()
+        cursor = policy.start()
         for t in range(horizon):
-            if is_tree:
-                j = policy.action(cursor)
-            else:
-                a = float(policy(belief, t))
-                j = m.action_index(a)
+            j = policy.action(cursor)
             total += disc * float(m.cost[x, j])
-            row_cum = np.cumsum(m.predictive(point[x], j))
+            row_cum = np.cumsum(rows[x, j])
             x = min(int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1])), m.n_states - 1)
-            obs_id = part.state_obs[x]
-            if not is_tree:
-                belief = bayes_filter(m, part, belief, a, float(part.obs_values[obs_id]))
-            elif t < horizon - 1:
-                cursor = policy.advance(cursor, obs_id)
+            if t < horizon - 1:
+                cursor = policy.advance(cursor, part.state_obs[x])
             disc *= alpha
         samples[rep] = total
     return summarize_samples(samples)
@@ -573,14 +549,14 @@ def readme_mdp(lo=-12, hi=8, a_max=20):
 
 
 def oracle_cases():
-    """(mdp, partition, prior) of the README config, lost sales and the half-step lattice."""
+    """(mdp, demand, partition, prior) of the README config, lost sales and the half-step lattice."""
     m = readme_mdp()
     ls = make_inventory_mdp(README_COST, MIXED, 0, 10, 6, Dynamics.LOST_SALES)
     half = make_inventory_mdp(CostModel(0.2, 0.5, HoldingCost.linear(4.0, 1.0)), HALF_STEP, -2.5, 2.5)
     return [
-        pytest.param(m, split_partition(m), make_belief([(0.0, 1.0)], m.grid), id="readme"),
-        pytest.param(ls, split_partition(ls, boundary=4.0), make_belief([(2.0, 0.5), (5.0, 0.5)], ls.grid), id="lost-sales"),
-        pytest.param(half, split_partition(half), make_belief([(-0.5, 0.4), (0.5, 0.6)], half.grid), id="half-step"),
+        pytest.param(m, MIXED, split_partition(m), make_belief([(0.0, 1.0)], m.grid), id="readme"),
+        pytest.param(ls, MIXED, split_partition(ls, boundary=4.0), make_belief([(2.0, 0.5), (5.0, 0.5)], ls.grid), id="lost-sales"),
+        pytest.param(half, HALF_STEP, split_partition(half), make_belief([(-0.5, 0.4), (0.5, 0.6)], half.grid), id="half-step"),
     ]
 
 
@@ -590,22 +566,25 @@ class TestAgainstReference:
         m = readme_mdp()
         part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
         sol = belief_value_iteration(m, part, prior, N, 0.9)
-        assert_same_tree(sol, *reference_tree(m, part, prior, N, 0.9))
+        assert_same_tree(sol, *reference_tree(m, MIXED, part, prior, N, 0.9))
 
-    @pytest.mark.parametrize("m, part, prior", oracle_cases())
-    def test_trees_and_rollouts(self, m, part, prior):
+    @pytest.mark.parametrize("m, demand, part, prior", oracle_cases())
+    def test_trees_and_rollouts(self, m, demand, part, prior):
         alpha, N = 0.9, 4
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        assert_same_tree(sol, *reference_tree(m, part, prior, N, alpha))
-        policy = TreePolicy(sol, m, part)
+        assert_same_tree(sol, *reference_tree(m, demand, part, prior, N, alpha))
+        policy = TreePolicy(sol, part)
         got = pomdp_simulate(m, part, policy, prior, N, 300, seed=17, alpha=alpha)
-        assert np.array_equal(got.samples, reference_rollout(m, part, policy, prior, N, 300, 17, alpha).samples)
+        assert np.array_equal(got.samples, reference_rollout(m, demand, part, policy, prior, N, 300, 17, alpha).samples)
 
-        def myopic(belief, t):  # the cheapest feasible action of the current belief
-            return float(m.actions[np.argmin(comdp_cost(m, belief))])
-
-        got = pomdp_simulate(m, part, myopic, prior, 3, 40, seed=5, alpha=alpha)
-        assert np.array_equal(got.samples, reference_rollout(m, part, myopic, prior, 3, 40, 5, alpha).samples)
+    def test_corrupted_level_table_fails_the_check(self):
+        m = readme_mdp()
+        part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
+        level = m._y_of[m.state_index(0.0), 0]  # state 0, no order
+        m._y_next[level, 1] = m._y_next[level, 0]  # demand 1 now lands where demand 0 does
+        sol = belief_value_iteration(m, part, prior, 3, 0.9)
+        with pytest.raises(AssertionError):
+            assert_same_tree(sol, *reference_tree(m, MIXED, part, prior, 3, 0.9))
 
 
 class TestZeroDraw:
@@ -616,11 +595,11 @@ class TestZeroDraw:
         part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
         monkeypatch.setattr(pomdp, "replication_uniforms", lambda seed, reps, n: np.zeros((reps, n)))
         zero = m.state_index(0.0)
-        one = TreePolicy(belief_value_iteration(m, part, prior, 1, 0.9), m, part)
+        one = TreePolicy(belief_value_iteration(m, part, prior, 1, 0.9), part)
         res = pomdp_simulate(m, part, one, prior, 1, 3, seed=1, alpha=0.9)
         assert np.all(res.samples == m.cost[zero, one.action(one.start())])
         # the second step starts from the lowest successor, after the largest demand (2)
-        two = TreePolicy(belief_value_iteration(m, part, prior, 2, 0.9), m, part)
+        two = TreePolicy(belief_value_iteration(m, part, prior, 2, 0.9), part)
         j0 = two.action(two.start())
         x1 = m.state_index(float(m.actions[j0]) - 2.0)
         j1 = two.action(two.advance(two.start(), part.state_obs[x1]))
@@ -638,7 +617,7 @@ class TestWideLattice:
         try:
             sol = belief_value_iteration(m, part, prior, 3, 0.9)
             tree_peak = tracemalloc.get_traced_memory()[1]
-            policy = TreePolicy(sol, m, part)
+            policy = TreePolicy(sol, part)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             res = pomdp_simulate(m, part, policy, prior, 3, 10_000, seed=3, alpha=0.9)
