@@ -110,21 +110,18 @@ def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.n
 class GreedyPolicyResult:
     actions: np.ndarray
     ties: np.ndarray  # (n, n_a) bool: actions tied with the minimum
-    a_star: np.ndarray | None  # (n, n_a) bool: actions meeting the w_upper inequality, when given
 
 
-def greedy_policy(mdp: GridMDP, u: np.ndarray, w_upper: float | None = None) -> GreedyPolicyResult:
+def greedy_policy(mdp: GridMDP, u: np.ndarray) -> GreedyPolicyResult:
     """Undiscounted one-step lookahead against the relative values.
 
-    Returns the smallest minimizer per state, the mask of actions tied
-    within ``TIE_TOL``, and (when ``w_upper`` is supplied) the mask of
-    actions satisfying ``c + E u(next) <= w_upper + u(x)``.
+    Returns the smallest minimizer per state and the mask of actions tied
+    within ``TIE_TOL``.
     """
     u = np.asarray(u, dtype=float)
     q, q_min = _backup(mdp, u, 1.0)
     ties = _optimal_mask(q, q_min)
-    a_star = None if w_upper is None else _optimal_mask(q, w_upper + u)
-    return GreedyPolicyResult(mdp.actions[ties.argmax(axis=1)], ties, a_star)
+    return GreedyPolicyResult(mdp.actions[ties.argmax(axis=1)], ties)
 
 
 @dataclass

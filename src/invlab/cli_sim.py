@@ -75,9 +75,9 @@ FIELDS = {
 
 
 def _number(errors: list[str], label: str, value, kind):
-    """``value`` as ``kind`` (``int`` or ``float``), or None with an error listed under ``label``."""
+    """The JSON number ``value`` as ``kind`` (``int`` or ``float``), or None with an error listed under ``label``."""
     try:
-        out = kind(value)
+        out = None if isinstance(value, (bool, str)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (kind is int and isinstance(value, float) and out != value):
@@ -115,18 +115,36 @@ def _section(errors: list[str], raw: dict, name: str, *, required: bool = False)
     return None
 
 
-def _demand(sec: dict) -> DemandDistribution:
+def _numbers(errors: list[str], label: str, values) -> list[float] | None:
+    """The JSON list ``values`` as floats, or None with an error listed for it or for each entry that is not a number."""
+    if not isinstance(values, list):
+        errors.append(f"{label} must be a list of numbers, got {values!r}")
+        return None
+    out = [_number(errors, f"{label}[{i}]", v, float) for i, v in enumerate(values)]
+    return None if None in out else out
+
+
+def _demand(errors: list[str], sec: dict) -> DemandDistribution | None:
     kind = "atoms" if "atoms" in sec else "cdf" if "cdf" in sec else None
     if kind is None or sec.get("step") is None:
         raise ValueError("needs a step and an 'atoms' or 'cdf' array")
-    pairs = [(float(v), float(p)) for v, p in sec[kind]]
-    return (from_atoms if kind == "atoms" else quantize)(pairs, float(sec["step"]))
+    step = _number(errors, "demand: step", sec["step"], float)
+    pairs = [
+        (_number(errors, f"demand: {kind}[{i}] value", v, float), _number(errors, f"demand: {kind}[{i}] prob", p, float))
+        for i, (v, p) in enumerate(sec[kind])
+    ]
+    if step is None or any(None in pair for pair in pairs):
+        return None
+    return (from_atoms if kind == "atoms" else quantize)(pairs, step)
 
 
-def _cost(sec: dict) -> CostModel:
+def _cost(errors: list[str], sec: dict) -> CostModel | None:
     h = sec["holding"]
-    holding = HoldingCost(np.asarray(h["breakpoints"], float), np.asarray(h["slopes"], float))
-    return CostModel(float(sec["K"]), float(sec["c_unit"]), holding)
+    K, c_unit = (_number(errors, f"cost: {key}", sec[key], float) for key in ("K", "c_unit"))
+    breakpoints, slopes = (_numbers(errors, f"cost: holding.{key}", h[key]) for key in ("breakpoints", "slopes"))
+    if None in (K, c_unit, breakpoints, slopes):
+        return None
+    return CostModel(K, c_unit, HoldingCost(breakpoints, slopes))
 
 
 def _container(errors: list[str], i: int, entry) -> Container | None:
@@ -239,8 +257,8 @@ def load_config(path) -> RunConfig:
             errors.append(f"{name}: {key} missing")
         val[name, key] = None if default is REQUIRED else default
 
-    demand = _build(errors, "demand", _demand, sec["demand"]) if sec["demand"] is not None else None
-    cost = _build(errors, "cost", _cost, sec["cost"]) if sec["cost"] is not None else None
+    demand = _build(errors, "demand", _demand, errors, sec["demand"]) if sec["demand"] is not None else None
+    cost = _build(errors, "cost", _cost, errors, sec["cost"]) if sec["cost"] is not None else None
     lo, hi, a_max = val["grid", "lo"], val["grid", "hi"], val["actions", "a_max"]
     grid = None
     if lo is not None and hi is not None:
@@ -260,8 +278,8 @@ def load_config(path) -> RunConfig:
     if grid is not None and x0 is not None and "x0" in (sec["sim"] or {}) and _lattice_index(grid, x0, demand.step) < 0:
         errors.append(f"sim: x0 {x0!r} is not on the grid [{lo}, {hi}] at step {demand.step}")
 
-    dyn_name = raw.get("dynamics", "backorder")  # custom dynamics are not configurable from file
-    dynamics = next((d for d in Dynamics if d.value == dyn_name and d is not Dynamics.CUSTOM), None)
+    dyn_name = raw.get("dynamics", "backorder")
+    dynamics = next((d for d in Dynamics if d.value == dyn_name), None)
     if dynamics is None:
         errors.append(f"dynamics: unknown kind {dyn_name!r}")
 
@@ -502,7 +520,7 @@ def _run_solve_average(config: RunConfig, mdp: GridMDP, out: Path, seed):
     ]
     write_csv(out / "ladder.csv", ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"], rows)
     rv = average_cost.relative_value(ladder, k_tail=min(3, len(ladder.entries)))
-    greedy = average_cost.greedy_policy(mdp, rv.u, rv.w_upper)
+    greedy = average_cost.greedy_policy(mdp, rv.u)
     slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
     slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
     _write_policy(out, mdp, greedy.ties)

@@ -1,11 +1,11 @@
-"""Grid MDPs built from stochastic-equation dynamics, plus value iteration.
+"""Grid MDPs of periodic-review inventory dynamics, plus value iteration.
 
-States live on a contiguous lattice, actions on ``{0, step, ..., a_max}``,
-and the transition row for ``(x, a)`` pushes the shock law through the
-next-state map, clamping anything that falls off the grid onto the nearest
-edge.  Clamped mass is recorded per ``(state, action)`` so truncation stays
-auditable; builds reject configurations where clamping is material for a
-finite-cost action.
+States live on a contiguous lattice, actions on ``{0, step, ..., a_max}``.
+The next state is the post-order inventory ``x + a`` less the demand, kept
+at or above 0 under lost sales, clamped onto the nearest grid edge when it
+falls off the grid.  Clamped mass is recorded per ``(state, action)`` so
+truncation stays auditable; builds reject configurations where clamping is
+material for a finite-cost action.
 
 Infeasible pairs are modeled as ``+inf`` cost rather than restricted action
 sets, so every state keeps the full action lattice and solvers simply never
@@ -25,7 +25,6 @@ from .costs import CostModel, expected_holding
 from .demand import DemandDistribution, _lattice_index, _lattice_offsets
 from .errors import InvLabError
 
-ROW_TOL = 1e-12
 TIE_TOL = 1e-9  # an action is optimal when its backup is within TIE_TOL of the minimum
 MAX_PAIRS = 2**22  # (state, action) pairs a lattice may have
 PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
@@ -34,19 +33,17 @@ PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
 class Dynamics(enum.Enum):
     BACKORDER = "backorder"     # next = x + a - D
     LOST_SALES = "lost_sales"   # next = max(x + a - D, 0)
-    CUSTOM = "custom"           # next = tabulated F(x, a, shock)
 
 
 @dataclass
 class GridMDP:
     """Finite MDP on a state lattice.
 
-    Transitions are a level table plus the shock law: pair ``(i, j)`` sits
-    on level ``_y_of[i, j]``, which moves to ``_y_next[level, k]`` with
-    probability ``shock_probs[k]``; off-grid successors are clamped onto the
-    edges, the clamped mass kept per pair in ``mass_loss``.  A level is the
-    post-order inventory ``x + a`` for backorder and lost sales, and one pair
-    for custom dynamics.  ``next_idx`` and ``P`` are views built on request.
+    Transitions are a level table plus the demand law: pair ``(i, j)`` sits
+    on the post-order level ``_y_of[i, j] = i + j``, which moves to
+    ``_y_next[level, k]`` with probability ``shock_probs[k]``; off-grid
+    successors are clamped onto the edges, the clamped mass kept per pair in
+    ``mass_loss``.  ``P`` is a dense view built on request.
     """
 
     grid: np.ndarray
@@ -61,8 +58,8 @@ class GridMDP:
 
     @property
     def shift_kernel(self) -> bool:
-        """Levels are the post-order inventories ``x + a``: backorder and lost sales."""
-        return self.dynamics is not Dynamics.CUSTOM
+        """Always true: every level is a post-order inventory ``x + a``; kept for the benchmark's backup-bytes count."""
+        return True
 
     @property
     def n_states(self) -> int:
@@ -71,11 +68,6 @@ class GridMDP:
     @property
     def n_actions(self) -> int:
         return self.actions.size
-
-    @functools.cached_property
-    def next_idx(self) -> np.ndarray:
-        """Per-pair successors ``(n, n_a, n_atoms)``, built from the level table on first access."""
-        return self._y_next[self._y_of]
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -149,83 +141,43 @@ def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> tuple[np.
     return lo + step * np.arange(n), step * np.arange(n_a)
 
 
-def _as_shock(shock, step):
-    """Accept a DemandDistribution or a raw (values, probs) signed shock law."""
-    if isinstance(shock, DemandDistribution):
-        return shock.values, shock.probs, shock.step
-    values = np.asarray(shock[0], dtype=float)
-    probs = np.asarray(shock[1], dtype=float)
-    if step is None:
-        raise ValueError("a raw shock law needs an explicit step")
-    if abs(probs.sum() - 1.0) > ROW_TOL:
-        raise InvLabError("PROB_SUM", f"shock probabilities sum to {probs.sum()!r}")
-    return values, probs, step
-
-
 def build_mdp(
     dynamics: Dynamics,
-    shock,
+    demand: DemandDistribution,
     grid_lo: float,
     grid_hi: float,
     a_max: float,
-    cost_fn,
+    cost,
     *,
-    step: float | None = None,
     mass_tol: float = 1e-6,
-    custom_next=None,
 ) -> GridMDP:
-    """Assemble a GridMDP from dynamics, a shock law, and a cost kernel.
+    """Assemble a GridMDP from the dynamics, the demand law and an ``(n, n_a)`` cost table.
 
-    ``cost_fn`` is a callable ``cost_fn(x, a)``, called once per pair, or a
-    precomputed ``(n, n_a)`` cost table over (state, action) indices; either
-    form may hold ``+inf`` to mark infeasible pairs.  Raises ValueError for
-    a table of another shape, for a NaN or ``-inf`` cost and past
-    ``MAX_PAIRS`` (state, action) pairs, ``GRID_TOO_NARROW``
-    when a shock atom with probability above ``mass_tol`` would clamp at a
-    grid edge under a finite-cost action, and ``NO_FINITE_ACTION`` when some
-    state has no finite-cost action.
+    The table is indexed by (state, action) and may hold ``+inf`` to mark
+    infeasible pairs.  Raises ValueError for a table of another shape, for a
+    NaN or ``-inf`` cost and past ``MAX_PAIRS`` (state, action) pairs,
+    ``GRID_TOO_NARROW`` when a demand atom with probability above
+    ``mass_tol`` would clamp at a grid edge under a finite-cost action, and
+    ``NO_FINITE_ACTION`` when some state has no finite-cost action.
     """
-    shock_values, shock_probs, step = _as_shock(shock, step)
+    step = demand.step
     grid, actions = _lattice(grid_lo, grid_hi, step, a_max)
     n, n_a = grid.size, actions.size
 
-    # raw successor lattice offsets per (y-or-(x,a), atom)
-    shock_off, on = _lattice_offsets(shock_values, step)
-    if not on.all():
-        raise InvLabError("OFF_LATTICE", "shock atoms must sit on the state lattice")
-
-    if dynamics is Dynamics.CUSTOM:
-        if custom_next is None:
-            raise ValueError("CUSTOM dynamics needs a next-state function (x, a, shock) -> value")
-        raw = np.empty((n * n_a, shock_values.size))
-        for i, x in enumerate(grid):
-            for j, a in enumerate(actions):
-                raw[i * n_a + j, :] = [custom_next(float(x), float(a), float(s)) for s in shock_values]
-        y_raw, on = _lattice_offsets(raw, step, grid[0])
-        if not on.all():
-            raise InvLabError("OFF_LATTICE", "custom next states must sit on the state lattice")
-        y_of = np.arange(n * n_a).reshape(n, n_a)  # every pair is its own level
-    else:
-        # one level per post-order inventory y = x + a, over the extended
-        # range grid_lo .. grid_hi + a_max so infeasible pairs have rows too
-        y_raw = np.arange(n + n_a - 1)[:, None] - shock_off[None, :]
-        if dynamics is Dynamics.LOST_SALES:
-            zero_idx = _lattice_index(grid, 0.0, step)
-            if zero_idx < 0:
-                raise ValueError("lost-sales dynamics needs 0 on the grid")
-            y_raw = np.maximum(y_raw, zero_idx)
-        y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
+    # one level per post-order inventory y = x + a, over the extended
+    # range grid_lo .. grid_hi + a_max so infeasible pairs have rows too
+    y_raw = np.arange(n + n_a - 1)[:, None] - demand.offsets()[None, :]
+    if dynamics is Dynamics.LOST_SALES:
+        zero_idx = _lattice_index(grid, 0.0, step)
+        if zero_idx < 0:
+            raise ValueError("lost-sales dynamics needs 0 on the grid")
+        y_raw = np.maximum(y_raw, zero_idx)
+    y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
     clamped = (y_raw < 0) | (y_raw > n - 1)
 
-    if callable(cost_fn):
-        cost = np.empty((n, n_a))
-        for i, x in enumerate(grid):
-            for j, a in enumerate(actions):
-                cost[i, j] = cost_fn(float(x), float(a))
-    else:
-        cost = np.asarray(cost_fn, dtype=float)
-        if cost.shape != (n, n_a):
-            raise ValueError(f"cost table has shape {cost.shape}, expected ({n}, {n_a})")
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (n, n_a):
+        raise ValueError(f"cost table has shape {cost.shape}, expected ({n}, {n_a})")
     if np.any(np.isnan(cost)) or np.any(cost == -np.inf):
         raise ValueError("costs must be finite or +inf")
     finite = np.isfinite(cost)
@@ -233,15 +185,15 @@ def build_mdp(
         bad = int(np.nonzero(~finite.any(axis=1))[0][0])
         raise InvLabError("NO_FINITE_ACTION", f"state {grid[bad]} has no finite-cost action")
 
-    mass_loss = (clamped * shock_probs).sum(axis=1)[y_of]
-    too_narrow = clamped & (shock_probs > mass_tol)
+    mass_loss = (clamped * demand.probs).sum(axis=1)[y_of]
+    too_narrow = clamped & (demand.probs > mass_tol)
     offending = too_narrow.any(axis=1)[y_of] & finite
     if offending.any():
         i, j = np.argwhere(offending)[0]
         k = int(np.argmax(too_narrow[y_of[i, j]]))
         raise InvLabError(
             "GRID_TOO_NARROW",
-            f"shock atom {shock_values[k]} (p={shock_probs[k]}) clamps at the grid edge "
+            f"shock atom {demand.values[k]} (p={demand.probs[k]}) clamps at the grid edge "
             f"from state {grid[i]} under action {actions[j]}",
         )
 
@@ -251,7 +203,7 @@ def build_mdp(
         actions=actions,
         cost=cost,
         mass_loss=mass_loss,
-        shock_probs=np.asarray(shock_probs, dtype=float),
+        shock_probs=demand.probs,
         dynamics=dynamics,
         _y_next=np.clip(y_raw, 0, n - 1),
         _y_of=y_of,

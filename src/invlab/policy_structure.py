@@ -38,8 +38,6 @@ class PolicyStructure:
 
 def g_function(mdp: GridMDP, v: np.ndarray, alpha: float, c: CostModel) -> np.ndarray:
     """Order-up-to objective ``c_unit x + c(x, 0) + alpha E v(x - D)``; ``c(x, 0) = E h(x - D)`` on inventory MDPs."""
-    if not mdp.shift_kernel:
-        raise ValueError("G-functions need backorder or lost-sales dynamics")
     return c.c_unit * mdp.grid + mdp.policy_backup(np.zeros(mdp.n_states, dtype=np.int64), v, alpha)
 
 

@@ -6,7 +6,8 @@ horizon profile whose tail flip defines ``N_alpha``, the recurring limits of
 a threshold sequence, the long-run average of a stationary policy, and the
 transition law and Bayes filter of the belief MDP, one belief at a time.
 ``successors`` and ``dense_rows`` build the transition law from the dynamics
-alone and read no table of a ``GridMDP``, so they check its level table too.
+alone and read no table of a ``GridMDP``, so they check its level table too;
+``cost_table`` tabulates a per-pair cost for ``build_mdp``.
 Test modules import them with ``from oracles import ...``.
 """
 
@@ -197,6 +198,13 @@ def dense_rows(grid: np.ndarray, actions: np.ndarray, demand: DemandDistribution
     for (i, j, k), y in np.ndenumerate(successors(grid, actions, demand, dynamics)):
         law[i, j, y] += demand.probs[k]
     return law
+
+
+def cost_table(fn, lo: float, hi: float, a_max: float, step: float = 1.0) -> np.ndarray:
+    """The ``(n, n_a)`` table of ``fn(x, a)`` over the states ``lo, lo + step, ..., hi`` and the actions ``0, step, ..., a_max``."""
+    grid = lo + step * np.arange(round((hi - lo) / step) + 1)
+    actions = step * np.arange(round(a_max / step) + 1)
+    return np.array([[fn(float(x), float(a)) for a in actions] for x in grid], dtype=float)
 
 
 def observe_psi(part: ContainerPartition, x: float) -> float:

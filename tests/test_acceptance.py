@@ -38,7 +38,7 @@ from invlab.policy_structure import (
     verify_structure,
 )
 from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import bayes_filter, f_t_alpha, is_K_convex, long_run_average, observation_marginal, threshold_limits
+from oracles import bayes_filter, dense_rows, f_t_alpha, is_K_convex, long_run_average, observation_marginal, successors, threshold_limits
 
 EPS = 1e-6
 DEFAULT_LADDER = [0.9, 0.95, 0.99, 0.995, 0.999]
@@ -256,7 +256,7 @@ def test_criterion_5_average_cost_optimality_inequality(avg_suite):
         for inst in avg_suite:
             mdp = inst["mdp"]
             rv = relative_value(inst["deep"], k_tail=3)
-            greedy = greedy_policy(mdp, rv.u, rv.w_upper)
+            greedy = greedy_policy(mdp, rv.u)
             slack_upper = check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
             slack_lower = check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
             assert slack_upper >= -1e-5, slack_upper
@@ -312,10 +312,11 @@ def test_criterion_7_pomdp_reduction_sanity():
 
         # (a) filter/marginal disintegration on 100 random beliefs
         rng = np.random.default_rng(99)
+        law = dense_rows(mdp.grid, mdp.actions, demand, mdp.dynamics)
         for _ in range(100):
             z = rng.dirichlet(np.ones(mdp.n_states) * rng.uniform(0.4, 4.0))
             a = float(rng.choice(mdp.actions[:6]))
-            pred = z @ mdp.P[:, mdp.action_index(a), :]
+            pred = z @ law[:, mdp.action_index(a), :]
             marg = observation_marginal(mdp, part, demand, z, a)
             mixture = np.zeros(mdp.n_states)
             for obs_id in np.nonzero(marg > 0)[0]:
@@ -337,6 +338,7 @@ def test_criterion_7_pomdp_reduction_sanity():
         sol = belief_value_iteration(mdp, part, prior, N, alpha)
         policy = TreePolicy(sol, part)
         offsets = demand.offsets()
+        succ = successors(mdp.grid, mdp.actions, demand, mdp.dynamics)
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(range(len(offsets)), repeat=N):
@@ -347,7 +349,7 @@ def test_criterion_7_pomdp_reduction_sanity():
                 for t, k in enumerate(path):
                     j = policy.action(cursor)
                     path_cost += alpha**t * mdp.cost[x, j]
-                    x = int(mdp.next_idx[x, j, k])
+                    x = int(succ[x, j, k])
                     prob *= float(demand.probs[k])
                     if t < N - 1:
                         cursor = policy.advance(cursor, part.state_obs[x])

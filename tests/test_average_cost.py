@@ -21,7 +21,7 @@ LADDER = [0.9, 0.95, 0.99]
 
 
 def constant_mdp():
-    return build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+    return build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
 
 
 def gb_mdp(K=2.0, c_unit=1.0, k_h=3.0, h_plus=1.0, lo=-12, hi=10):
@@ -97,7 +97,7 @@ class TestOptimalityInequality:
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder, 3)
-        greedy = greedy_policy(m, rv.u, rv.w_upper)
+        greedy = greedy_policy(m, rv.u)
         slack = check_optimality_inequality(m, rv.u, rv.w_upper, greedy.actions)
         # surrogate truncation error scales with the tail's shallowest rung
         # (1 - 0.99) times the relative-value span of this unit-scale instance
@@ -123,15 +123,14 @@ class TestGreedyPolicy:
 
     def test_constant_cost_everything_ties(self):
         m = constant_mdp()
-        res = greedy_policy(m, np.zeros(m.n_states), w_upper=1.0)
+        res = greedy_policy(m, np.zeros(m.n_states))
         assert res.ties.all()
-        assert res.a_star.all()
 
     def test_greedy_is_threshold_shaped_on_growth_instance(self):
         m, cost = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.99, 0.999], 1e-6)
         rv = relative_value(ladder, 3)
-        res = greedy_policy(m, rv.u, rv.w_upper)
+        res = greedy_policy(m, rv.u)
         ordering = res.actions > 0
         if ordering.any():
             # contiguous ordering block at the bottom, constant order-up-to level
@@ -148,7 +147,7 @@ class TestGreedyPolicy:
         m = make_inventory_mdp(cost, MIXED, -12, 10)
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder, 3)
-        res = greedy_policy(m, rv.u, rv.w_upper)
+        res = greedy_policy(m, rv.u)
         ordering = res.actions > 0
         assert ordering.any()
         edge = int(np.nonzero(ordering)[0][-1])
@@ -211,6 +210,6 @@ class TestLongRunAverage:
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder, 3)
-        res = greedy_policy(m, rv.u, rv.w_upper)
+        res = greedy_policy(m, rv.u)
         avg = long_run_average(m, res.actions, 2000)
         assert np.max(np.abs(avg - rv.w_upper)) <= 0.05 * rv.w_upper

@@ -22,6 +22,7 @@ from invlab.demand import from_atoms
 from invlab.dp_core import infinite_horizon_vi, make_inventory_mdp, min_action_policy
 from invlab.errors import InvLabError, ValidationErrors
 from invlab.pomdp import Container, ContainerPartition, replication_uniforms
+from oracles import successors
 
 
 def base_config(**overrides):
@@ -325,6 +326,24 @@ NUMERIC_FIELDS = [
     (("pomdp", "max_nodes"), "lots", "pomdp: max_nodes must be an integer, got 'lots'"),
 ]
 
+# numbers written as JSON strings or booleans, refused like any other non-number
+NUMBER_LOOKALIKES = [
+    (("solver", "alpha"), "0.5", "solver: alpha must be a number, got '0.5'"),
+    (("sim", "reps"), "10", "sim: reps must be an integer, got '10'"),
+    (("seed",), "7", "seed: must be an integer, got '7'"),
+    (("grid", "lo"), "-12", "grid: lo must be a number, got '-12'"),
+    (("cost", "K"), "2", "cost: K must be a number, got '2'"),
+    (("cost", "K"), True, "cost: K must be a number, got True"),
+    (("cost", "c_unit"), False, "cost: c_unit must be a number, got False"),
+    (("solver", "horizon"), True, "solver: horizon must be an integer, got True"),
+    (("demand", "step"), "1", "demand: step must be a number, got '1'"),
+    (("demand", "atoms", 0, 0), "0", "demand: atoms[0] value must be a number, got '0'"),
+    (("demand", "atoms", 0, 1), "0.3", "demand: atoms[0] prob must be a number, got '0.3'"),
+    (("cost", "holding", "breakpoints", 0), True, "cost: holding.breakpoints[0] must be a number, got True"),
+    (("cost", "holding", "slopes", 0), "-3", "cost: holding.slopes[0] must be a number, got '-3'"),
+    (("cost", "holding", "slopes", 1), "1", "cost: holding.slopes[1] must be a number, got '1'"),
+]
+
 
 def set_field(cfg, path, value):
     section = cfg
@@ -334,7 +353,11 @@ def set_field(cfg, path, value):
 
 
 class TestNumericFields:
-    @pytest.mark.parametrize("path, value, message", NUMERIC_FIELDS, ids=[".".join(f[0]) for f in NUMERIC_FIELDS])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        NUMERIC_FIELDS + NUMBER_LOOKALIKES,
+        ids=[".".join(f[0]) for f in NUMERIC_FIELDS] + [f"{'.'.join(map(str, f[0]))}={f[1]!r}" for f in NUMBER_LOOKALIKES],
+    )
     def test_non_numeric_field_is_2(self, tmp_path, capsys, path, value, message):
         cfg = base_config(pomdp=pomdp_section())
         set_field(cfg, path, value)
@@ -352,6 +375,16 @@ class TestNumericFields:
         with pytest.raises(ValidationErrors) as err:
             load_config(write_config(tmp_path, cfg))
         assert sorted(err.value.errors) == sorted(message for _, _, message in NUMERIC_FIELDS)
+
+    def test_every_number_lookalike_listed_at_once(self, tmp_path):
+        cfg = base_config()
+        messages = {}  # the last value set on each path
+        for path, value, message in NUMBER_LOOKALIKES:
+            set_field(cfg, path, value)
+            messages[path] = message
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert sorted(err.value.errors) == sorted(messages.values())
 
     def test_fractional_horizon_is_2(self, tmp_path, capsys):
         cfg = base_config()
@@ -379,6 +412,8 @@ BOUNDARY_FIELDS = [
     (("sim", "x0"), "abc", "sim: x0 must be a number, got 'abc'"),
     (("sim", "x0"), 0.5, "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0"),
     (("sim", "x0"), 100.0, "sim: x0 100.0 is not on the grid [-12.0, 8.0] at step 1.0"),
+    (("cost", "holding", "slopes"), -3.0, "cost: holding.slopes must be a list of numbers, got -3.0"),
+    (("dynamics",), "custom", "dynamics: unknown kind 'custom'"),
 ]
 
 
@@ -427,8 +462,8 @@ class TestConfigBoundary:
 
 class TestReplicationBlocks:
     def setup_method(self):
-        demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
-        self.mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), demand, -12, 8)
+        self.demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
+        self.mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), self.demand, -12, 8)
         self.alpha = 0.9
         self.phi = min_action_policy(self.mdp, infinite_horizon_vi(self.mdp, self.alpha, 1e-6))
 
@@ -462,6 +497,7 @@ class TestReplicationBlocks:
 
         # reference: every replication's draws held at once, stepped in lockstep
         phi_idx = self.mdp.action_index(self.phi)
+        succ = successors(self.mdp.grid, self.mdp.actions, self.demand, self.mdp.dynamics)
         cum = np.cumsum(self.mdp.shock_probs)
         shocks = np.searchsorted(cum, replication_uniforms(9, k, N) * cum[-1]).clip(0, cum.size - 1)
         x = np.full(k, self.mdp.state_index(0.0))
@@ -470,7 +506,7 @@ class TestReplicationBlocks:
             a = phi_idx[x]
             ref_disc += power * self.mdp.cost[x, a]
             ref_total += self.mdp.cost[x, a]
-            x = self.mdp.next_idx[x, a, shocks[:, t]]
+            x = succ[x, a, shocks[:, t]]
             power *= self.alpha
         assert ref_disc.tobytes() == short_disc.samples.tobytes()
         assert (ref_total / N).tobytes() == short_avg.samples.tobytes()

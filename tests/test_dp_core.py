@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.average_cost import check_optimality_inequality
-from invlab.cli_sim import simulate_policy
 from invlab.costs import CostModel, HoldingCost, expected_holding
 from invlab.demand import from_atoms
 from invlab.dp_core import (
@@ -26,33 +24,39 @@ from invlab.dp_core import (
     policy_values,
 )
 from invlab.errors import InvLabError
-from invlab.policy_structure import g_function
 from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import long_run_average
+from oracles import cost_table, dense_rows
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 ABS = CostModel(0.0, 1.0, HoldingCost.linear(1.0, 1.0))
 
 
-def evaluate_stationary(mdp, phi_idx, alpha):
-    """Oracle: exact policy value via the linear system (I - alpha P) v = c."""
+def law(mdp, demand):
+    """``oracles.dense_rows`` of ``mdp``, once ``mdp.expected_next`` is checked against it on a random vector."""
+    rows = dense_rows(mdp.grid, mdp.actions, demand, mdp.dynamics)
+    v = np.random.default_rng(0).normal(size=mdp.n_states)
+    assert np.allclose(mdp.expected_next(v), rows @ v, rtol=0, atol=1e-12)
+    return rows
+
+
+def evaluate_stationary(mdp, rows, phi_idx, alpha):
+    """Oracle: exact policy value via the linear system (I - alpha P) v = c, with ``rows`` the dense law."""
     n = mdp.n_states
-    rows = mdp.P[np.arange(n), phi_idx, :]
     c = mdp.cost[np.arange(n), phi_idx]
-    return np.linalg.solve(np.eye(n) - alpha * rows, c)
+    return np.linalg.solve(np.eye(n) - alpha * rows[np.arange(n), phi_idx, :], c)
 
 
 class TestBuildMdp:
     def test_backorder_row_deterministic(self):
         m = make_inventory_mdp(ABS, UNIT, -2, 2)
         i, j = m.state_index(0), m.action_index(1)
-        row = m.P[i, j]
+        row = law(m, UNIT)[i, j]
         assert row[m.state_index(0)] == 1.0
         assert row.sum() == pytest.approx(1.0)
 
     def test_lost_sales_clamps_at_zero(self):
         m = make_inventory_mdp(ABS, UNIT, -2, 2, dynamics=Dynamics.LOST_SALES)
-        row = m.P[m.state_index(0), m.action_index(0)]
+        row = law(m, UNIT)[m.state_index(0), m.action_index(0)]
         assert row[m.state_index(0)] == 1.0  # (0 + 0 - 1)^+ = 0
         assert m.mass_loss[m.state_index(0), m.action_index(0)] == 0.0
 
@@ -64,6 +68,7 @@ class TestBuildMdp:
         sol = infinite_horizon_vi(m, alpha, eps)
         phi = min_action_policy(m, sol)
         assert check_stationary_optimality(m, phi, sol.values, alpha) <= 2 * eps
+        rows = law(m, d)
         # negative states are unreachable from nonnegative starts
         reachable = np.zeros(m.n_states, dtype=bool)
         frontier = [m.state_index(0)]
@@ -73,7 +78,7 @@ class TestBuildMdp:
                 continue
             reachable[i] = True
             j = m.action_index(phi[i])
-            for k in np.nonzero(m.P[i, j] > 0)[0]:
+            for k in np.nonzero(rows[i, j] > 0)[0]:
                 if not reachable[k]:
                     frontier.append(int(k))
         assert not reachable[m.grid < 0].any()
@@ -82,56 +87,35 @@ class TestBuildMdp:
         d = from_atoms([(0, 0.5), (2, 0.5)], step=1)
         m = make_inventory_mdp(CostModel(0.0, 1.0, HoldingCost.linear(1, 1)), d, -1, 3)
         i, j = m.state_index(0), m.action_index(0)
-        assert m.P[i, j, m.state_index(0)] == pytest.approx(0.5)
-        assert m.P[i, j, m.state_index(-1)] == pytest.approx(0.5)  # -2 clamped to -1
+        rows = law(m, d)
+        assert rows[i, j, m.state_index(0)] == pytest.approx(0.5)
+        assert rows[i, j, m.state_index(-1)] == pytest.approx(0.5)  # -2 clamped to -1
         assert m.mass_loss[i, j] == pytest.approx(0.5)
 
     def test_narrow_grid_rejected_at_tight_tolerance(self):
         d = from_atoms([(0, 0.5), (2, 0.5)], step=1)
-
-        def cost_fn(x, a):
-            return a  # finite everywhere
-
+        cost = cost_table(lambda x, a: a, -1, 3, 2)  # finite everywhere
         with pytest.raises(InvLabError) as err:
-            build_mdp(Dynamics.BACKORDER, d, -1, 3, 2, cost_fn, mass_tol=1e-6)
+            build_mdp(Dynamics.BACKORDER, d, -1, 3, 2, cost, mass_tol=1e-6)
         assert err.value.code == "GRID_TOO_NARROW"
 
     def test_rows_sum_to_one_after_clamping(self):
         d = from_atoms([(0, 0.3), (1, 0.4), (3, 0.3)], step=1)
         m = make_inventory_mdp(ABS, d, -4, 6)
-        sums = m.P.sum(axis=2)
+        sums = law(m, d).sum(axis=2)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_mass_loss_zero_iff_strict_build_passes(self):
         # demand never leaves the grid from any feasible (x, a): wide enough grid
         d = from_atoms([(1, 1.0)], step=1)
-
-        def cost_fn(x, a):
-            if x + a > 3 or x + a < 1:
-                return np.inf
-            return a
-
-        m = build_mdp(Dynamics.BACKORDER, d, 0, 3, 3, cost_fn, mass_tol=0.0)
+        cost = cost_table(lambda x, a: np.inf if x + a > 3 or x + a < 1 else a, 0, 3, 3)
+        m = build_mdp(Dynamics.BACKORDER, d, 0, 3, 3, cost, mass_tol=0.0)
         assert np.all(m.mass_loss[np.isfinite(m.cost)] == 0.0)
 
     def test_no_finite_action_rejected(self):
         with pytest.raises(InvLabError) as err:
-            build_mdp(Dynamics.BACKORDER, UNIT, 0, 3, 1, lambda x, a: np.inf, mass_tol=1.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, 0, 3, 1, np.full((4, 2), np.inf), mass_tol=1.0)
         assert err.value.code == "NO_FINITE_ACTION"
-
-    def test_custom_dynamics_table(self):
-        # deterministic drift downward by the shock regardless of action
-        m = build_mdp(
-            Dynamics.CUSTOM,
-            UNIT,
-            0,
-            3,
-            1,
-            lambda x, a: 0.0,
-            custom_next=lambda x, a, s: max(x - s, 0.0),
-        )
-        assert m.P[m.state_index(2), 0, m.state_index(1)] == 1.0
-        assert m.P[m.state_index(0), 0, m.state_index(0)] == 1.0
 
     def test_dense_rows_built_only_on_request(self):
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3, 1)), UNIT, -6, 4)
@@ -146,87 +130,41 @@ class TestBuildMdp:
         assert "P" not in m.__dict__
         assert m.P.shape == (m.n_states, m.n_actions, m.n_states)
 
-    def test_per_pair_successors_built_only_on_request(self):
-        cost = CostModel(2.0, 1.0, HoldingCost.linear(3, 1))
-        m = make_inventory_mdp(cost, UNIT, -6, 4)
-        alpha = 0.9
-        part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
-        prior = make_belief([(0.0, 1.0)], m.grid)
-        sol = infinite_horizon_vi(m, alpha, 1e-6)
-        phi = min_action_policy(m, sol)
-        tree = belief_value_iteration(m, part, prior, 3, alpha)
-        steps = {
-            "stationary check": lambda: check_stationary_optimality(m, phi, sol.values, alpha),
-            "OI check": lambda: check_optimality_inequality(m, sol.values - sol.values.min(), 1.0, phi),
-            "long-run average": lambda: long_run_average(m, phi, 5),
-            "G-function": lambda: g_function(m, sol.values, alpha, cost),
-            "belief tree": lambda: belief_value_iteration(m, part, prior, 3, alpha),
-            "POMDP rollout": lambda: pomdp_simulate(m, part, TreePolicy(tree, part), prior, 3, 20, 1, alpha),
-            "policy simulation": lambda: simulate_policy(m, phi, 0.0, 10, alpha, 20, 1),
-        }
-        assert "next_idx" not in m.__dict__, "value iteration"
-        for name, step in steps.items():
-            step()
-            assert "next_idx" not in m.__dict__, name
-        assert m.next_idx.shape == (m.n_states, m.n_actions, UNIT.probs.size)
 
-    def test_custom_replicates_builtin_backorder(self):
-        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
-        cost = CostModel(1.0, 1.0, HoldingCost.linear(2, 1))
-        builtin = make_inventory_mdp(cost, d, -5, 5)
-
-        def cost_fn(x, a):
-            return builtin.cost[builtin.state_index(x), builtin.action_index(a)]
-
-        custom = build_mdp(
-            Dynamics.CUSTOM, d, -5, 5, 10, cost_fn,
-            custom_next=lambda x, a, s: min(max(x + a - s, -5.0), 5.0),
-            mass_tol=1.0,
-        )
-        assert np.allclose(custom.P, builtin.P, atol=1e-15)
-        for alpha in (0.0, 0.8):
-            a = infinite_horizon_vi(builtin, alpha, 1e-8)
-            b = infinite_horizon_vi(custom, alpha, 1e-8)
-            assert np.allclose(a.values, b.values, atol=1e-7)
+CLAMP_DEMAND = from_atoms([(0, 0.25), (1, 0.6), (3, 0.15)], step=1.0)
 
 
-SIGNED_SHOCK = (np.array([-1.0, 0.0, 2.0]), np.array([0.15, 0.6, 0.25]))
-
-
-def per_pair_reference(grid, actions, shock, next_fn, cost_fn, mass_tol):
+def per_pair_reference(grid, actions, demand, next_fn, cost_fn, mass_tol):
     """Clamped mass per pair and the first GRID_TOO_NARROW message, one successor at a time."""
-    values, probs = shock
     lo, hi = grid[0], grid[-1]
     mass_loss = np.zeros((grid.size, actions.size))
     message = None
     for i, x in enumerate(grid):
         for j, a in enumerate(actions):
             finite = np.isfinite(cost_fn(float(x), float(a)))
-            for k, s in enumerate(values):
-                nxt = next_fn(float(x), float(a), float(s))
+            for k, d in enumerate(demand.values):
+                nxt = next_fn(float(x), float(a), float(d))
                 if nxt < lo or nxt > hi:
-                    mass_loss[i, j] += probs[k]
-                    if message is None and finite and probs[k] > mass_tol:
+                    mass_loss[i, j] += demand.probs[k]
+                    if message is None and finite and demand.probs[k] > mass_tol:
                         message = (
-                            f"shock atom {values[k]} (p={probs[k]}) clamps at the grid edge "
+                            f"shock atom {demand.values[k]} (p={demand.probs[k]}) clamps at the grid edge "
                             f"from state {grid[i]} under action {actions[j]}"
                         )
     return mass_loss, message
 
 
-# (dynamics, grid lo, grid hi, a_max, next state, cost)
+# (dynamics, grid lo, grid hi, a_max, next state, cost): some finite-cost pair
+# clamps at each edge the dynamics can reach; the top edge from a level above
+# hi under zero demand
 CLAMP_CASES = {
     "backorder": (
-        Dynamics.BACKORDER, -3, 3, 2, lambda x, a, s: x + a - s,
+        Dynamics.BACKORDER, -3, 3, 2, lambda x, a, d: x + a - d,
         lambda x, a: np.inf if x + a > 4 or x + a < -1 else a,
     ),
     "lost_sales": (
-        Dynamics.LOST_SALES, 0, 4, 2, lambda x, a, s: max(x + a - s, 0.0),
+        Dynamics.LOST_SALES, 0, 4, 2, lambda x, a, d: max(x + a - d, 0.0),
         lambda x, a: np.inf if x + a > 5 else a,
-    ),
-    "custom": (
-        Dynamics.CUSTOM, -3, 3, 2, lambda x, a, s: x + (a if x < 0 else 2 * a) - s,
-        lambda x, a: np.inf if x < -2 and a < 2 else a,
     ),
 }
 
@@ -236,15 +174,14 @@ class TestClampAudit:
 
     @staticmethod
     def build(name, mass_tol):
-        dynamics, lo, hi, a_max, next_fn, cost_fn = CLAMP_CASES[name]
-        custom = next_fn if dynamics is Dynamics.CUSTOM else None
-        return build_mdp(dynamics, SIGNED_SHOCK, lo, hi, a_max, cost_fn, step=1.0, mass_tol=mass_tol, custom_next=custom)
+        dynamics, lo, hi, a_max, _, cost_fn = CLAMP_CASES[name]
+        return build_mdp(dynamics, CLAMP_DEMAND, lo, hi, a_max, cost_table(cost_fn, lo, hi, a_max), mass_tol=mass_tol)
 
     @staticmethod
     def reference(name, mass_tol):
         _, lo, hi, a_max, next_fn, cost_fn = CLAMP_CASES[name]
         grid, actions = np.arange(lo, hi + 1.0), np.arange(0, a_max + 1.0)
-        return per_pair_reference(grid, actions, SIGNED_SHOCK, next_fn, cost_fn, mass_tol)
+        return per_pair_reference(grid, actions, CLAMP_DEMAND, next_fn, cost_fn, mass_tol)
 
     @pytest.mark.parametrize("name", CLAMP_CASES)
     def test_mass_loss_matches_per_pair_sum(self, name):
@@ -283,7 +220,7 @@ class TestFiniteHorizon:
         assert m.actions[optimal[m.state_index(1)]].tolist() == [0.0]
 
     def test_constant_cost_geometric_sum(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         sols = finite_horizon_vi(m, 3, 0.5, np.zeros(m.n_states))
         assert np.allclose(sols[3].values, 1.75)
 
@@ -319,7 +256,7 @@ class TestInfiniteHorizon:
         assert sol.iterations == 1
 
     def test_constant_cost_fixed_point(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         sol = infinite_horizon_vi(m, 0.8, 1e-6)
         assert np.allclose(sol.values, 5.0, atol=1e-6)
 
@@ -328,10 +265,11 @@ class TestInfiniteHorizon:
         alpha = 0.5
         sol = infinite_horizon_vi(m, alpha, 1e-6)
         # oracle: enumerate every stationary policy over feasible actions
+        rows = law(m, UNIT)
         feasible = [np.nonzero(np.isfinite(m.cost[i]))[0] for i in range(m.n_states)]
         best = np.full(m.n_states, np.inf)
         for combo in itertools.product(*feasible):
-            v = evaluate_stationary(m, np.array(combo), alpha)
+            v = evaluate_stationary(m, rows, np.array(combo), alpha)
             best = np.minimum(best, v)
         assert np.allclose(sol.values, best, atol=1e-5)
         assert sol.values[m.state_index(0)] == pytest.approx(2.0, abs=1e-5)
@@ -357,7 +295,7 @@ class TestInfiniteHorizon:
 
 class TestStationaryCheck:
     def test_constant_cost_all_policies_equal(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, np.ones((5, 2)), mass_tol=1.0)
         sol = infinite_horizon_vi(m, 0.7, 1e-8)
         for a in (0.0, 1.0):
             phi = np.full(m.n_states, a)
@@ -380,21 +318,18 @@ class TestStationaryCheck:
         mdps = [
             make_inventory_mdp(cost, d, -5, 5),
             make_inventory_mdp(cost, d, -5, 5, dynamics=Dynamics.LOST_SALES),
-            build_mdp(
-                Dynamics.CUSTOM, d, -5, 5, 3, lambda x, a: a,
-                custom_next=lambda x, a, s: min(max(x + a - 2 * s, -5.0), 5.0),
-            ),
         ]
         rng = np.random.default_rng(0)
         for m in mdps:
+            oracle_law = dense_rows(m.grid, m.actions, d, m.dynamics)
             v = rng.normal(size=m.n_states)
             fast = m.expected_next(v)
-            dense = np.einsum("ijk,k->ij", m.P, v)
+            dense = np.einsum("ijk,k->ij", oracle_law, v)
             assert np.allclose(fast, dense, atol=1e-12)
             phi_idx = rng.integers(0, m.n_actions, size=m.n_states)
             rows = np.arange(m.n_states)
             for alpha in (0.0, 0.5, 1.0):
-                oracle = m.cost[rows, phi_idx] + alpha * m.P[rows, phi_idx] @ v
+                oracle = m.cost[rows, phi_idx] + alpha * oracle_law[rows, phi_idx] @ v
                 assert np.allclose(m.policy_backup(phi_idx, v, alpha), oracle, atol=1e-12)
 
 
@@ -422,8 +357,9 @@ class TestBuildProperties:
     def test_rows_are_distributions_everywhere(self, instance):
         cost, demand, dynamics = instance
         m = make_inventory_mdp(cost, demand, -6, 8, dynamics=dynamics)
-        assert np.all(m.P >= 0)
-        assert np.allclose(m.P.sum(axis=2), 1.0, atol=1e-12)
+        rows = law(m, demand)
+        assert np.all(rows >= 0)
+        assert np.allclose(rows.sum(axis=2), 1.0, atol=1e-12)
         assert np.isfinite(m.cost).any(axis=1).all()
         assert np.all(m.mass_loss >= 0)
         assert np.all(m.mass_loss <= 1 + 1e-12)
@@ -443,31 +379,13 @@ def from_zero_vi(mdp, alpha, eps):
     return vmin, [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
 
 
-def half_backlog_mdp():
-    """Custom dynamics: stock carries over, half of any shortfall is backlogged."""
-    d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
-    h = HoldingCost.linear(3.0, 1.0)
-
-    def next_state(x, a, s):
-        y = x + a - s
-        return max(y if y >= 0 else -((-y) // 2), -4.0)
-
-    def cost_fn(x, a):
-        return math.inf if x + a > 6 else (1.5 if a > 0 else 0.0) + a + d.probs @ h(x + a - d.values)
-
-    return build_mdp(Dynamics.CUSTOM, d, -4, 6, 10, cost_fn, custom_next=next_state, mass_tol=1.0)
-
-
 class TestPolicyIterationStart:
-    @pytest.mark.parametrize("kind", ["backorder", "lost_sales", "custom"])
+    @pytest.mark.parametrize("kind", ["backorder", "lost_sales"])
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.9999])
     def test_matches_value_iteration_from_zero(self, kind, alpha):
-        if kind == "custom":
-            m = half_backlog_mdp()
-        else:
-            d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
-            cost = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
-            m = make_inventory_mdp(cost, d, -6 if kind == "backorder" else 0, 8, dynamics=Dynamics(kind))
+        d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+        cost = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
+        m = make_inventory_mdp(cost, d, -6 if kind == "backorder" else 0, 8, dynamics=Dynamics(kind))
         eps = 1e-6
         sol = infinite_horizon_vi(m, alpha, eps)
         ref_values, ref_sets = from_zero_vi(m, alpha, eps)
@@ -482,25 +400,26 @@ class TestPolicyIterationStart:
         for m in (
             make_inventory_mdp(cost, d, -5, 5),
             make_inventory_mdp(cost, d, 0, 6, dynamics=Dynamics.LOST_SALES),
-            half_backlog_mdp(),
         ):
+            rows = law(m, d)
             phi_idx = np.array([rng.choice(np.nonzero(np.isfinite(row))[0]) for row in m.cost])
             for alpha in (0.5, 0.99):
-                assert np.allclose(policy_values(m, phi_idx, alpha), evaluate_stationary(m, phi_idx, alpha), atol=1e-9)
+                assert np.allclose(policy_values(m, phi_idx, alpha), evaluate_stationary(m, rows, phi_idx, alpha), atol=1e-9)
 
     def test_matches_exhaustive_policy_enumeration_near_one(self):
         m = make_inventory_mdp(ABS, UNIT, -2, 2)
         alpha, eps = 0.99, 1e-6
         sol = infinite_horizon_vi(m, alpha, eps)
+        rows = law(m, UNIT)
         feasible = [np.nonzero(np.isfinite(m.cost[i]))[0] for i in range(m.n_states)]
-        values = [evaluate_stationary(m, np.array(combo), alpha) for combo in itertools.product(*feasible)]
+        values = [evaluate_stationary(m, rows, np.array(combo), alpha) for combo in itertools.product(*feasible)]
         best = np.min(values, axis=0)
         assert np.max(np.abs(sol.values - best)) <= eps
         phi_idx = m.action_index(min_action_policy(m, sol))
-        assert np.max(np.abs(evaluate_stationary(m, phi_idx, alpha) - best)) <= eps
+        assert np.max(np.abs(evaluate_stationary(m, rows, phi_idx, alpha) - best)) <= eps
 
     def test_every_action_tied_terminates(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         alpha = 0.9999
         sol = infinite_horizon_vi(m, alpha, 1e-6)
         assert sol.iterations <= 3
@@ -515,11 +434,11 @@ class TestLatticeCap:
         with pytest.raises(ValueError, match=r"5 states x 1000000000000001 actions make 5000000000000005 \(state, action\) pairs"):
             make_inventory_mdp(ABS, UNIT, -2, 2, a_max=1e15)
         with pytest.raises(ValueError, match="above the cap of 4194304"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1e15, lambda x, a: 0.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1e15, np.zeros((1, 1)))
 
     def test_huge_grid_refused(self):
         with pytest.raises(ValueError, match=r"2000000000000001 states x 1 actions"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -1e15, 1e15, 0, lambda x, a: 0.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, -1e15, 1e15, 0, np.zeros((1, 1)))
         with pytest.raises(ValueError, match="above the cap of 4194304"):
             make_inventory_mdp(ABS, UNIT, -1e15, 1e15)
 
@@ -542,7 +461,7 @@ class TestLatticeEnds:
         with pytest.raises(ValueError, match=message):
             make_inventory_mdp(ABS, d, lo, hi, a_max=20.0)
         with pytest.raises(ValueError, match=message):
-            build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, lambda x, a: 0.0)
+            build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("a_max", [2.6, 2.4])
     def test_off_lattice_a_max_refused(self, a_max):
@@ -550,7 +469,7 @@ class TestLatticeEnds:
         with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
             make_inventory_mdp(ABS, d, -12.0, 8.0, a_max=a_max)
         with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
-            build_mdp(Dynamics.BACKORDER, d, -12.0, 8.0, a_max, lambda x, a: 0.0)
+            build_mdp(Dynamics.BACKORDER, d, -12.0, 8.0, a_max, np.zeros((1, 1)))
 
     def test_negative_a_max_refused(self):
         with pytest.raises(ValueError, match=r"^a_max -2.0 is negative$"):
@@ -576,7 +495,7 @@ def per_pair_inventory_cost(cost, d, lo, hi):
 
 
 class TestInventoryCostTable:
-    """``make_inventory_mdp`` tabulates its cost in one broadcast; the per-pair callable path is the oracle."""
+    """``make_inventory_mdp`` tabulates its cost in one broadcast; a per-pair table is the oracle."""
 
     COST = CostModel(2.5, 1.3, HoldingCost(np.array([-3.0, 0.0, 2.0]), np.array([-5.0, -2.0, 1.5, 3.0])))
 
@@ -596,7 +515,7 @@ class TestInventoryCostTable:
         d = from_atoms([(0, 0.2), (step, 0.5), (3 * step, 0.3)], step=step)
         table = make_inventory_mdp(self.COST, d, lo, hi, a_max, dynamics).cost
         cap = hi - lo if a_max is None else a_max
-        oracle = build_mdp(dynamics, d, lo, hi, cap, per_pair_inventory_cost(self.COST, d, lo, hi), mass_tol=1.0).cost
+        oracle = cost_table(per_pair_inventory_cost(self.COST, d, lo, hi), lo, hi, cap, step)
         assert np.array_equal(table, oracle)
         assert np.isinf(table).any()  # some orders land above the grid top
 
@@ -608,17 +527,15 @@ class TestInventoryCostTable:
     def test_table_checked_like_a_callable(self, bad):
         table = np.zeros((5, 3))
         table[2, 1] = bad
-        for cost in (table, lambda x, a: bad if (x, a) == (0.0, 1.0) else 0.0):
-            with pytest.raises(ValueError, match="costs must be finite or \\+inf"):
-                build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, cost, mass_tol=1.0)
+        with pytest.raises(ValueError, match="costs must be finite or \\+inf"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, table, mass_tol=1.0)
 
     def test_table_without_a_finite_action_refused_like_a_callable(self):
         table = np.zeros((5, 3))
         table[3] = math.inf
-        for cost in (table, lambda x, a: math.inf if x == 1.0 else 0.0):
-            with pytest.raises(InvLabError) as err:
-                build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, cost, mass_tol=1.0)
-            assert err.value.code == "NO_FINITE_ACTION"
+        with pytest.raises(InvLabError) as err:
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, table, mass_tol=1.0)
+        assert err.value.code == "NO_FINITE_ACTION"
 
 
 class TestIndexLookups:
@@ -656,13 +573,13 @@ class TestOptimalMask:
                 assert np.array_equal(sols[t].optimal[i], q[i] <= vmin[i] + TIE_TOL)
 
     def test_near_ties_split_at_the_tolerance(self):
-        gaps = {0.0: 0.0, 1.0: 0.7 * TIE_TOL, 2.0: 1.5 * TIE_TOL}  # above the cheapest action
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0 + gaps[a], mass_tol=1.0)
+        gaps = np.array([0.0, 0.7 * TIE_TOL, 1.5 * TIE_TOL])  # above the cheapest action
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.tile(1.0 + gaps, (7, 1)), mass_tol=1.0)
         for sol in finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))[1:] + [infinite_horizon_vi(m, 0.5, 1e-9)]:
             assert np.array_equal(sol.optimal, np.tile([True, True, False], (m.n_states, 1)))
 
     def test_ties_kept_and_smallest_action_chosen(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         sols = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
         assert sols[2].optimal.all()
         assert np.array_equal(min_action_policy(m, sols[2]), np.zeros(m.n_states))

@@ -25,7 +25,7 @@ from invlab.policy_structure import (
     predict_finite_horizon,
     verify_structure,
 )
-from oracles import check_GB, is_K_convex, threshold_limits
+from oracles import check_GB, dense_rows, is_K_convex, threshold_limits
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 MIXED = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -97,7 +97,8 @@ class TestGFunction:
         c = gb_cost()
         m = make_inventory_mdp(c, MIXED, -15, 10, dynamics=dynamics)
         v = np.random.default_rng(3).uniform(0, 20, m.n_states)
-        oracle = c.c_unit * m.grid + expected_holding(c.holding, m.grid, MIXED) + alpha * m.P[:, 0, :] @ v
+        law = dense_rows(m.grid, m.actions, MIXED, dynamics)
+        oracle = c.c_unit * m.grid + expected_holding(c.holding, m.grid, MIXED) + alpha * law[:, 0, :] @ v
         np.testing.assert_allclose(g_function(m, v, alpha, c), oracle, rtol=0, atol=1e-12)
 
 
@@ -315,7 +316,7 @@ class TestV0Terminal:
         assert np.allclose(v0, direct)
 
     def test_constant_cost_fixed_point(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, lambda x, a: 1.0, mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         assert np.allclose(infinite_horizon_vi(m, 0.5, 1e-9).values, 2.0, atol=1e-8)
 
     def test_relaxation_lower_bounds_true_values(self):

@@ -164,7 +164,7 @@ class TestBayesFilter:
         part = split_partition(m)
         z = make_belief([(0.0, 0.5), (1.0, 0.5)], m.grid)
         a = 0.0
-        pred = z @ m.P[:, m.action_index(a), :]
+        pred = z @ dense_rows(m.grid, m.actions, MIXED, m.dynamics)[:, m.action_index(a), :]
         post = bayes_filter(m, part, MIXED, z, a, part.state_obs[m.state_index(-2.0)])  # the container's representative
         inside = part.state_container == 0
         expected = np.where(inside, pred, 0.0)
@@ -196,10 +196,11 @@ class TestBayesFilter:
         m = small_mdp()
         part = split_partition(m)
         rng = np.random.default_rng(7)
+        law = dense_rows(m.grid, m.actions, MIXED, m.dynamics)
         for _ in range(40):
             z = rng.dirichlet(np.ones(m.n_states) * rng.uniform(0.3, 3.0))
             a = float(rng.choice([0.0, 1.0, 3.0]))
-            pred = z @ m.P[:, m.action_index(a), :]
+            pred = z @ law[:, m.action_index(a), :]
             marg = observation_marginal(m, part, MIXED, z, a)
             mixture = np.zeros(m.n_states)
             for obs_id in np.nonzero(marg > 0)[0]:
@@ -212,7 +213,7 @@ class TestBayesFilter:
         part = opaque_partition(m)
         z = np.full(m.n_states, 1.0 / m.n_states)
         a = 1.0
-        pred = z @ m.P[:, m.action_index(a), :]
+        pred = z @ dense_rows(m.grid, m.actions, MIXED, m.dynamics)[:, m.action_index(a), :]
         post = bayes_filter(m, part, MIXED, z, a, 0)
         assert np.allclose(post, pred, atol=1e-12)
 
@@ -223,9 +224,10 @@ class TestBayesFilter:
         rng = np.random.default_rng(21)
         x = m.state_index(1)
         belief = make_belief([(1.0, 1.0)], m.grid)
+        law = dense_rows(m.grid, m.actions, MIXED, m.dynamics)
         for _ in range(6):
             a = float(rng.choice([0.0, 1.0]))
-            row = m.P[x, m.action_index(a), :]
+            row = law[x, m.action_index(a), :]
             x = int(rng.choice(m.n_states, p=row))
             belief = bayes_filter(m, part, MIXED, belief, a, part.state_obs[x])
             expected = np.zeros(m.n_states)
@@ -304,6 +306,7 @@ class TestBeliefValueIteration:
         sol = belief_value_iteration(m, part, prior, N, alpha)
         policy = TreePolicy(sol, part)
         atoms = list(zip(TWO_POINT.offsets(), TWO_POINT.probs))
+        succ = successors(m.grid, m.actions, TWO_POINT, m.dynamics)
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(atoms, repeat=N):
@@ -314,7 +317,7 @@ class TestBeliefValueIteration:
                 for t, (d_off, d_p) in enumerate(path):
                     j = policy.action(cursor)
                     cost_sum += alpha**t * m.cost[x, j]
-                    x = int(m.next_idx[x, j, list(TWO_POINT.offsets()).index(d_off)])
+                    x = int(succ[x, j, list(TWO_POINT.offsets()).index(d_off)])
                     prob *= d_p
                     if t < N - 1:
                         cursor = policy.advance(cursor, part.state_obs[x])
@@ -368,6 +371,7 @@ class TestHalfStepLattice:
             assert comdp_cost(m, z)[j] == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
         sol = belief_value_iteration(m, part, prior, N, alpha)
         policy = TreePolicy(sol, part)
+        succ = successors(m.grid, m.actions, HALF_STEP, m.dynamics)
         total, taken = 0.0, set()
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(range(HALF_STEP.probs.size), repeat=N):
@@ -376,7 +380,7 @@ class TestHalfStepLattice:
                     j = policy.action(cursor)
                     taken.add(j)
                     cost_sum += alpha**t * m.cost[x, j]
-                    x = int(m.next_idx[x, j, k])
+                    x = int(succ[x, j, k])
                     prob *= HALF_STEP.probs[k]
                     if t < N - 1:
                         cursor = policy.advance(cursor, part.state_obs[x])
