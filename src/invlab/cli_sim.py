@@ -48,6 +48,7 @@ REPORT_SCHEMA = "invctl-report/1"
 SIM_COMMANDS = {"simulate", "pomdp-simulate"}
 
 MAX_NESTING = 32  # list and object levels a config may nest; a valid one nests 4
+CSV_CHUNK = 8192  # rows write_csv formats at a time: Python objects for a few thousand cells, never a whole column
 
 
 REQUIRED = object()  # default of a field that must be given
@@ -347,11 +348,20 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows``, one line each, streaming the rows to the file."""
+def _cells(column):
+    """``map(_cell, column)``; an integer or float array is rendered in bulk, to the same text."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize <= 8:  # not longdouble
+        return map(repr, column.tolist())  # Python ints and floats, whose repr is _cell's text
+    return map(_cell, column)
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``header`` and one line per row of ``columns``, equal-length sequences, ``CSV_CHUNK`` rows at a time."""
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        for lo in range(0, len(columns[0]) if columns else 0, CSV_CHUNK):
+            rows = zip(*(_cells(column[lo:lo + CSV_CHUNK]) for column in columns))
+            f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _jsonable(obj):
@@ -413,8 +423,8 @@ def _mdp_warnings(mdp: GridMDP) -> list:
 def _write_policy(out: Path, mdp: GridMDP, optimal: np.ndarray | None) -> None:
     """``policy.csv``: each state's optimal-action set from the mask; header only when there is none."""
     sets = [] if optimal is None else [mdp.actions[row] for row in optimal]
-    rows = [(x, s[0], ";".join(_cell(a) for a in s)) for x, s in zip(mdp.grid, sets)]
-    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], rows)
+    columns = [mdp.grid[:len(sets)], [s[0] for s in sets], [";".join(map(_cell, s)) for s in sets]]
+    write_csv(out / "policy.csv", ["x", "action", "argmin_set"], columns)
 
 
 def _cap_warnings(mdp: GridMDP, optimal: np.ndarray) -> list:
@@ -432,10 +442,11 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     Replication ``r`` consumes ``N`` uniform draws from a counter-based
     stream keyed by ``(seed, r)``; shocks are realized by inverse transform
     through the transition tables, so the path law is exactly the row law.
-    Replications evolve in lockstep, one block of about 4 MiB of draws at a
-    time, so memory is one block (draws, their transposed copy, shocks)
-    plus O(reps); the per-replication streams make the result independent
-    of that layout.
+    Inversion counts the interior CDF points below each scaled draw: exactly
+    ``searchsorted(cum, u * cum[-1])``, ties included.  Replications evolve
+    in lockstep, one block of about 4 MiB of draws at a time, so memory is
+    one block (draws, and one-byte shock counts up to 255 atoms, twice) plus
+    O(reps); the per-replication streams make the result independent of that layout.
     """
     cost_phi, succ_phi = mdp.policy_rows(mdp.action_index(phi))
     n_atoms = mdp.shock_probs.size
@@ -444,27 +455,29 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
         zeros = np.zeros(reps)
         return summarize_samples(zeros), summarize_samples(zeros.copy())
     x_start = mdp.state_index(x0)
+    succ_flat = succ_phi.ravel()  # successor of state x under shock k at x * n_atoms + k
     disc = np.zeros(reps)
     total = np.zeros(reps)
     block = max(1, 2**19 // N)
     for first in range(0, reps, block):
         m = min(block, reps - first)
         u = replication_uniforms(seed, m, N, first=first)
-        u *= cum[-1]
-        # (N, m): shocks[t] is one contiguous row per step
-        shocks = np.searchsorted(cum, u.T)
-        shocks.clip(0, n_atoms - 1, out=shocks)
+        u *= cum[-1]  # u < 1, so u * cum[-1] <= cum[-1] and no draw lies above the last point
+        counts = np.zeros((m, N), np.min_scalar_type(n_atoms))
+        for c in cum[:-1]:
+            counts += u > c
+        shocks = counts.T.copy()  # (N, m): shocks[t] is one contiguous row per step
         x = np.full(m, x_start)
         d = disc[first:first + m]
         s = total[first:first + m]
         power = 1.0
         for t in range(N):
-            step_cost = cost_phi[x]
+            step_cost = cost_phi.take(x)
             d += power * step_cost
             s += step_cost
-            x = succ_phi[x, shocks[t]]
+            x = succ_flat.take(x * n_atoms + shocks[t])
             power *= alpha
-        del shocks  # before the next block is drawn
+        del u, counts, shocks  # before the next block is drawn
     return summarize_samples(disc), summarize_samples(total / N)
 
 
@@ -485,10 +498,10 @@ def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
     final = sols[-1]
-    write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, final.values))
+    write_csv(out / "values.csv", ["x", "v"], [mdp.grid, final.values])
     _write_policy(out, mdp, final.optimal)
     rows = [(t, *_thresholds(config, mdp, sol.values, alpha)[:2]) for t, sol in enumerate(sols[:-1])]
-    write_csv(out / "thresholds.csv", ["t", "s", "S"], rows)
+    write_csv(out / "thresholds.csv", ["t", "s", "S"], list(zip(*rows)))
     outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(final.values[0])}
     return outputs, _cap_warnings(mdp, final.optimal) if final.optimal is not None else []
 
@@ -496,7 +509,7 @@ def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
 def _run_solve_discounted(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
-    write_csv(out / "values.csv", ["x", "v"], zip(mdp.grid, sol.values))
+    write_csv(out / "values.csv", ["x", "v"], [mdp.grid, sol.values])
     _write_policy(out, mdp, sol.optimal)
     outputs = {
         "alpha": alpha,
@@ -518,7 +531,7 @@ def _run_solve_average(config: RunConfig, mdp: GridMDP, out: Path, seed):
         (e.alpha, e.m_alpha, e.rate, float(e.x_alpha.min()), float(e.x_alpha.max()))
         for e in ladder.entries
     ]
-    write_csv(out / "ladder.csv", ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"], rows)
+    write_csv(out / "ladder.csv", ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"], list(zip(*rows)))
     rv = average_cost.relative_value(ladder, k_tail=min(3, len(ladder.entries)))
     greedy = average_cost.greedy_policy(mdp, rv.u)
     slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
@@ -562,7 +575,7 @@ def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
     plan = policy_structure.predict_finite_horizon(ps, N)
     report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K)
     rows = [(t, x, a, ";".join(_cell(v) for v in s)) for t, x, a, s in report.violations]
-    write_csv(out / "violations.csv", ["t", "x", "predicted_action", "argmin_set"], rows)
+    write_csv(out / "violations.csv", ["t", "x", "predicted_action", "argmin_set"], list(zip(*rows)))
     print((out / "violations.csv").read_text(), end="")
     outputs = {
         "regime": ps.regime.value,
@@ -585,11 +598,7 @@ def _run_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     elif N is None:  # truncate once the geometric tail is below eps
         N = max(1, int(math.ceil(math.log(eps * (1 - alpha) / max_cost) / math.log(alpha))))
     disc, avg = simulate_policy(mdp, phi, x0, N, alpha, reps, seed)
-    write_csv(
-        out / "samples.csv",
-        ["rep", "discounted", "running_average"],
-        zip(range(reps), map(float, disc.samples), map(float, avg.samples)),
-    )
+    write_csv(out / "samples.csv", ["rep", "discounted", "running_average"], [np.arange(reps), disc.samples, avg.samples])
     truncation = max_cost * alpha**N / (1 - alpha) if alpha > 0 else 0.0
     outputs = {
         "x0": x0,
@@ -630,7 +639,7 @@ def _run_pomdp_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
         mdp, config.partition, TreePolicy(sol, config.partition), config.prior,
         config.pomdp_horizon, reps, seed, config.solver.alpha,
     )
-    write_csv(out / "samples.csv", ["rep", "discounted"], enumerate(map(float, result.samples)))
+    write_csv(out / "samples.csv", ["rep", "discounted"], [np.arange(reps), result.samples])
     outputs = {
         "tree_value": sol.value,
         "reps": reps,

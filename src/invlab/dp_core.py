@@ -119,7 +119,7 @@ def _indices_on(points: np.ndarray, x, step: float, message: str):
 
 
 def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The state lattice from ``lo`` to ``hi`` and the action lattice up to ``a_max``.
+    """The float state lattice from ``lo`` to ``hi`` and action lattice up to ``a_max``.
 
     Raises ValueError, before anything is allocated, when the state lattice
     has fewer than two points, ``a_max`` is negative or the two make more
@@ -138,7 +138,7 @@ def _lattice(lo: float, hi: float, step: float, a_max: float = 0.0) -> tuple[np.
         raise ValueError(f"hi {hi} is not on the lattice from lo {lo} at step {step}")
     if not _lattice_offsets(a_max, step)[1]:
         raise ValueError(f"a_max {a_max} is not on the lattice at step {step}")
-    return lo + step * np.arange(n), step * np.arange(n_a)
+    return lo + step * np.arange(n, dtype=float), step * np.arange(n_a, dtype=float)
 
 
 def build_mdp(

@@ -19,7 +19,7 @@ from invlab import cli_sim
 from invlab.cli_sim import load_config, main, run, simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
-from invlab.dp_core import infinite_horizon_vi, make_inventory_mdp, min_action_policy
+from invlab.dp_core import Dynamics, infinite_horizon_vi, make_inventory_mdp, min_action_policy
 from invlab.errors import InvLabError, ValidationErrors
 from invlab.pomdp import Container, ContainerPartition, replication_uniforms
 from oracles import successors
@@ -221,10 +221,44 @@ class TestRunCommands:
             (float("inf"), -np.inf, float("nan"), np.nan),
             (np.int64(7), 3, True, "a;b"),
         ]
-        cli_sim.write_csv(tmp_path / "t.csv", ["w", "x", "y", "z"], iter(rows))
+        cli_sim.write_csv(tmp_path / "t.csv", ["w", "x", "y", "z"], list(zip(*rows)))
         assert (tmp_path / "t.csv").read_bytes() == (
             b"w,x,y,z\n0.1,2.5,0.10000000149011612,-0.0\ninf,-inf,nan,nan\n7,3,1,a;b\n"
         )
+
+    def test_column_arrays_render_as_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_sim, "CSV_CHUNK", 3)
+        floats = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-7, 65504.0, 2.5])
+        columns = [
+            floats, floats.astype(np.float32), floats.astype(np.float16), floats.astype(np.longdouble),
+            np.arange(-4, 4, dtype=np.int8), np.arange(8, dtype=np.uint64) + np.uint64(2**63),
+            np.arange(8) % 3 == 0, list(floats), [True, 1, np.int64(2), "a;b", None, 0.5, np.float32(0.1), -0.0],
+        ]
+        cli_sim.write_csv(tmp_path / "t.csv", list("abcdefghi"), columns)
+        cells = "".join(",".join(map(cli_sim._cell, row)) + "\n" for row in zip(*columns))
+        assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e,f,g,h,i\n" + cells
+
+    def test_samples_csv_over_chunks_is_the_per_cell_rendering(self, tmp_path):
+        reps = 2 * cli_sim.CSV_CHUNK + 100  # three chunks, the last one partial
+        config = load_config(write_config(tmp_path, base_config(sim={"x0": -2.0, "reps": reps, "horizon": 5})))
+        run(config, "simulate", out_dir=tmp_path / "out")
+        mdp = config.build_mdp()
+        phi = min_action_policy(mdp, infinite_horizon_vi(mdp, config.solver.alpha, config.solver.eps))
+        disc, avg = simulate_policy(mdp, phi, -2.0, 5, config.solver.alpha, reps, config.seed)
+        cells = "".join(",".join(map(cli_sim._cell, row)) + "\n" for row in zip(range(reps), disc.samples, avg.samples))
+        assert (tmp_path / "out" / "samples.csv").read_text() == "rep,discounted,running_average\n" + cells
+
+    def test_write_csv_holds_no_whole_column(self, tmp_path):
+        n = 10**5
+        rng = np.random.default_rng(0)
+        columns = [np.arange(n), rng.random(n), rng.random(n)]
+        tracemalloc.start()
+        try:
+            cli_sim.write_csv(tmp_path / "t.csv", ["rep", "u", "v"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n  # one whole column as a list of Python floats: a 24-byte float and an 8-byte slot each
 
     def test_verify_structure_clean_instance(self, tmp_path, capsys):
         config = load_config(write_config(tmp_path, base_config()))
@@ -460,6 +494,37 @@ class TestConfigBoundary:
         assert (report.outputs["x0"], report.outputs["horizon"]) == (-3.0, 0)
 
 
+# (atoms, step, dynamics) of the demand laws the counted inverse transform is checked on
+INVERSION_LAWS = [
+    (1, 1.0, Dynamics.BACKORDER),
+    (2, 1.0, Dynamics.BACKORDER),
+    (3, 0.5, Dynamics.BACKORDER),
+    (3, 1.0, Dynamics.LOST_SALES),
+    (13, 1.0, Dynamics.BACKORDER),
+    (40, 0.5, Dynamics.LOST_SALES),
+    (40, 1.0, Dynamics.BACKORDER),
+]
+
+
+def searchsorted_rollout(mdp, demand, phi, alpha, u):
+    """Discounted and total cost of ``phi`` from state 0 on the draws ``u`` (reps x N), shocks by ``searchsorted``:
+    every replication's draws held at once, stepped in lockstep."""
+    k, N = u.shape
+    phi_idx = mdp.action_index(phi)
+    succ = successors(mdp.grid, mdp.actions, demand, mdp.dynamics)
+    cum = np.cumsum(mdp.shock_probs)
+    shocks = np.searchsorted(cum, u * cum[-1]).clip(0, cum.size - 1)
+    x = np.full(k, mdp.state_index(0.0))
+    ref_disc, ref_total, power = np.zeros(k), np.zeros(k), 1.0
+    for t in range(N):
+        a = phi_idx[x]
+        ref_disc += power * mdp.cost[x, a]
+        ref_total += mdp.cost[x, a]
+        x = succ[x, a, shocks[:, t]]
+        power *= alpha
+    return ref_disc, ref_total
+
+
 class TestReplicationBlocks:
     def setup_method(self):
         self.demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -495,21 +560,32 @@ class TestReplicationBlocks:
         assert disc.samples[:k].tobytes() == short_disc.samples.tobytes()
         assert avg.samples[:k].tobytes() == short_avg.samples.tobytes()
 
-        # reference: every replication's draws held at once, stepped in lockstep
-        phi_idx = self.mdp.action_index(self.phi)
-        succ = successors(self.mdp.grid, self.mdp.actions, self.demand, self.mdp.dynamics)
-        cum = np.cumsum(self.mdp.shock_probs)
-        shocks = np.searchsorted(cum, replication_uniforms(9, k, N) * cum[-1]).clip(0, cum.size - 1)
-        x = np.full(k, self.mdp.state_index(0.0))
-        ref_disc, ref_total, power = np.zeros(k), np.zeros(k), 1.0
-        for t in range(N):
-            a = phi_idx[x]
-            ref_disc += power * self.mdp.cost[x, a]
-            ref_total += self.mdp.cost[x, a]
-            x = succ[x, a, shocks[:, t]]
-            power *= self.alpha
+        ref_disc, ref_total = searchsorted_rollout(self.mdp, self.demand, self.phi, self.alpha, replication_uniforms(9, k, N))
         assert ref_disc.tobytes() == short_disc.samples.tobytes()
         assert (ref_total / N).tobytes() == short_avg.samples.tobytes()
+
+    @pytest.mark.parametrize("draws", ["philox", "cdf_points"])
+    @pytest.mark.parametrize("n_atoms, step, dynamics", INVERSION_LAWS)
+    def test_counted_inversion_is_searchsorted(self, monkeypatch, n_atoms, step, dynamics, draws):
+        weights = np.random.default_rng(n_atoms).uniform(0.05, 1.0, n_atoms)
+        demand = from_atoms([((k + 1) * step, w) for k, w in enumerate(weights / weights.sum())], step=step)
+        lo, hi = (0.0, (n_atoms + 8) * step) if dynamics is Dynamics.LOST_SALES else (-(n_atoms + 8) * step, 8 * step)
+        mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), demand, lo, hi, dynamics=dynamics)
+        assert mdp.shock_probs.size == n_atoms
+        phi = min_action_policy(mdp, infinite_horizon_vi(mdp, self.alpha, 1e-6))
+        reps, N = 97, 40
+        if draws == "philox":
+            u = replication_uniforms(5, reps, N)
+        else:  # 0, every CDF point scaled back to [0, 1) and both float neighbours: the ties of the inversion
+            cum = np.cumsum(mdp.shock_probs)
+            q = cum / cum[-1]
+            points = np.concatenate([[0.0], np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)])
+            u = np.resize(points[points < 1.0], (reps, N))
+            monkeypatch.setattr(cli_sim, "replication_uniforms", lambda seed, m, n, first=0: u[first:first + m, :n].copy())
+        disc, avg = simulate_policy(mdp, phi, 0.0, N, self.alpha, reps, seed=5)
+        ref_disc, ref_total = searchsorted_rollout(mdp, demand, phi, self.alpha, u)
+        assert ref_disc.tobytes() == disc.samples.tobytes()
+        assert (ref_total / N).tobytes() == avg.samples.tobytes()
 
     def test_peak_memory_is_one_block(self):
         reps, N = 20_000, 200

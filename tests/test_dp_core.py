@@ -452,6 +452,13 @@ class TestLatticeCap:
         with pytest.raises(ValueError, match="inf states x 1 actions make inf"):
             _lattice(-1e308, 1e308, 1.0)
 
+    def test_integer_arguments_give_float_lattices(self):
+        grid, actions = _lattice(-2, 2, 1, 1)
+        assert grid.dtype == actions.dtype == np.float64
+        assert (grid.tolist(), actions.tolist()) == ([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(InvLabError, match=r"from state -2\.0 under action 0\.0$"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, np.zeros((5, 2)), mass_tol=0.5)
+
 
 class TestLatticeEnds:
     @pytest.mark.parametrize("lo, hi", [(-12.0, 8.6), (-12.0, 8.4), (-12.4, 8.0)])
