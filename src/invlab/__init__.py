@@ -44,7 +44,6 @@ from .policy_structure import (
 from .pomdp import (
     Container,
     ContainerPartition,
-    TreePolicy,
     belief_value_iteration,
     comdp_cost,
     make_belief,

@@ -35,7 +35,6 @@ from .errors import InvLabError, ValidationErrors
 from .pomdp import (
     Container,
     ContainerPartition,
-    TreePolicy,
     belief_value_iteration,
     make_belief,
     pomdp_simulate,
@@ -51,7 +50,7 @@ MAX_NESTING = 32  # list and object levels a config may nest; a valid one nests 
 CSV_CHUNK = 8192  # rows write_csv formats at a time: Python objects for a few thousand cells, never a whole column
 
 
-REQUIRED = object()  # default of a field that must be given
+REQUIRED = object()  # default of a field that must be given, and the value read for it when it is absent
 
 # One row per scalar field: (section, key) -> (kind, default, test, requirement),
 # section "" being the top level.  A value that converts to ``kind`` but fails
@@ -79,10 +78,11 @@ def _number(errors: list[str], label: str, value, kind):
     """The JSON number ``value`` as ``kind`` (``int`` or ``float``), or None with an error listed under ``label``."""
     try:
         out = None if isinstance(value, (bool, str)) else kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # REQUIRED too
         out = None
     if out is None or (kind is int and isinstance(value, float) and out != value):
-        errors.append(f"{label} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        want = f"must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        errors.append(f"{label} {'missing' if value is REQUIRED else want}")
         return None
     return out
 
@@ -119,10 +119,20 @@ def _section(errors: list[str], raw: dict, name: str, *, required: bool = False)
 def _numbers(errors: list[str], label: str, values) -> list[float] | None:
     """The JSON list ``values`` as floats, or None with an error listed for it or for each entry that is not a number."""
     if not isinstance(values, list):
-        errors.append(f"{label} must be a list of numbers, got {values!r}")
+        errors.append(f"{label} missing" if values is REQUIRED else f"{label} must be a list of numbers, got {values!r}")
         return None
     out = [_number(errors, f"{label}[{i}]", v, float) for i, v in enumerate(values)]
     return None if None in out else out
+
+
+def _pair(errors: list[str], label: str, first: str, atom) -> tuple | None:
+    """The entry ``label`` as a ``[first, prob]`` pair of floats, or None with its errors listed."""
+    if not (isinstance(atom, list) and len(atom) == 2):
+        errors.append(f"{label} must be a [{first}, prob] pair, got {atom!r}")
+        return None
+    x = _number(errors, f"{label} {first}", atom[0], float)
+    p = _number(errors, f"{label} prob", atom[1], float)
+    return None if x is None or p is None else (x, p)
 
 
 def _demand(errors: list[str], sec: dict) -> DemandDistribution | None:
@@ -130,19 +140,22 @@ def _demand(errors: list[str], sec: dict) -> DemandDistribution | None:
     if kind is None or sec.get("step") is None:
         raise ValueError("needs a step and an 'atoms' or 'cdf' array")
     step = _number(errors, "demand: step", sec["step"], float)
-    pairs = [
-        (_number(errors, f"demand: {kind}[{i}] value", v, float), _number(errors, f"demand: {kind}[{i}] prob", p, float))
-        for i, (v, p) in enumerate(sec[kind])
-    ]
-    if step is None or any(None in pair for pair in pairs):
+    if not isinstance(sec[kind], list):
+        errors.append(f"demand: {kind} must be a list of [value, prob] pairs, got {sec[kind]!r}")
+        return None
+    pairs = [_pair(errors, f"demand: {kind}[{i}]", "value", atom) for i, atom in enumerate(sec[kind])]
+    if step is None or None in pairs:
         return None
     return (from_atoms if kind == "atoms" else quantize)(pairs, step)
 
 
 def _cost(errors: list[str], sec: dict) -> CostModel | None:
-    h = sec["holding"]
-    K, c_unit = (_number(errors, f"cost: {key}", sec[key], float) for key in ("K", "c_unit"))
-    breakpoints, slopes = (_numbers(errors, f"cost: holding.{key}", h[key]) for key in ("breakpoints", "slopes"))
+    K, c_unit = (_number(errors, f"cost: {key}", sec.get(key, REQUIRED), float) for key in ("K", "c_unit"))
+    h = sec.get("holding", REQUIRED)
+    if not isinstance(h, dict):
+        errors.append("cost: holding missing" if h is REQUIRED else f"cost: holding must be a JSON object, got {h!r}")
+        return None
+    breakpoints, slopes = (_numbers(errors, f"cost: holding.{key}", h.get(key, REQUIRED)) for key in ("breakpoints", "slopes"))
     if None in (K, c_unit, breakpoints, slopes):
         return None
     return CostModel(K, c_unit, HoldingCost(breakpoints, slopes))
@@ -165,16 +178,6 @@ def _container(errors: list[str], i: int, entry) -> Container | None:
     if lo is None or hi is None or (rep is None and entry.get("rep") is not None):
         return None
     return Container(lo, hi, entry["transparent"], rep)
-
-
-def _prior_atom(errors: list[str], i: int, atom) -> tuple | None:
-    """Atom ``i`` of the pomdp prior as a (state, mass) pair, or None with its errors listed."""
-    if not (isinstance(atom, list) and len(atom) == 2):
-        errors.append(f"pomdp: prior[{i}] must be a [state, prob] pair, got {atom!r}")
-        return None
-    x = _number(errors, f"pomdp: prior[{i}] state", atom[0], float)
-    p = _number(errors, f"pomdp: prior[{i}] prob", atom[1], float)
-    return None if x is None or p is None else (x, p)
 
 
 def _nesting(raw) -> int:
@@ -251,12 +254,10 @@ def load_config(path) -> RunConfig:
         sec[name] = _section(errors, raw, name, required=name in ("demand", "cost"))
     val = {}
     for (name, key), (_, default, _, _) in FIELDS.items():
-        if sec[name] is not None and key in sec[name]:
-            val[name, key] = _field(errors, name, key, sec[name][key])
-            continue
-        if sec[name] is not None and default is REQUIRED:
-            errors.append(f"{name}: {key} missing")
-        val[name, key] = None if default is REQUIRED else default
+        if sec[name] is not None and (key in sec[name] or default is REQUIRED):
+            val[name, key] = _field(errors, name, key, sec[name].get(key, REQUIRED))
+        else:
+            val[name, key] = None if default is REQUIRED else default
 
     demand = _build(errors, "demand", _demand, errors, sec["demand"]) if sec["demand"] is not None else None
     cost = _build(errors, "cost", _cost, errors, sec["cost"]) if sec["cost"] is not None else None
@@ -304,7 +305,7 @@ def load_config(path) -> RunConfig:
         if not (isinstance(atoms, list) and atoms):
             errors.append("pomdp: needs a prior")
         else:
-            pairs = [_prior_atom(errors, i, atom) for i, atom in enumerate(atoms)]
+            pairs = [_pair(errors, f"pomdp: prior[{i}]", "state", atom) for i, atom in enumerate(atoms)]
             if grid is not None and None not in pairs:
                 prior = _build(errors, "pomdp", make_belief, pairs, grid)
 
@@ -343,7 +344,7 @@ def load_config(path) -> RunConfig:
 def _cell(v) -> str:
     if isinstance(v, (np.floating, float)):
         return repr(float(v))  # shortest round-trip digits; inf, -inf and nan as such
-    if isinstance(v, (np.integer, int)):
+    if isinstance(v, (np.integer, np.bool_, int)):  # a bool, numpy's too, as 1 or 0
         return str(int(v))
     return str(v)
 
@@ -635,10 +636,7 @@ def _run_pomdp_solve(config: RunConfig, mdp: GridMDP, out: Path, seed):
 def _run_pomdp_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     sol = _solve_pomdp(config, mdp)
     reps = config.sim_reps
-    result = pomdp_simulate(
-        mdp, config.partition, TreePolicy(sol, config.partition), config.prior,
-        config.pomdp_horizon, reps, seed, config.solver.alpha,
-    )
+    result = pomdp_simulate(mdp, config.partition, sol, config.prior, config.pomdp_horizon, reps, seed, config.solver.alpha)
     write_csv(out / "samples.csv", ["rep", "discounted"], [np.arange(reps), result.samples])
     outputs = {
         "tree_value": sol.value,

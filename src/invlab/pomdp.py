@@ -8,9 +8,9 @@ state, the Bayes update is a restriction of the one-step predictive
 distribution to the observed container followed by renormalization, and the
 observation space is finite, so the belief value iteration is exact over the
 reachable tree.  ``_posteriors`` computes a node's predictive laws,
-observation marginals and posteriors for all its actions at once;
-``TreePolicy`` replays the solved tree along observation ids, and
-``pomdp_simulate`` rolls it out on the hidden chain.
+observation marginals and posteriors for all its actions at once.  The
+solved tree is one set of arrays over node ids (``BeliefSolution``), and
+``pomdp_simulate`` replays it along observation ids on the hidden chain.
 """
 
 from __future__ import annotations
@@ -58,35 +58,30 @@ class ContainerPartition:
         ordered = sorted(self.containers, key=lambda c: (c.lo, c.hi))
         # the intervals must cover [grid[0], grid[-1]], between lattice points too;
         # a sentinel at the grid top catches a gap above the last container
-        cursor = float(grid[0])
-        for cont in ordered + [Container(float(grid[-1]), math.inf, True)]:
-            if cont.lo > cursor + 1e-9:
-                raise ValueError(f"containers leave a gap: [{cursor}, {float(cont.lo)}] is uncovered")
-            cursor = max(cursor, float(cont.hi))
-        n = grid.size
-        assignment = np.full(n, -1, dtype=np.int64)
-        for k, cont in enumerate(ordered):
-            # lower-closed intervals; the top container also claims its upper end
-            mask = (grid >= cont.lo - 1e-9) & (grid < cont.hi - 1e-9)
-            if k == len(ordered) - 1:
-                mask |= np.abs(grid - cont.hi) <= 1e-9
-            overlap = mask & (assignment >= 0)
-            if overlap.any():
-                raise ValueError(f"containers overlap at state {grid[overlap][0]}")
-            assignment[mask] = k
-        for k, cont in enumerate(ordered):
-            count = int((assignment == k).sum())
-            if count < 2:
-                raise ValueError(f"container [{cont.lo}, {cont.hi}) covers {count} lattice point(s); need at least 2")
+        lo = np.array([c.lo for c in ordered] + [grid[-1]], dtype=float)
+        hi = np.array([c.hi for c in ordered] + [math.inf], dtype=float)
+        cursor = np.fmax.accumulate(np.append(grid[0], hi[:-1]))  # fmax passes over a NaN bound
+        gap = np.flatnonzero(lo > cursor + 1e-9)
+        if gap.size:
+            raise ValueError(f"containers leave a gap: [{float(cursor[gap[0]])}, {float(lo[gap[0]])}] is uncovered")
+        # member[k, i]: container k holds state i; lower-closed, and the top container also claims its upper end
+        member = (grid >= lo[:-1, None] - 1e-9) & (grid < hi[:-1, None] - 1e-9)
+        member[-1] |= np.abs(grid - hi[-2]) <= 1e-9
+        assignment = np.where(member.any(axis=0), member.argmax(axis=0), -1)  # the first container holding each state
+        overlap = member & (np.arange(len(ordered))[:, None] > assignment)
+        if overlap.any():
+            k = overlap.any(axis=1).argmax()
+            raise ValueError(f"containers overlap at state {grid[overlap[k]][0]}")
+        counts = member.sum(axis=1)
+        if (counts < 2).any():
+            k = (counts < 2).argmax()
+            raise ValueError(f"container [{ordered[k].lo}, {ordered[k].hi}) covers {counts[k]} lattice point(s); need at least 2")
 
-        reps = []
-        fixed = []
+        reps = np.full(len(ordered), math.nan)
         for k, cont in enumerate(ordered):
             if cont.transparent:
-                fixed.append(cont)
-                reps.append(None)
                 continue
-            members = grid[assignment == k]
+            members = grid[member[k]]
             if cont.rep is None:
                 # midpoint suggestion, snapped to the lattice and kept strictly inside
                 mid = 0.5 * (cont.lo + cont.hi)
@@ -98,31 +93,20 @@ class ContainerPartition:
             if not (cont.lo < rep < cont.hi):
                 raise ValueError(f"representative {rep} is not strictly inside [{cont.lo}, {cont.hi})")
             i = _lattice_index(grid, rep, self.step)
-            if i < 0 or assignment[i] != k:
+            if i < 0 or not member[k, i]:
                 raise ValueError(f"representative {rep} is not a lattice state of its container")
-            reps.append(rep)
-            fixed.append(Container(cont.lo, cont.hi, False, rep))
+            reps[k] = rep
+            ordered[k] = Container(cont.lo, cont.hi, False, rep)
 
-        # observation ids: transparent states each get their own, containers share one
-        state_obs = np.full(n, -1, dtype=np.int64)
-        obs_values = []
-        cont_obs = {}
-        for i in range(n):
-            k = int(assignment[i])
-            if fixed[k].transparent:
-                state_obs[i] = len(obs_values)
-                obs_values.append(float(grid[i]))
-            else:
-                if k not in cont_obs:
-                    cont_obs[k] = len(obs_values)
-                    obs_values.append(reps[k])
-                state_obs[i] = cont_obs[k]
-
-        self.containers = fixed
+        # observation ids, by state: a transparent state opens its own, a container's first state the container's
+        opaque = ~np.array([c.transparent for c in ordered])[assignment]
+        opens = ~opaque
+        opens[member.argmax(axis=1)] = True
+        self.containers = ordered
         self.grid = grid
         self.state_container = assignment
-        self.state_obs = state_obs
-        self.obs_values = np.asarray(obs_values)
+        self.state_obs = np.cumsum(opens) - 1
+        self.obs_values = np.where(opaque, reps[assignment], grid)[opens]
 
     @property
     def n_obs(self) -> int:
@@ -214,20 +198,17 @@ def _belief_keys(states: np.ndarray, mass: np.ndarray, bounds: np.ndarray) -> li
 
 
 @dataclass
-class BeliefNode:
-    value: float
-    optimal: np.ndarray  # (n_a,) bool mask of the optimal actions; all False at depth 0
-    children: np.ndarray  # (k, 3) int rows (action index, obs id, child node id), in (action, obs) order
-
-
-@dataclass
 class BeliefSolution:
+    """A solved belief tree as arrays over node ids, numbered in the order nodes finish, so children come first."""
+
     value: float
     root_actions: np.ndarray
     horizon: int
     root: int  # node id of the prior at the full horizon
-    nodes: list  # BeliefNode by node id; a node's children come before it
     node_count: int
+    values: np.ndarray  # (node_count,) optimal value of each node
+    optimal: np.ndarray  # (node_count, n_a) bool mask of each node's optimal actions; all False at depth 0
+    children: np.ndarray  # (k, 4) int rows (node, action index, obs id, child), sorted in that order
 
 
 def belief_value_iteration(
@@ -248,22 +229,23 @@ def belief_value_iteration(
     law from one ``bincount`` over (action, state, atom), and every
     observation marginal and posterior from the nonzero entries of those
     laws.  Children are then visited by action and observation, ascending.
-    Nodes are stored under integer ids in the order they are finished; a
-    memo maps each merge key and remaining horizon to its id.  Raises
-    ``TREE_TOO_LARGE`` past ``max_nodes``.
+    Nodes get integer ids in the order they are finished; a memo maps each
+    merge key and remaining horizon to its id.  Raises ``TREE_TOO_LARGE``
+    past ``max_nodes``.
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
     p0 = validate_belief(np.asarray(p0, dtype=float))
-    nodes: list[BeliefNode] = []
+    values: list[float] = []
+    masks: list[np.ndarray] = []
+    rows = [np.empty((0, 4), dtype=np.int64)]  # children of each finished node, in id order
     memo: dict = {}  # (key, remaining) -> node id
 
     def solve(z: np.ndarray, key: bytes, remaining: int) -> int:
-        if len(nodes) >= max_nodes:
+        if len(values) >= max_nodes:
             raise InvLabError("TREE_TOO_LARGE", f"belief tree exceeded {max_nodes} nodes")
-        children = np.empty((0, 3), dtype=np.int64)
         if remaining == 0:
-            node = BeliefNode(0.0, np.zeros(mdp.n_actions, dtype=bool), children)
+            vmin, mask = 0.0, np.zeros(mdp.n_actions, dtype=bool)
         else:
             q = comdp_cost(mdp, z)
             feasible = np.flatnonzero(q < math.inf)
@@ -278,57 +260,21 @@ def belief_value_iteration(
                         zg[states[bounds[g]:bounds[g + 1]]] = mass[bounds[g]:bounds[g + 1]]
                         child = solve(zg, ckey, remaining - 1)
                     ids.append(child)
-                    cont[k] += m * nodes[child].value
+                    cont[k] += m * values[child]
                 q[feasible] += alpha * np.array(cont)
-                children = np.column_stack((feasible[act], obs, ids))
+                # every child is finished, so this node takes the next id
+                rows.append(np.column_stack((np.full(len(ids), len(values)), feasible[act], obs, ids)))
             vmin = float(q.min())
-            node = BeliefNode(vmin, _optimal_mask(q, vmin), children)
-        memo[(key, remaining)] = len(nodes)
-        nodes.append(node)
-        return len(nodes) - 1
+            mask = _optimal_mask(q, vmin)
+        memo[(key, remaining)] = len(values)
+        values.append(vmin)
+        masks.append(mask)
+        return len(values) - 1
 
     n = mdp.n_states
     root = solve(p0, _belief_keys(np.arange(n), p0, np.array([0, n]))[0], N)
-    return BeliefSolution(nodes[root].value, mdp.actions[nodes[root].optimal], N, root, nodes, len(nodes))
-
-
-class TreePolicy:
-    """Replay the optimal actions of a solved belief tree along observations.
-
-    Cursors are node ids, actions are indices and observations are ids, as
-    the tree stores them; ``action`` and ``advance`` take one cursor or an
-    array of them.  The replayed action of each node is its smallest optimal
-    one, and the children of the replayed actions are kept as a sorted table
-    of ``node * n_obs + obs`` keys, so its size is the number of those
-    children whatever the number of observations.
-    """
-
-    def __init__(self, solution: BeliefSolution, part: ContainerPartition):
-        self.solution = solution
-        self.part = part
-        nodes = solution.nodes
-        self._actions = np.stack([node.optimal for node in nodes]).argmax(axis=1)
-        owner = np.repeat(np.arange(len(nodes)), [len(node.children) for node in nodes])
-        act, obs, child = np.concatenate([node.children for node in nodes]).T
-        replayed = act == self._actions[owner]
-        # a sentinel past every key keeps each lookup inside the table
-        self._keys = np.append(owner[replayed] * part.n_obs + obs[replayed], len(nodes) * part.n_obs)
-        self._children = np.append(child[replayed], -1)
-
-    def start(self):
-        return self.solution.root
-
-    def action(self, cursor):
-        return self._actions[cursor]
-
-    def advance(self, cursor, obs_id):
-        key = cursor * self.part.n_obs + obs_id
-        pos = np.searchsorted(self._keys, key)
-        missing = np.atleast_1d(self._keys[pos] != key)
-        if missing.any():
-            y = self.part.obs_values[np.atleast_1d(obs_id)[missing][0]]
-            raise InvLabError("IMPOSSIBLE_OBSERVATION", f"observation {y} was unreachable in the solved tree")
-        return self._children[pos]
+    optimal = np.array(masks)
+    return BeliefSolution(values[root], mdp.actions[optimal[root]], N, root, len(values), np.array(values), optimal, np.concatenate(rows))
 
 
 @dataclass
@@ -400,7 +346,7 @@ def _successor_cdf(mdp: GridMDP) -> tuple[np.ndarray, np.ndarray]:
 def pomdp_simulate(
     mdp: GridMDP,
     part: ContainerPartition,
-    policy: TreePolicy,
+    solution: BeliefSolution,
     p0: np.ndarray,
     horizon: int,
     reps: int,
@@ -410,15 +356,24 @@ def pomdp_simulate(
     """Monte Carlo rollout of a solved tree's policy on the hidden chain, every replication in lockstep.
 
     The hidden state starts from the prior, moves by the transition rows,
-    and emits container observations; the policy sees only those, one
-    cursor per replication, all moved at once.  Each replication consumes
-    its own counter-based stream keyed by ``(seed, replication)``, so
-    results are reproducible and order independent.  A draw ``u`` picks the
-    first state of the support whose cumulative mass reaches ``u`` times the
-    total, on the prior's nonzero states and then on the distinct successors
-    of the current level, both in state order.
+    and emits container observations; the policy sees only those, through
+    one tree node per replication, all moved at once.  A node takes its
+    smallest optimal action, and the node, that action and the observation
+    id find the child by a ``searchsorted`` over the sorted keys
+    ``(node * n_a + action) * n_obs + obs`` of the tree's children.  Each
+    replication consumes its own counter-based stream keyed by
+    ``(seed, replication)``, so results are reproducible and order
+    independent.  A draw ``u`` picks the first state of the support whose
+    cumulative mass reaches ``u`` times the total, on the prior's nonzero
+    states and then on the distinct successors of the current level, both
+    in state order.
     """
     p0 = validate_belief(np.asarray(p0, dtype=float))
+    actions = solution.optimal.argmax(axis=1)
+    node, act, obs, child = solution.children.T
+    n_a, n_obs = mdp.n_actions, part.n_obs
+    # n * n_a <= MAX_PAIRS keeps every key below node_count * 2**22; a sentinel past them keeps each lookup inside
+    keys = np.append((node * n_a + act) * n_obs + obs, solution.node_count * n_a * n_obs)
     succ, cdf = _successor_cdf(mdp)
     draws = replication_uniforms(seed, reps, horizon + 1)
     support = np.flatnonzero(p0 > 0)
@@ -426,13 +381,20 @@ def pomdp_simulate(
     x = support[np.searchsorted(prior_cdf, draws[:, 0] * prior_cdf[-1])]
     total = np.zeros(reps)
     disc = 1.0
-    cursor = np.full(reps, policy.start())
+    cursor = np.full(reps, solution.root)
     for t in range(horizon):
-        j = policy.action(cursor)
+        j = actions[cursor]
         total += disc * mdp.cost[x, j]
         level = mdp._y_of[x, j]
         x = succ[level, (cdf[level] < (draws[:, t + 1] * cdf[level, -1])[:, None]).sum(axis=1)]
         if t < horizon - 1:
-            cursor = policy.advance(cursor, part.state_obs[x])
+            seen = part.state_obs[x]
+            key = (cursor * n_a + j) * n_obs + seen
+            pos = np.searchsorted(keys, key)
+            missing = keys[pos] != key
+            if missing.any():
+                y = part.obs_values[seen[missing][0]]
+                raise InvLabError("IMPOSSIBLE_OBSERVATION", f"observation {y} was unreachable in the solved tree")
+            cursor = child[pos]
         disc *= alpha
     return summarize_samples(total)

@@ -7,7 +7,9 @@ a threshold sequence, the long-run average of a stationary policy, and the
 transition law and Bayes filter of the belief MDP, one belief at a time.
 ``successors`` and ``dense_rows`` build the transition law from the dynamics
 alone and read no table of a ``GridMDP``, so they check its level table too;
-``cost_table`` tabulates a per-pair cost for ``build_mdp``.
+``cost_table`` tabulates a per-pair cost for ``build_mdp``;
+``partition_labels`` labels the states of a container partition one at a
+time, and ``tree_walk`` replays a solved belief tree by dict lookups.
 Test modules import them with ``from oracles import ...``.
 """
 
@@ -205,6 +207,52 @@ def cost_table(fn, lo: float, hi: float, a_max: float, step: float = 1.0) -> np.
     grid = lo + step * np.arange(round((hi - lo) / step) + 1)
     actions = step * np.arange(round(a_max / step) + 1)
     return np.array([[fn(float(x), float(a)) for a in actions] for x in grid], dtype=float)
+
+
+def partition_labels(part: ContainerPartition) -> tuple[list[int], list[int], list[float]]:
+    """Container, observation id and observation value of each state, one state at a time.
+
+    A state belongs to the one container whose lower-closed interval holds
+    it (the top container also holds its upper end); ids are handed out in
+    state order, one per transparent state and one per nontransparent
+    container at its first state.
+    """
+    top = len(part.containers) - 1
+    labels, ids, values, first = [], [], [], {}
+    for x in part.grid.tolist():
+        held = [k for k, c in enumerate(part.containers) if c.lo - 1e-9 <= x < c.hi - 1e-9 or (k == top and abs(x - c.hi) <= 1e-9)]
+        if len(held) != 1:
+            raise ValueError(f"state {x} lies in {len(held)} containers")
+        k = held[0]
+        labels.append(k)
+        if part.containers[k].transparent:
+            ids.append(len(values))
+            values.append(x)
+            continue
+        if k not in first:
+            first[k] = len(values)
+            values.append(part.containers[k].rep)
+        ids.append(first[k])
+    return labels, ids, values
+
+
+def tree_walk(solution):
+    """``(action, advance)`` replaying a solved belief tree: ``action(node)`` and ``advance(node, obs id)``.
+
+    A node plays its smallest optimal action index, and ``advance`` reads the
+    child of that action and the observation from a dict built once over the
+    rows of ``solution.children``, so it shares no lookup with
+    ``pomdp_simulate``.  An unreached observation raises ``KeyError``.
+    """
+    child = {(node, j, o): c for node, j, o, c in solution.children.tolist()}
+
+    def action(node):
+        return int(np.flatnonzero(solution.optimal[node])[0])
+
+    def advance(node, obs_id):
+        return child[int(node), action(node), int(obs_id)]
+
+    return action, advance
 
 
 def observe_psi(part: ContainerPartition, x: float) -> float:

@@ -37,8 +37,8 @@ from invlab.policy_structure import (
     predict_finite_horizon,
     verify_structure,
 )
-from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import bayes_filter, dense_rows, f_t_alpha, is_K_convex, long_run_average, observation_marginal, successors, threshold_limits
+from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
+from oracles import bayes_filter, dense_rows, f_t_alpha, is_K_convex, long_run_average, observation_marginal, successors, threshold_limits, tree_walk
 
 EPS = 1e-6
 DEFAULT_LADDER = [0.9, 0.95, 0.99, 0.995, 0.999]
@@ -336,28 +336,28 @@ def test_criterion_7_pomdp_reduction_sanity():
         N = 4
         prior = make_belief([(-1.0, 0.35), (2.0, 0.65)], mdp.grid)
         sol = belief_value_iteration(mdp, part, prior, N, alpha)
-        policy = TreePolicy(sol, part)
+        action, advance = tree_walk(sol)
         offsets = demand.offsets()
         succ = successors(mdp.grid, mdp.actions, demand, mdp.dynamics)
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(range(len(offsets)), repeat=N):
                 prob = float(prior[i0])
-                cursor = policy.start()
+                cursor = sol.root
                 x = int(i0)
                 path_cost = 0.0
                 for t, k in enumerate(path):
-                    j = policy.action(cursor)
+                    j = action(cursor)
                     path_cost += alpha**t * mdp.cost[x, j]
                     x = int(succ[x, j, k])
                     prob *= float(demand.probs[k])
                     if t < N - 1:
-                        cursor = policy.advance(cursor, part.state_obs[x])
+                        cursor = advance(cursor, part.state_obs[x])
                 total += prob * path_cost
         assert abs(sol.value - total) <= 1e-9
 
         # (d) ten-thousand-replication confidence interval covers the tree value
-        res = pomdp_simulate(mdp, part, policy, prior, N, 10_000, seed=4242, alpha=alpha)
+        res = pomdp_simulate(mdp, part, sol, prior, N, 10_000, seed=4242, alpha=alpha)
         assert res.ci_low <= sol.value <= res.ci_high
 
 

@@ -220,10 +220,11 @@ class TestRunCommands:
             (0.1, np.float64(2.5), np.float32(0.1), -0.0),
             (float("inf"), -np.inf, float("nan"), np.nan),
             (np.int64(7), 3, True, "a;b"),
+            (np.True_, np.False_, False, np.bool_(True)),
         ]
         cli_sim.write_csv(tmp_path / "t.csv", ["w", "x", "y", "z"], list(zip(*rows)))
         assert (tmp_path / "t.csv").read_bytes() == (
-            b"w,x,y,z\n0.1,2.5,0.10000000149011612,-0.0\ninf,-inf,nan,nan\n7,3,1,a;b\n"
+            b"w,x,y,z\n0.1,2.5,0.10000000149011612,-0.0\ninf,-inf,nan,nan\n7,3,1,a;b\n1,0,0,1\n"
         )
 
     def test_column_arrays_render_as_cells(self, tmp_path, monkeypatch):
@@ -379,11 +380,22 @@ NUMBER_LOOKALIKES = [
 ]
 
 
+class Missing:
+    def __repr__(self):
+        return "MISSING"
+
+
+MISSING = Missing()  # the value set_field reads as "delete the key"
+
+
 def set_field(cfg, path, value):
     section = cfg
     for key in path[:-1]:
         section = section[key]
-    section[path[-1]] = value
+    if value is MISSING:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
 
 
 class TestNumericFields:
@@ -447,6 +459,12 @@ BOUNDARY_FIELDS = [
     (("sim", "x0"), 0.5, "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0"),
     (("sim", "x0"), 100.0, "sim: x0 100.0 is not on the grid [-12.0, 8.0] at step 1.0"),
     (("cost", "holding", "slopes"), -3.0, "cost: holding.slopes must be a list of numbers, got -3.0"),
+    (("cost", "K"), MISSING, "cost: K missing"),
+    (("cost", "c_unit"), MISSING, "cost: c_unit missing"),
+    (("cost", "holding"), MISSING, "cost: holding missing"),
+    (("cost", "holding"), 5, "cost: holding must be a JSON object, got 5"),
+    (("cost", "holding", "breakpoints"), MISSING, "cost: holding.breakpoints missing"),
+    (("cost", "holding", "slopes"), MISSING, "cost: holding.slopes missing"),
     (("dynamics",), "custom", "dynamics: unknown kind 'custom'"),
 ]
 
@@ -481,6 +499,21 @@ class TestConfigBoundary:
             "solver: ladder[1] must be a number, got 'x'",
             "sim: horizon must be nonnegative, got -3",
             "sim: x0 0.5 is not on the grid [-12.0, 8.0] at step 1.0",
+        ])
+
+    def test_every_missing_key_and_bad_pair_listed_at_once(self, tmp_path):
+        cfg = base_config()
+        cfg["cost"] = {"holding": {"slopes": [-3.0, 1.0]}}
+        cfg["demand"]["atoms"][1] = 5
+        cfg["demand"]["atoms"][2] = {"v": 2, "p": 0.3}
+        with pytest.raises(ValidationErrors) as err:
+            load_config(write_config(tmp_path, cfg))
+        assert sorted(err.value.errors) == sorted([
+            "cost: K missing",
+            "cost: c_unit missing",
+            "cost: holding.breakpoints missing",
+            "demand: atoms[1] must be a [value, prob] pair, got 5",
+            "demand: atoms[2] must be a [value, prob] pair, got {'v': 2, 'p': 0.3}",
         ])
 
     def test_valid_fields_are_converted(self, tmp_path):
@@ -595,7 +628,8 @@ class TestReplicationBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * reps * N / 4  # a quarter of the whole float64 draws plus int64 shocks
+        # one block of about 4 MiB of draws and its shock counts; all the draws at once would take 32 MB
+        assert peak < 8 * 2**20
 
 
 SHAPE_FIELDS = [
@@ -616,6 +650,10 @@ SHAPE_FIELDS = [
     (("pomdp", "containers", 0, "transparent"), "no", "pomdp: containers[0].transparent must be true or false, got 'no'"),
     (("pomdp", "prior"), 1.0, "pomdp: needs a prior"),
     (("pomdp", "prior", 0), [0.0], "pomdp: prior[0] must be a [state, prob] pair, got [0.0]"),
+    (("demand", "atoms", 1), 5, "demand: atoms[1] must be a [value, prob] pair, got 5"),
+    (("demand", "atoms", 1), {"v": 1, "p": 0.4}, "demand: atoms[1] must be a [value, prob] pair, got {'v': 1, 'p': 0.4}"),
+    (("demand", "atoms"), "ab", "demand: atoms must be a list of [value, prob] pairs, got 'ab'"),
+    (("demand",), {"step": 1.0, "cdf": [[0.0, 0.5], 7]}, "demand: cdf[1] must be a [value, prob] pair, got 7"),
 ]
 
 BOUND_AND_ATOM_FIELDS = [

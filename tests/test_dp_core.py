@@ -24,7 +24,7 @@ from invlab.dp_core import (
     policy_values,
 )
 from invlab.errors import InvLabError
-from invlab.pomdp import Container, ContainerPartition, TreePolicy, belief_value_iteration, make_belief, pomdp_simulate
+from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
 from oracles import cost_table, dense_rows
 
 UNIT = from_atoms([(1, 1.0)], step=1)
@@ -126,7 +126,7 @@ class TestBuildMdp:
         part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
         prior = make_belief([(0.0, 1.0)], m.grid)
         tree = belief_value_iteration(m, part, prior, 3, alpha)
-        pomdp_simulate(m, part, TreePolicy(tree, part), prior, 3, 20, 1, alpha)
+        pomdp_simulate(m, part, tree, prior, 3, 20, 1, alpha)
         assert "P" not in m.__dict__
         assert m.P.shape == (m.n_states, m.n_actions, m.n_states)
 

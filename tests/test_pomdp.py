@@ -1,9 +1,11 @@
 """Container observations, Bayes filtering, and belief-tree value iteration."""
 
+import dataclasses
 import importlib
 import itertools
 import math
 import pkgutil
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,6 @@ from invlab.errors import InvLabError
 from invlab.pomdp import (
     Container,
     ContainerPartition,
-    TreePolicy,
     belief_value_iteration,
     comdp_cost,
     make_belief,
@@ -27,7 +28,7 @@ from invlab.pomdp import (
     summarize_samples,
     validate_belief,
 )
-from oracles import bayes_filter, dense_rows, observation_marginal, observe_psi, successors
+from oracles import bayes_filter, dense_rows, observation_marginal, observe_psi, partition_labels, successors, tree_walk
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 TWO_POINT = from_atoms([(0, 0.5), (2, 0.5)], step=1)
@@ -97,6 +98,25 @@ class TestContainerPartition:
             ContainerPartition(
                 [Container(-4, 0, False, -4.0), Container(0, 4, True)], m.grid, m.step
             )
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, containers",
+        [
+            (-4, 4, 1.0, [(-4, 0, False, None), (0, 4, True, None)]),
+            (-4, 4, 1.0, [(-4, 4, False, None)]),
+            (-4, 4, 1.0, [(-4, 4, True, None)]),
+            (-4, 4, 1.0, [(-1.5, 4, True, None), (-4, -1.5, False, None)]),
+            (-2.5, 2.5, 0.5, [(-2.5, -1, False, None), (-1, 0.5, True, None), (0.5, 2.5, False, 1.5)]),
+            (-12, 8, 1.0, [(0, 4, False, None), (-12, -6, True, None), (-6, 0, False, -3.0), (4, 8, True, None)]),
+        ],
+    )
+    def test_labels_match_the_per_state_rule(self, lo, hi, step, containers):
+        grid = lo + step * np.arange(round((hi - lo) / step) + 1)
+        part = ContainerPartition([Container(*c) for c in containers], grid, step)
+        labels, ids, values = partition_labels(part)
+        assert part.state_container.tolist() == labels
+        assert part.state_obs.tolist() == ids
+        assert part.obs_values.tolist() == values
 
 
 class TestObservePsi:
@@ -304,23 +324,23 @@ class TestBeliefValueIteration:
         alpha, N = 0.9, 3
         prior = make_belief([(-1.0, 0.4), (1.0, 0.6)], m.grid)
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        policy = TreePolicy(sol, part)
+        action, advance = tree_walk(sol)
         atoms = list(zip(TWO_POINT.offsets(), TWO_POINT.probs))
         succ = successors(m.grid, m.actions, TWO_POINT, m.dynamics)
         total = 0.0
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(atoms, repeat=N):
                 prob = prior[i0]
-                cursor = policy.start()
+                cursor = sol.root
                 x = int(i0)
                 cost_sum = 0.0
                 for t, (d_off, d_p) in enumerate(path):
-                    j = policy.action(cursor)
+                    j = action(cursor)
                     cost_sum += alpha**t * m.cost[x, j]
                     x = int(succ[x, j, list(TWO_POINT.offsets()).index(d_off)])
                     prob *= d_p
                     if t < N - 1:
-                        cursor = policy.advance(cursor, part.state_obs[x])
+                        cursor = advance(cursor, part.state_obs[x])
                 total += prob * cost_sum
         assert sol.value == pytest.approx(total, abs=1e-9)
 
@@ -332,7 +352,7 @@ class TestPomdpSimulate:
         prior = make_belief([(2.0, 1.0)], m.grid)
         alpha, N = 0.9, 3
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        res = pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, 50, seed=9, alpha=alpha)
+        res = pomdp_simulate(m, part, sol, prior, N, 50, seed=9, alpha=alpha)
         assert np.allclose(res.samples, sol.value, atol=1e-9)
 
     def test_same_seed_identical_samples(self):
@@ -340,9 +360,19 @@ class TestPomdpSimulate:
         part = split_partition(m)
         prior = make_belief([(0.0, 1.0)], m.grid)
         sol = belief_value_iteration(m, part, prior, 3, 0.9)
-        a = pomdp_simulate(m, part, TreePolicy(sol, part), prior, 3, 40, seed=5, alpha=0.9)
-        b = pomdp_simulate(m, part, TreePolicy(sol, part), prior, 3, 40, seed=5, alpha=0.9)
+        a = pomdp_simulate(m, part, sol, prior, 3, 40, seed=5, alpha=0.9)
+        b = pomdp_simulate(m, part, sol, prior, 3, 40, seed=5, alpha=0.9)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_replays_the_smallest_optimal_action(self):
+        m = small_mdp(demand=MIXED)
+        part = split_partition(m)
+        prior = make_belief([(-1.0, 1.0)], m.grid)
+        sol = belief_value_iteration(m, part, prior, 1, 0.9)
+        optimal = np.zeros_like(sol.optimal)
+        optimal[sol.root, [4, 2]] = True  # a tie between actions 2 and 4
+        res = pomdp_simulate(m, part, dataclasses.replace(sol, optimal=optimal), prior, 1, 5, seed=1, alpha=0.9)
+        assert np.all(res.samples == m.cost[m.state_index(-1.0), 2])
 
     def test_ci_covers_tree_value(self):
         m = small_mdp(demand=MIXED)
@@ -350,7 +380,7 @@ class TestPomdpSimulate:
         prior = make_belief([(-1.0, 0.5), (2.0, 0.5)], m.grid)
         alpha, N = 0.9, 3
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        res = pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, 4000, seed=123, alpha=alpha)
+        res = pomdp_simulate(m, part, sol, prior, N, 4000, seed=123, alpha=alpha)
         assert res.ci_low <= sol.value <= res.ci_high
 
 
@@ -370,24 +400,24 @@ class TestHalfStepLattice:
             cost = m.cost[z > 0, j]
             assert comdp_cost(m, z)[j] == (pytest.approx(z[z > 0] @ cost, rel=1e-12) if np.all(np.isfinite(cost)) else np.inf)
         sol = belief_value_iteration(m, part, prior, N, alpha)
-        policy = TreePolicy(sol, part)
+        action, advance = tree_walk(sol)
         succ = successors(m.grid, m.actions, HALF_STEP, m.dynamics)
         total, taken = 0.0, set()
         for i0 in np.nonzero(prior > 0)[0]:
             for path in itertools.product(range(HALF_STEP.probs.size), repeat=N):
-                prob, cursor, x, cost_sum = prior[i0], policy.start(), int(i0), 0.0
+                prob, cursor, x, cost_sum = prior[i0], sol.root, int(i0), 0.0
                 for t, k in enumerate(path):
-                    j = policy.action(cursor)
+                    j = action(cursor)
                     taken.add(j)
                     cost_sum += alpha**t * m.cost[x, j]
                     x = int(succ[x, j, k])
                     prob *= HALF_STEP.probs[k]
                     if t < N - 1:
-                        cursor = policy.advance(cursor, part.state_obs[x])
+                        cursor = advance(cursor, part.state_obs[x])
                 total += prob * cost_sum
         assert max(taken) > 0  # some path orders, where index and value differ
         assert sol.value == pytest.approx(total, abs=1e-9)
-        res = pomdp_simulate(m, part, policy, prior, N, 4000, seed=11, alpha=alpha)
+        res = pomdp_simulate(m, part, sol, prior, N, 4000, seed=11, alpha=alpha)
         assert res.ci_low <= sol.value <= res.ci_high
 
 
@@ -417,7 +447,7 @@ def test_no_lattice_lookup_per_node_or_step(monkeypatch):
         for reps in (10, 1000):
             calls.clear()
             sol = belief_value_iteration(m, part, prior, N, 0.9)
-            pomdp_simulate(m, part, TreePolicy(sol, part), prior, N, reps, seed=3, alpha=0.9)
+            pomdp_simulate(m, part, sol, prior, N, reps, seed=3, alpha=0.9)
             counts[N, reps] = len(calls)
     assert len(set(counts.values())) == 1, counts
 
@@ -505,8 +535,10 @@ def reference_tree(m, demand, part, p0, N, alpha):
     return solve(p0, N)[0], nodes
 
 
-def reference_rollout(m, demand, part, policy, p0, horizon, reps, seed, alpha):
-    """Rollouts of a ``TreePolicy`` one replication at a time, each step drawn from the state's row of ``oracles.dense_rows``."""
+def reference_rollout(m, demand, part, sol, p0, horizon, reps, seed, alpha):
+    """Rollouts of a solved tree one replication at a time, replayed by ``oracles.tree_walk``,
+    each step drawn from the state's row of ``oracles.dense_rows``."""
+    action, advance = tree_walk(sol)
     rows = dense_rows(m.grid, m.actions, demand, m.dynamics)
     samples = np.empty(reps)
     draws = replication_uniforms(seed, reps, horizon + 1)
@@ -514,14 +546,14 @@ def reference_rollout(m, demand, part, policy, p0, horizon, reps, seed, alpha):
         u = draws[rep]
         x = min(int(np.searchsorted(np.cumsum(p0), u[0] * p0.sum())), m.n_states - 1)
         total, disc = 0.0, 1.0
-        cursor = policy.start()
+        cursor = sol.root
         for t in range(horizon):
-            j = policy.action(cursor)
+            j = action(cursor)
             total += disc * float(m.cost[x, j])
             row_cum = np.cumsum(rows[x, j])
             x = min(int(np.searchsorted(row_cum, u[t + 1] * row_cum[-1])), m.n_states - 1)
             if t < horizon - 1:
-                cursor = policy.advance(cursor, part.state_obs[x])
+                cursor = advance(cursor, part.state_obs[x])
             disc *= alpha
         samples[rep] = total
     return summarize_samples(samples)
@@ -529,17 +561,20 @@ def reference_rollout(m, demand, part, policy, p0, horizon, reps, seed, alpha):
 
 def assert_same_tree(sol, root_entry, ref_nodes):
     """Walk both trees from the root: same node count, and per node the same value bits, mask and children."""
-    assert sol.node_count == len(sol.nodes) == len(ref_nodes)
+    assert sol.node_count == len(sol.values) == len(sol.optimal) == len(ref_nodes)
+    assert np.all(np.diff(sol.children[:, 0]) >= 0)  # rows grouped by node, in id order
+    kids = {}  # node id -> {(action, observation): child}, built once
+    for node_id, j, o, c in sol.children.tolist():
+        kids.setdefault(node_id, {})[j, o] = c
     pairs, stack = {}, [(sol.root, root_entry)]
     while stack:
         node_id, entry = stack.pop()
         if pairs.setdefault(node_id, entry) != entry:
             raise AssertionError(f"node {node_id} stands for two reference nodes")
-        node = sol.nodes[node_id]
         value, optimal, children = ref_nodes[entry]
-        assert np.float64(node.value).tobytes() == np.float64(value).tobytes()
-        assert np.array_equal(node.optimal, optimal)
-        got = {(int(j), int(o)): int(c) for j, o, c in node.children}
+        assert np.float64(sol.values[node_id]).tobytes() == np.float64(value).tobytes()
+        assert np.array_equal(sol.optimal[node_id], optimal)
+        got = kids.get(node_id, {})
         assert list(got) == list(children)  # (action, observation) order too
         stack.extend((got[k], children[k]) for k in children)
     assert len(pairs) == len(set(pairs.values())) == sol.node_count
@@ -577,9 +612,8 @@ class TestAgainstReference:
         alpha, N = 0.9, 4
         sol = belief_value_iteration(m, part, prior, N, alpha)
         assert_same_tree(sol, *reference_tree(m, demand, part, prior, N, alpha))
-        policy = TreePolicy(sol, part)
-        got = pomdp_simulate(m, part, policy, prior, N, 300, seed=17, alpha=alpha)
-        assert np.array_equal(got.samples, reference_rollout(m, demand, part, policy, prior, N, 300, 17, alpha).samples)
+        got = pomdp_simulate(m, part, sol, prior, N, 300, seed=17, alpha=alpha)
+        assert np.array_equal(got.samples, reference_rollout(m, demand, part, sol, prior, N, 300, 17, alpha).samples)
 
     def test_corrupted_level_table_fails_the_check(self):
         m = readme_mdp()
@@ -599,16 +633,32 @@ class TestZeroDraw:
         part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
         monkeypatch.setattr(pomdp, "replication_uniforms", lambda seed, reps, n: np.zeros((reps, n)))
         zero = m.state_index(0.0)
-        one = TreePolicy(belief_value_iteration(m, part, prior, 1, 0.9), part)
+        one = belief_value_iteration(m, part, prior, 1, 0.9)
         res = pomdp_simulate(m, part, one, prior, 1, 3, seed=1, alpha=0.9)
-        assert np.all(res.samples == m.cost[zero, one.action(one.start())])
+        assert np.all(res.samples == m.cost[zero, tree_walk(one)[0](one.root)])
         # the second step starts from the lowest successor, after the largest demand (2)
-        two = TreePolicy(belief_value_iteration(m, part, prior, 2, 0.9), part)
-        j0 = two.action(two.start())
+        two = belief_value_iteration(m, part, prior, 2, 0.9)
+        action, advance = tree_walk(two)
+        j0 = action(two.root)
         x1 = m.state_index(float(m.actions[j0]) - 2.0)
-        j1 = two.action(two.advance(two.start(), part.state_obs[x1]))
+        j1 = action(advance(two.root, part.state_obs[x1]))
         res = pomdp_simulate(m, part, two, prior, 2, 3, seed=1, alpha=0.9)
         assert np.all(res.samples == m.cost[zero, j0] + 0.9 * m.cost[x1, j1])
+
+    def test_unreached_observation_raises(self, monkeypatch):
+        # the zero draws force the observation of the lowest successor; its child row is gone
+        m = readme_mdp()
+        part, prior = split_partition(m), make_belief([(0.0, 1.0)], m.grid)
+        monkeypatch.setattr(pomdp, "replication_uniforms", lambda seed, reps, n: np.zeros((reps, n)))
+        sol = belief_value_iteration(m, part, prior, 2, 0.9)
+        j0 = tree_walk(sol)[0](sol.root)
+        seen = part.state_obs[m.state_index(float(m.actions[j0]) - 2.0)]
+        kept = ~np.all(sol.children[:, :3] == [sol.root, j0, seen], axis=1)
+        assert kept.sum() == len(kept) - 1
+        pruned = dataclasses.replace(sol, children=sol.children[kept])
+        with pytest.raises(InvLabError, match=re.escape(f"observation {part.obs_values[seen]} was unreachable")) as err:
+            pomdp_simulate(m, part, pruned, prior, 2, 3, seed=1, alpha=0.9)
+        assert err.value.code == "IMPOSSIBLE_OBSERVATION"
 
 
 class TestWideLattice:
@@ -621,10 +671,9 @@ class TestWideLattice:
         try:
             sol = belief_value_iteration(m, part, prior, 3, 0.9)
             tree_peak = tracemalloc.get_traced_memory()[1]
-            policy = TreePolicy(sol, part)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            res = pomdp_simulate(m, part, policy, prior, 3, 10_000, seed=3, alpha=0.9)
+            res = pomdp_simulate(m, part, sol, prior, 3, 10_000, seed=3, alpha=0.9)
             rollout_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
