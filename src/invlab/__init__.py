@@ -18,7 +18,7 @@ from .costs import (
     expected_holding,
     regime_constants,
 )
-from .demand import DemandDistribution, convolve, convolve_power, from_atoms, quantize
+from .demand import DemandDistribution, from_atoms, quantize
 from .dp_core import (
     Dynamics,
     GridMDP,

@@ -1,12 +1,12 @@
 """Vanishing-discount machinery for long-run average cost.
 
-A ladder of discounted solves with discount factors increasing toward one
-yields, per rung: the minimum value ``m_alpha``, the nonnegative relative
-values ``u_alpha = v_alpha - m_alpha``, the minimizer set ``X_alpha``, and
-the normalized rate ``(1 - alpha) m_alpha``.  The relative-value surrogate
-takes a pointwise minimum over the ladder tail (a computable stand-in for
-the limit inferior), and the optimality-inequality checker certifies a
-stationary policy against it: a nonnegative slack at every state bounds the
+A ladder of discounted solves, with discount factors increasing toward one,
+is one table of values ``v_alpha``, a row per rung.  Everything else is read
+off it: the minima ``m_alpha``, the relative values ``u_alpha = v_alpha -
+m_alpha``, the minimizer sets ``X_alpha`` and the rates ``(1 - alpha)
+m_alpha``.  The relative-value surrogate is a pointwise minimum over the
+ladder tail (a computable stand-in for the limit inferior); a nonnegative
+optimality-inequality slack against it at every state bounds a stationary
 policy's average cost by the rate ``w`` used in the check.
 """
 
@@ -21,30 +21,33 @@ from .dp_core import TIE_TOL, GridMDP, _backup, _optimal_mask, infinite_horizon_
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
 SLACK_TOL = 1e-6  # margin of the relative-value growth and bound tests
-
-
-@dataclass
-class LadderEntry:
-    alpha: float
-    values: np.ndarray
-    m_alpha: float
-    u_alpha: np.ndarray
-    x_alpha: np.ndarray  # states attaining the minimum value
-    iterations: int
-
-    @property
-    def rate(self) -> float:
-        """(1 - alpha) * m_alpha, the normalized cost rate of this rung."""
-        return (1.0 - self.alpha) * self.m_alpha
+TAIL_RUNGS = 3  # the surrogate's tail: the last rungs, or all of them on a shorter ladder
 
 
 @dataclass
 class DiscountLadder:
-    entries: list[LadderEntry]
+    alphas: np.ndarray  # (k,) discount factors, increasing
+    values: np.ndarray  # (k, n) discounted values, one row per rung
     grid: np.ndarray
 
+    @property
+    def m(self) -> np.ndarray:
+        """(k,) minimum value of each rung."""
+        return self.values.min(axis=1)
+
+    @property
+    def u(self) -> np.ndarray:
+        """(k, n) relative values ``v_alpha - m_alpha``."""
+        return self.values - self.m[:, None]
+
+    @property
+    def minimizers(self) -> np.ndarray:
+        """(k, n) mask of the states within ``TIE_TOL`` of their rung's minimum."""
+        return self.values <= self.m[:, None] + TIE_TOL
+
     def rates(self) -> np.ndarray:
-        return np.array([e.rate for e in self.entries])
+        """(k,) normalized cost rates ``(1 - alpha) m_alpha``."""
+        return (1.0 - self.alphas) * self.m
 
 
 @dataclass
@@ -65,33 +68,20 @@ def check_ladder(alphas) -> tuple[float, ...]:
 
 
 def solve_ladder(mdp: GridMDP, alphas, eps: float) -> DiscountLadder:
-    """Run the discounted solver along an increasing ladder of discount factors."""
+    """Run the discounted solver along an increasing ladder of discount factors, one rung after another."""
     alphas = check_ladder(alphas)
-    entries = []
-    for alpha in alphas:
-        sol = infinite_horizon_vi(mdp, alpha, eps)
-        m = float(sol.values.min())
-        u = sol.values - m
-        x_set = mdp.grid[sol.values <= m + TIE_TOL]
-        entries.append(LadderEntry(alpha, sol.values, m, u, x_set, sol.iterations))
-    return DiscountLadder(entries, mdp.grid.copy())
+    values = np.stack([infinite_horizon_vi(mdp, alpha, eps).values for alpha in alphas])
+    return DiscountLadder(np.array(alphas), values, mdp.grid.copy())
 
 
-def relative_value(ladder: DiscountLadder, k_tail: int = 3) -> RelativeValue:
-    """Pointwise minimum of the relative values over the ladder tail.
+def relative_value(ladder: DiscountLadder) -> RelativeValue:
+    """Pointwise minimum of the relative values over the last ``TAIL_RUNGS`` rungs.
 
-    Conservative by construction: the surrogate never exceeds any tail
-    entry, mirroring how the limit inferior never exceeds values along the
-    sequence.
+    Conservative by construction, as the limit inferior never exceeds values along the sequence.
     """
-    if k_tail < 1:
-        raise ValueError("tail length must be at least 1")
-    if len(ladder.entries) < k_tail:
-        raise ValueError(f"ladder has {len(ladder.entries)} rungs, need at least {k_tail}")
-    tail = ladder.entries[-k_tail:]
-    u = np.min(np.stack([e.u_alpha for e in tail]), axis=0)
-    rates = [e.rate for e in tail]
-    return RelativeValue(u, float(min(rates)), float(max(rates)))
+    tail = slice(-TAIL_RUNGS, None)
+    rates = ladder.rates()[tail]
+    return RelativeValue(ladder.u[tail].min(axis=0), float(rates.min()), float(rates.max()))
 
 
 def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.ndarray) -> float:
@@ -126,10 +116,9 @@ def greedy_policy(mdp: GridMDP, u: np.ndarray) -> GreedyPolicyResult:
 
 @dataclass
 class ABDiagnostic:
-    sup_u: np.ndarray
     growth_flags: np.ndarray  # per state: relative values keep growing up the ladder
     x_envelope: tuple[float, float]
-    bound_violations: list  # (alpha, state, u_value, bound)
+    bound_violations: list  # (alpha, state, u_value, bound), by rung, then by state
 
     @property
     def ok(self) -> bool:
@@ -140,27 +129,22 @@ def assumption_B_diagnostic(ladder: DiscountLadder, c: CostModel) -> ABDiagnosti
     """Grid-level evidence that relative values stay bounded along the ladder.
 
     Flags states whose ``u_alpha`` rises at every rung and at least doubles
-    across the ladder (the signature of unbounded growth, as with an order
-    cap too tight to drain backlogs).  Left of the minimizer envelope the
-    relative values must obey the order-up-to bound
-    ``u(x) <= K + c_unit (x_U - x)``: from such a state one setup plus a
-    bulk order reaches a minimizer directly.
+    across the ladder (unbounded growth, as with an order cap too tight to
+    drain backlogs); with ``u_alpha >= 0`` one rung flags nothing.  Left of
+    the minimizer envelope ``u(x) <= K + c_unit (x_U - x)`` must hold: from
+    such a state one setup plus a bulk order reaches a minimizer directly.
     """
-    stack = np.stack([e.u_alpha for e in ladder.entries])
-    sup_u = stack.max(axis=0)
-    diffs = np.diff(stack, axis=0)
-    growing = (diffs > SLACK_TOL).all(axis=0) if stack.shape[0] > 1 else np.zeros(stack.shape[1], bool)
-    doubled = stack[-1] >= 2.0 * stack[0] + SLACK_TOL
-    growth_flags = growing & doubled
+    u, grid = ladder.u, ladder.grid
+    growing = (np.diff(u, axis=0) > SLACK_TOL).all(axis=0)
+    growth_flags = growing & (u[-1] >= 2.0 * u[0] + SLACK_TOL)
 
-    x_lo = min(float(e.x_alpha.min()) for e in ladder.entries)
-    x_up = max(float(e.x_alpha.max()) for e in ladder.entries)
+    envelope = grid[ladder.minimizers.any(axis=0)]
+    x_lo, x_up = float(envelope.min()), float(envelope.max())
 
-    violations = []
-    left = ladder.grid < x_lo - 1e-12
-    bounds = c.K + c.c_unit * (x_up - ladder.grid[left]) + SLACK_TOL
-    for e in ladder.entries:
-        over = e.u_alpha[left] > bounds
-        for x, val, b in zip(ladder.grid[left][over], e.u_alpha[left][over], bounds[over]):
-            violations.append((e.alpha, float(x), float(val), float(b - SLACK_TOL)))
-    return ABDiagnostic(sup_u, growth_flags, (x_lo, x_up), violations)
+    bounds = c.K + c.c_unit * (x_up - grid) + SLACK_TOL
+    over = (u > bounds) & (grid < x_lo - 1e-12)
+    violations = [
+        (float(ladder.alphas[r]), float(grid[i]), float(u[r, i]), float(bounds[i] - SLACK_TOL))
+        for r, i in np.argwhere(over)
+    ]
+    return ABDiagnostic(growth_flags, (x_lo, x_up), violations)

@@ -528,18 +528,16 @@ def _run_solve_discounted(config: RunConfig, mdp: GridMDP, out: Path, seed):
 
 def _run_solve_average(config: RunConfig, mdp: GridMDP, out: Path, seed):
     ladder = average_cost.solve_ladder(mdp, config.solver.ladder, config.solver.eps)
-    rows = [
-        (e.alpha, e.m_alpha, e.rate, float(e.x_alpha.min()), float(e.x_alpha.max()))
-        for e in ladder.entries
-    ]
-    write_csv(out / "ladder.csv", ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"], list(zip(*rows)))
-    rv = average_cost.relative_value(ladder, k_tail=min(3, len(ladder.entries)))
+    rates, x_set = ladder.rates(), ladder.minimizers
+    x_lo, x_hi = np.where(x_set, mdp.grid, np.inf).min(axis=1), np.where(x_set, mdp.grid, -np.inf).max(axis=1)
+    header = ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"]
+    write_csv(out / "ladder.csv", header, [ladder.alphas, ladder.m, rates, x_lo, x_hi])
+    rv = average_cost.relative_value(ladder)
     greedy = average_cost.greedy_policy(mdp, rv.u)
     slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
     slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
     _write_policy(out, mdp, greedy.ties)
     diag = average_cost.assumption_B_diagnostic(ladder, config.cost)
-    rates = ladder.rates()
     outputs = {
         "w_lower": rv.w_lower,
         "w_upper": rv.w_upper,

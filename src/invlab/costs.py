@@ -115,21 +115,28 @@ def N_alpha(c: CostModel, alpha: float):
 
     Finite exactly when ``alpha > alpha_star``: the geometric sum grows to
     ``k_h/(1-alpha)``, so the strict threshold is reachable iff that limit
-    exceeds ``c_unit``.
+    exceeds ``c_unit``.  Closed form: ``sum_{i<=t} alpha^i > q = c_unit/k_h``
+    iff ``t + 1 > log(1 - (1-alpha) q) / log(alpha)`` (``t + 1 > q`` at
+    ``alpha = 1``); one step against the sum itself settles rounding at ties.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    k_h, _ = regime_constants(c)
-    if alpha < 1.0 and k_h / (1.0 - alpha) <= c.c_unit:
+    k_h, alpha_star = regime_constants(c)
+    if alpha <= alpha_star:
         return INFINITE
-    partial = 0.0
-    term = 1.0
-    t = 0
-    while True:
-        partial += term
-        if k_h * partial > c.c_unit:
-            return t
-        term *= alpha
-        t += 1
-        if t > 10_000_000:  # unreachable given the limit guard; defensive only
-            return INFINITE
+    if k_h > c.c_unit:
+        return 0
+
+    def exceeds(t: int) -> bool:
+        geometric = t + 1.0 if alpha == 1.0 else (1.0 - alpha ** (t + 1)) / (1.0 - alpha)
+        return k_h * geometric > c.c_unit
+
+    q = c.c_unit / k_h
+    if alpha == 1.0:
+        t = math.floor(q)
+    else:  # alpha > 0 here; the clamp keeps a rounded (1 - alpha) q off log(0)
+        z = max((alpha - 1.0) * q, math.nextafter(-1.0, 0.0))
+        t = max(math.floor(math.log1p(z) / math.log1p(alpha - 1.0)), 0)
+    if t > 0 and exceeds(t - 1):
+        return t - 1
+    return t if exceeds(t) else t + 1

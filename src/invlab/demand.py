@@ -17,7 +17,6 @@ from .errors import InvLabError
 
 PROB_TOL = 1e-12
 LATTICE_TOL = 1e-9
-SUPPORT_CAP = 1 << 21  # lattice points a convolution power may span
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -79,8 +78,8 @@ class DemandDistribution:
     Direct construction checks the structural invariants (sorted distinct
     lattice values, positive probabilities summing to one).  The
     nontriviality rule "some mass above zero" is enforced by the public
-    builders; the point mass at zero is still a legal *internal* value
-    because it is the identity for convolution (the zero-fold sum).
+    builders; direct construction still accepts the point mass at zero,
+    the law of the empty (zero-fold) sum.
     """
 
     values: np.ndarray
@@ -109,19 +108,9 @@ class DemandDistribution:
         """Atom positions in lattice units (exact integers)."""
         return _lattice_offsets(self.values, self.step)[0]
 
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
     @property
     def max_value(self) -> float:
         return float(self.values[-1])
-
-    def pmf_dense(self) -> np.ndarray:
-        """Probability vector indexed by lattice offset 0..max."""
-        offs = self.offsets()
-        dense = np.zeros(int(offs[-1]) + 1)
-        dense[offs] = self.probs
-        return dense
 
 
 def _from_offset_masses(offsets: np.ndarray, masses: np.ndarray, step: float) -> DemandDistribution:
@@ -194,43 +183,3 @@ def quantize(cdf_samples, step: float) -> DemandDistribution:
     if dist.max_value <= 0:
         raise InvLabError("ALL_MASS_AT_ZERO", "quantized demand has no mass above zero")
     return dist
-
-
-def convolve(a: DemandDistribution, b: DemandDistribution) -> DemandDistribution:
-    """Exact law of the sum of two independent lattice demands."""
-    if abs(a.step - b.step) > LATTICE_TOL:
-        raise ValueError(f"mismatched lattice steps {a.step} and {b.step}")
-    dense = np.convolve(a.pmf_dense(), b.pmf_dense())
-    offs = np.nonzero(dense > 0)[0]
-    return DemandDistribution(offs * a.step, dense[offs], a.step)
-
-
-def convolve_power(d: DemandDistribution, t: int) -> DemandDistribution:
-    """Exact law of the t-fold sum of independent copies of ``d``.
-
-    ``t = 0`` returns the point mass at zero (the empty sum).  Uses
-    square-and-multiply on dense probability vectors, so the error after
-    many folds stays at roundoff level.
-    """
-    if t < 0:
-        raise ValueError(f"fold count must be nonnegative, got {t}")
-    if t == 0:
-        return DemandDistribution(np.array([0.0]), np.array([1.0]), d.step)
-    max_offset = int(d.offsets()[-1])
-    if t * max_offset + 1 > SUPPORT_CAP:
-        raise InvLabError(
-            "SUPPORT_TOO_LARGE",
-            f"support of the {t}-fold sum has {t * max_offset + 1} lattice points, cap is {SUPPORT_CAP}",
-        )
-    base = d.pmf_dense()
-    result = np.array([1.0])
-    power = base
-    k = t
-    while k:
-        if k & 1:
-            result = np.convolve(result, power)
-        k >>= 1
-        if k:
-            power = np.convolve(power, power)
-    offs = np.nonzero(result > 0)[0]
-    return DemandDistribution(offs * d.step, result[offs], d.step)

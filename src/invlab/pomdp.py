@@ -67,7 +67,10 @@ class ContainerPartition:
         # member[k, i]: container k holds state i; lower-closed, and the top container also claims its upper end
         member = (grid >= lo[:-1, None] - 1e-9) & (grid < hi[:-1, None] - 1e-9)
         member[-1] |= np.abs(grid - hi[-2]) <= 1e-9
-        assignment = np.where(member.any(axis=0), member.argmax(axis=0), -1)  # the first container holding each state
+        held = member.any(axis=0)
+        if not held.all():  # the 1e-9 gap allowance above can still skip a lattice state
+            raise ValueError(f"state {grid[~held][0]} lies in no container")
+        assignment = member.argmax(axis=0)  # the first container holding each state
         overlap = member & (np.arange(len(ordered))[:, None] > assignment)
         if overlap.any():
             k = overlap.any(axis=1).argmax()

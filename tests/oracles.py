@@ -1,9 +1,13 @@
 """Brute-force oracles that the tests check the package against.
 
-Each restates from its definition something the package computes another
-way: the growth condition behind ``alpha_star < 0``, K-convexity, the
-horizon profile whose tail flip defines ``N_alpha``, the recurring limits of
-a threshold sequence, the long-run average of a stationary policy, and the
+The demand helpers come first: the mean, the dense pmf and exact
+convolution powers of a lattice law, under ``SUPPORT_CAP``.  Each oracle
+after them restates from its definition something the package computes
+another way: the growth condition behind ``alpha_star < 0``, K-convexity, the
+horizon profile whose tail flip defines ``N_alpha`` and the partial sums
+that define it, the recurring limits of
+a threshold sequence, the long-run average of a stationary policy, the
+growth and order-up-to diagnostic of a discount ladder, and the
 transition law and Bayes filter of the belief MDP, one belief at a time.
 ``successors`` and ``dense_rows`` build the transition law from the dynamics
 alone and read no table of a ``GridMDP``, so they check its level table too;
@@ -20,11 +24,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from invlab.average_cost import SLACK_TOL
 from invlab.costs import INEQ_TOL, CostModel, expected_holding
-from invlab.demand import DemandDistribution, _lattice_index, _lattice_offsets, convolve_power
-from invlab.dp_core import Dynamics, GridMDP
+from invlab.demand import LATTICE_TOL, DemandDistribution, _lattice_index, _lattice_offsets
+from invlab.dp_core import TIE_TOL, Dynamics, GridMDP
 from invlab.errors import InvLabError
 from invlab.pomdp import ContainerPartition, validate_belief
+
+
+SUPPORT_CAP = 1 << 21  # lattice points a convolution power may span
+
+
+def demand_mean(d: DemandDistribution) -> float:
+    return float(d.values @ d.probs)
+
+
+def pmf_dense(d: DemandDistribution) -> np.ndarray:
+    """Probability vector indexed by lattice offset 0..max."""
+    offs = d.offsets()
+    dense = np.zeros(int(offs[-1]) + 1)
+    dense[offs] = d.probs
+    return dense
+
+
+def convolve(a: DemandDistribution, b: DemandDistribution) -> DemandDistribution:
+    """Exact law of the sum of two independent lattice demands."""
+    if abs(a.step - b.step) > LATTICE_TOL:
+        raise ValueError(f"mismatched lattice steps {a.step} and {b.step}")
+    dense = np.convolve(pmf_dense(a), pmf_dense(b))
+    offs = np.nonzero(dense > 0)[0]
+    return DemandDistribution(offs * a.step, dense[offs], a.step)
+
+
+def convolve_power(d: DemandDistribution, t: int) -> DemandDistribution:
+    """Exact law of the t-fold sum of independent copies of ``d``.
+
+    ``t = 0`` returns the point mass at zero (the empty sum).  Uses
+    square-and-multiply on dense probability vectors, so the error after
+    many folds stays at roundoff level.
+    """
+    if t < 0:
+        raise ValueError(f"fold count must be nonnegative, got {t}")
+    if t == 0:
+        return DemandDistribution(np.array([0.0]), np.array([1.0]), d.step)
+    max_offset = int(d.offsets()[-1])
+    if t * max_offset + 1 > SUPPORT_CAP:
+        raise InvLabError(
+            "SUPPORT_TOO_LARGE",
+            f"support of the {t}-fold sum has {t * max_offset + 1} lattice points, cap is {SUPPORT_CAP}",
+        )
+    base = pmf_dense(d)
+    result = np.array([1.0])
+    power = base
+    k = t
+    while k:
+        if k & 1:
+            result = np.convolve(result, power)
+        k >>= 1
+        if k:
+            power = np.convolve(power, power)
+    offs = np.nonzero(result > 0)[0]
+    return DemandDistribution(offs * d.step, result[offs], d.step)
 
 
 @dataclass(frozen=True)
@@ -127,6 +187,20 @@ def f_t_alpha(c: CostModel, d: DemandDistribution, t: int, alpha: float, x):
     return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
 
+def n_alpha_partial_sums(c: CostModel, alpha: float):
+    """Smallest ``t`` with ``k_h * sum_{i<=t} alpha^i > c_unit``, adding the float powers one at a time; None if none.
+
+    None once a further power no longer changes the float sum.
+    """
+    k_h = -float(c.holding.slopes[0])
+    partial, term, t = 0.0, 1.0, 0
+    while k_h * (partial + term) <= c.c_unit:
+        if partial + term == partial:
+            return None
+        partial, term, t = partial + term, term * alpha, t + 1
+    return t
+
+
 @dataclass
 class ThresholdLimitReport:
     envelope: tuple  # (s_min, s_max, S_min, S_max)
@@ -174,6 +248,33 @@ def long_run_average(mdp: GridMDP, phi: np.ndarray, N: int) -> np.ndarray:
     for _ in range(N):
         v = mdp.policy_backup(phi_idx, v)
     return v / N
+
+
+def ladder_diagnostic(ladder, c: CostModel):
+    """Growth flags, minimizer envelope and order-up-to violations of a discount ladder, one rung at a time.
+
+    Each rung's minimum, relative values and minimizer set are recomputed
+    from its row of ``ladder.values``; the violations ``(alpha, state,
+    u_value, bound)`` are listed rung by rung, and by state within a rung.
+    """
+    rungs = []
+    for alpha, v in zip(ladder.alphas.tolist(), ladder.values):
+        m = float(v.min())
+        rungs.append((alpha, v - m, ladder.grid[v <= m + TIE_TOL]))
+    stack = np.stack([u for _, u, _ in rungs])
+    diffs = np.diff(stack, axis=0)
+    growing = (diffs > SLACK_TOL).all(axis=0) if stack.shape[0] > 1 else np.zeros(stack.shape[1], bool)
+    growth_flags = growing & (stack[-1] >= 2.0 * stack[0] + SLACK_TOL)
+    x_lo = min(float(x.min()) for _, _, x in rungs)
+    x_up = max(float(x.max()) for _, _, x in rungs)
+    violations = []
+    left = ladder.grid < x_lo - 1e-12
+    bounds = c.K + c.c_unit * (x_up - ladder.grid[left]) + SLACK_TOL
+    for alpha, u, _ in rungs:
+        over = u[left] > bounds
+        for x, val, b in zip(ladder.grid[left][over], u[left][over], bounds[over]):
+            violations.append((alpha, float(x), float(val), float(b - SLACK_TOL)))
+    return growth_flags, (x_lo, x_up), violations
 
 
 def successors(grid: np.ndarray, actions: np.ndarray, demand: DemandDistribution, dynamics: Dynamics) -> np.ndarray:

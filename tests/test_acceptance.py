@@ -228,10 +228,10 @@ def test_criterion_3_bellman_certificates(gb_suite, avg_suite):
                 solves += 1
         for inst in avg_suite:
             for ladder in (inst["default"], inst["deep"]):
-                for entry in ladder.entries:
-                    phi = greedy_from_values(inst["mdp"], entry.values, entry.alpha)
-                    residual = check_stationary_optimality(inst["mdp"], phi, entry.values, entry.alpha)
-                    assert residual <= 2 * EPS, (entry.alpha, residual)
+                for alpha, values in zip(ladder.alphas, ladder.values):
+                    phi = greedy_from_values(inst["mdp"], values, alpha)
+                    residual = check_stationary_optimality(inst["mdp"], phi, values, alpha)
+                    assert residual <= 2 * EPS, (alpha, residual)
                     solves += 1
         print(f"  [criterion 3] {solves} infinite-horizon solves certified")
 
@@ -241,10 +241,10 @@ def test_criterion_4_vanishing_discount_chain(avg_suite):
         for inst in avg_suite:
             mdp, ladder = inst["mdp"], inst["default"]
             cmax = float(mdp.cost[np.isfinite(mdp.cost)].max())
-            for entry in ladder.entries:
-                assert -1e-12 <= entry.rate <= cmax + 1e-12
-            x_lo = min(float(e.x_alpha.min()) for e in ladder.entries)
-            x_hi = max(float(e.x_alpha.max()) for e in ladder.entries)
+            for rate in ladder.rates():
+                assert -1e-12 <= rate <= cmax + 1e-12
+            envelope = mdp.grid[ladder.minimizers.any(axis=0)]
+            x_lo, x_hi = float(envelope.min()), float(envelope.max())
             assert mdp.grid[0] < x_lo <= x_hi < mdp.grid[-1]
             rates = ladder.rates()[-3:]
             spread = (rates.max() - rates.min()) / abs(rates[-1])
@@ -255,7 +255,7 @@ def test_criterion_5_average_cost_optimality_inequality(avg_suite):
     with criterion(5, "relative-value greedy policies within slack -1e-5 and 5% of the rate"):
         for inst in avg_suite:
             mdp = inst["mdp"]
-            rv = relative_value(inst["deep"], k_tail=3)
+            rv = relative_value(inst["deep"])
             greedy = greedy_policy(mdp, rv.u)
             slack_upper = check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
             slack_lower = check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
@@ -280,20 +280,20 @@ def test_criterion_6_threshold_convergence(avg_suite):
             assert all(p == tail[0] for p in tail), tail
             limits = threshold_limits(pairs)
             s_lim, S_lim = limits.candidates[0]
-            entry = next(e for e in inst["default"].entries if abs(e.alpha - alpha) < 1e-12)
+            values = inst["default"].values[np.abs(inst["default"].alphas - alpha) < 1e-12][0]
             phi = threshold_policy(mdp, s_lim, S_lim)
-            residual = check_stationary_optimality(mdp, phi, entry.values, alpha)
+            residual = check_stationary_optimality(mdp, phi, values, alpha)
             assert residual <= 2 * EPS, residual
 
             # discount-ladder thresholds: the recurring pair passes the slack test
             ladder_pairs = []
-            for e in inst["deep"].entries:
-                g = g_function(mdp, e.values, e.alpha, cost)
+            for a, values in zip(inst["deep"].alphas, inst["deep"].values):
+                g = g_function(mdp, values, a, cost)
                 ladder_pairs.append(extract_sS(g, mdp.grid, cost.K))
             limit_report = threshold_limits(ladder_pairs)
             assert limit_report.candidates, ladder_pairs
             s_a, S_a = limit_report.candidates[-1]
-            rv = relative_value(inst["deep"], k_tail=3)
+            rv = relative_value(inst["deep"])
             phi_pair = threshold_policy(mdp, s_a, S_a)
             slack = check_optimality_inequality(mdp, rv.u, rv.w_upper, phi_pair)
             assert slack >= -1e-5, slack

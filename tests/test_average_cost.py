@@ -12,8 +12,8 @@ from invlab.average_cost import (
 )
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
-from invlab.dp_core import Dynamics, build_mdp, make_inventory_mdp
-from oracles import long_run_average, threshold_limits
+from invlab.dp_core import Dynamics, build_mdp, infinite_horizon_vi, make_inventory_mdp
+from oracles import ladder_diagnostic, long_run_average, threshold_limits
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 MIXED = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -32,25 +32,33 @@ def gb_mdp(K=2.0, c_unit=1.0, k_h=3.0, h_plus=1.0, lo=-12, hi=10):
 class TestSolveLadder:
     def test_constant_cost_rates(self):
         ladder = solve_ladder(constant_mdp(), LADDER, 1e-8)
-        for entry in ladder.entries:
-            assert entry.m_alpha == pytest.approx(1.0 / (1.0 - entry.alpha), rel=1e-6)
-            assert entry.rate == pytest.approx(1.0, abs=1e-6)
-            assert np.all(entry.u_alpha >= 0.0)
-            assert entry.x_alpha.size > 0
+        for alpha, m, rate, u, x_set in zip(ladder.alphas, ladder.m, ladder.rates(), ladder.u, ladder.minimizers):
+            assert m == pytest.approx(1.0 / (1.0 - alpha), rel=1e-6)
+            assert rate == pytest.approx(1.0, abs=1e-6)
+            assert np.all(u >= 0.0)
+            assert x_set.any()
 
     def test_rates_bounded_by_one_step_costs(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, LADDER, 1e-6)
         cmax = float(m.cost[np.isfinite(m.cost)].max())
-        for entry in ladder.entries:
-            assert -1e-9 <= entry.rate <= cmax + 1e-9
+        for rate in ladder.rates():
+            assert -1e-9 <= rate <= cmax + 1e-9
 
     def test_minimizer_envelope_stays_interior(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, LADDER, 1e-6)
-        lo = min(e.x_alpha.min() for e in ladder.entries)
-        hi = max(e.x_alpha.max() for e in ladder.entries)
+        envelope = m.grid[ladder.minimizers.any(axis=0)]
+        lo, hi = envelope.min(), envelope.max()
         assert m.grid[0] < lo <= hi < m.grid[-1]
+
+    def test_one_row_per_rung_in_order(self):
+        m, _ = gb_mdp()
+        ladder = solve_ladder(m, LADDER, 1e-6)
+        assert ladder.alphas.tolist() == LADDER
+        assert ladder.values.shape == (len(LADDER), m.n_states)
+        for alpha, v in zip(LADDER, ladder.values):
+            assert np.array_equal(v, infinite_horizon_vi(m, alpha, 1e-6).values)
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):
@@ -60,7 +68,7 @@ class TestSolveLadder:
 class TestRelativeValue:
     def test_constant_cost_collapses(self):
         ladder = solve_ladder(constant_mdp(), LADDER, 1e-8)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         assert np.allclose(rv.u, 0.0, atol=1e-6)
         assert rv.w_lower == pytest.approx(1.0, abs=1e-6)
         assert rv.w_upper == pytest.approx(1.0, abs=1e-6)
@@ -68,22 +76,30 @@ class TestRelativeValue:
 
     def test_min_of_identical_entries_is_identity(self):
         ladder = solve_ladder(constant_mdp(), LADDER, 1e-8)
-        for e in ladder.entries:
-            e.u_alpha[:] = np.arange(len(e.u_alpha), dtype=float)
-        rv = relative_value(ladder, 3)
+        ladder.values[:] = np.arange(ladder.values.shape[1], dtype=float)
+        rv = relative_value(ladder)
         assert np.array_equal(rv.u, np.arange(len(rv.u), dtype=float))
 
     def test_surrogate_nonnegative_and_touches_zero(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, LADDER, 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         assert np.all(rv.u >= 0.0)
         assert rv.u.min() == pytest.approx(0.0, abs=1e-6)
 
-    def test_requires_enough_rungs(self):
-        ladder = solve_ladder(constant_mdp(), [0.9, 0.95], 1e-6)
-        with pytest.raises(ValueError):
-            relative_value(ladder, 3)
+    def test_short_ladder_uses_every_rung(self):
+        m, _ = gb_mdp()
+        ladder = solve_ladder(m, [0.9, 0.95], 1e-6)
+        rv = relative_value(ladder)
+        assert np.array_equal(rv.u, np.minimum(ladder.u[0], ladder.u[1]))
+        assert (rv.w_lower, rv.w_upper) == (ladder.rates().min(), ladder.rates().max())
+
+    def test_tail_is_the_last_three_rungs(self):
+        m, _ = gb_mdp()
+        ladder = solve_ladder(m, [0.8, 0.9, 0.95, 0.99], 1e-6)
+        rv = relative_value(ladder)
+        assert np.array_equal(rv.u, ladder.u[1:].min(axis=0))
+        assert (rv.w_lower, rv.w_upper) == (ladder.rates()[1:].min(), ladder.rates()[1:].max())
 
 
 class TestOptimalityInequality:
@@ -96,7 +112,7 @@ class TestOptimalityInequality:
     def test_greedy_policy_nearly_feasible(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         greedy = greedy_policy(m, rv.u)
         slack = check_optimality_inequality(m, rv.u, rv.w_upper, greedy.actions)
         # surrogate truncation error scales with the tail's shallowest rung
@@ -107,7 +123,7 @@ class TestOptimalityInequality:
         # ordering the cap amount everywhere is hopeless: strongly negative slack
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.99, 0.999], 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         cap = float(m.actions[-1])
         phi = np.minimum(np.full(m.n_states, cap), m.grid[-1] - m.grid)
         slack = check_optimality_inequality(m, rv.u, rv.w_upper, phi)
@@ -129,7 +145,7 @@ class TestGreedyPolicy:
     def test_greedy_is_threshold_shaped_on_growth_instance(self):
         m, cost = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.99, 0.999], 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         res = greedy_policy(m, rv.u)
         ordering = res.actions > 0
         if ordering.any():
@@ -146,7 +162,7 @@ class TestGreedyPolicy:
         cost = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
         m = make_inventory_mdp(cost, MIXED, -12, 10)
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         res = greedy_policy(m, rv.u)
         ordering = res.actions > 0
         assert ordering.any()
@@ -154,8 +170,8 @@ class TestGreedyPolicy:
         s_greedy = float(m.grid[edge]) + m.step  # first no-order state
         S_greedy = float(m.grid[edge] + res.actions[edge])
         pairs = []
-        for e in ladder.entries:
-            g = g_function(m, e.values, e.alpha, cost)
+        for alpha, values in zip(ladder.alphas, ladder.values):
+            g = g_function(m, values, alpha, cost)
             pairs.append(extract_sS(g, m.grid, cost.K))
         limit = threshold_limits(pairs)
         assert limit.candidates
@@ -169,7 +185,7 @@ class TestAssumptionBDiagnostic:
         ladder = solve_ladder(constant_mdp(), LADDER, 1e-8)
         diag = assumption_B_diagnostic(ladder, CostModel(0.0, 1.0, HoldingCost.linear(1, 1)))
         assert diag.ok
-        assert np.allclose(diag.sup_u, 0.0, atol=1e-6)
+        assert np.allclose(ladder.u, 0.0, atol=1e-6)
 
     def test_order_up_to_bound_left_of_envelope(self):
         m, cost = gb_mdp()
@@ -178,9 +194,9 @@ class TestAssumptionBDiagnostic:
         assert not diag.bound_violations
         x_lo, x_up = diag.x_envelope
         left = m.grid < x_lo
-        for e in ladder.entries:
+        for u in ladder.u:
             bound = cost.K + cost.c_unit * (x_up - m.grid[left]) + 1e-6
-            assert np.all(e.u_alpha[left] <= bound)
+            assert np.all(u[left] <= bound)
 
     def test_starved_action_cap_flags_growth(self):
         # cap of zero: backlog can never be drained, relative values blow up
@@ -189,6 +205,24 @@ class TestAssumptionBDiagnostic:
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995], 1e-6)
         diag = assumption_B_diagnostic(ladder, cost)
         assert diag.growth_flags.any()
+
+    @pytest.mark.parametrize("a_max, n_violations", [(0.0, 48), (1.0, 32), (2.0, 28)])
+    def test_matches_the_per_rung_loop(self, a_max, n_violations):
+        cost = CostModel(0.0, 1.0, HoldingCost.linear(2, 1))
+        m = make_inventory_mdp(cost, UNIT, -8, 4, a_max=a_max)
+        ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995], 1e-6)
+        diag = assumption_B_diagnostic(ladder, cost)
+        growth_flags, x_envelope, violations = ladder_diagnostic(ladder, cost)
+        assert len(diag.bound_violations) == n_violations
+        assert diag.bound_violations == violations
+        assert np.array_equal(diag.growth_flags, growth_flags)
+        assert diag.x_envelope == x_envelope
+
+    def test_one_rung_flags_no_growth(self):
+        cost = CostModel(0.0, 1.0, HoldingCost.linear(2, 1))
+        m = make_inventory_mdp(cost, UNIT, -8, 4, a_max=0.0)
+        diag = assumption_B_diagnostic(solve_ladder(m, [0.99], 1e-6), cost)
+        assert not diag.growth_flags.any()
 
 
 class TestLongRunAverage:
@@ -209,7 +243,7 @@ class TestLongRunAverage:
     def test_greedy_average_tracks_w_upper(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
-        rv = relative_value(ladder, 3)
+        rv = relative_value(ladder)
         res = greedy_policy(m, rv.u)
         avg = long_run_average(m, res.actions, 2000)
         assert np.max(np.abs(avg - rv.w_upper)) <= 0.05 * rv.w_upper

@@ -22,7 +22,7 @@ from invlab.demand import from_atoms
 from invlab.dp_core import Dynamics, infinite_horizon_vi, make_inventory_mdp, min_action_policy
 from invlab.errors import InvLabError, ValidationErrors
 from invlab.pomdp import Container, ContainerPartition, replication_uniforms
-from oracles import successors
+from oracles import demand_mean, successors
 
 
 def base_config(**overrides):
@@ -61,7 +61,7 @@ def pomdp_section():
 class TestLoadConfig:
     def test_minimal_backorder_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
-        assert cfg.demand.mean() == pytest.approx(1.0)
+        assert demand_mean(cfg.demand) == pytest.approx(1.0)
         assert cfg.cost.K == 2.0
         assert cfg.grid_lo == -12.0
         assert cfg.solver.alpha == 0.9
@@ -805,6 +805,12 @@ LOAD_TIME_FAULTS = [
         ("pomdp", "containers"),
         [{"lo": -12.0, "hi": 0.5, "transparent": False}, {"lo": 0.7, "hi": 8.0, "transparent": True}],
         "pomdp: containers leave a gap: [0.5, 0.7] is uncovered",
+    ),
+    (
+        # within the 1e-9 gap allowance, yet lattice state 0 is in neither half-open interval
+        ("pomdp", "containers"),
+        [{"lo": -12.0, "hi": 9e-10, "transparent": False}, {"lo": 1.5e-9, "hi": 8.0, "transparent": True}],
+        "pomdp: state 0.0 lies in no container",
     ),
     (("pomdp", "prior"), [[0.0, 1.5], [1.0, -0.5]], "pomdp: prior[1] mass -0.5 is negative"),
     (("pomdp", "prior"), [[0.0, 1.0], [1.0, -1e-13]], "pomdp: prior[1] mass -1e-13 is negative"),

@@ -1,5 +1,8 @@
 """Cost model: holding curves, regime constants, growth condition, K-convexity."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,9 @@ from invlab.costs import (
     expected_holding,
     regime_constants,
 )
-from invlab.demand import convolve_power, from_atoms
+from invlab.demand import from_atoms
 import oracles
-from oracles import check_GB, f_t_alpha, is_K_convex
+from oracles import check_GB, convolve_power, f_t_alpha, is_K_convex
 
 
 def abs_cost(K=0.0, c_unit=1.0):
@@ -267,6 +270,49 @@ class TestNAlpha:
         # and INFINITE entries only at the low end
         flags = [v == INFINITE for v in values]
         assert flags == sorted(flags, reverse=True)
+
+    def test_matches_the_partial_sums(self):
+        # ties included: at k_h 1 the sums 1 + 0.5 + 0.25 and 1 + 0.9375 equal c_unit 1.75 and 1.9375 exactly
+        alphas = [0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 0.9375, 0.95, 0.99, 0.995, 0.999, 1.0]
+        values = [0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 1.3125, 1.5, 1.75, 1.875, 1.9375, 2.0, 3.0, 5.0]
+        for alpha, k_h, c_unit in itertools.product(alphas, values, values):
+            c = linear_cost(0, c_unit, k_h, 1.0)
+            if abs(alpha - regime_constants(c)[1]) < 1e-12:
+                continue  # the sum's limit is c_unit up to rounding, which the float alpha_star settles: see the last test
+            expected = oracles.n_alpha_partial_sums(c, alpha)
+            assert N_alpha(c, alpha) == (INFINITE if expected is None else expected), (alpha, k_h, c_unit)
+
+    @pytest.mark.parametrize(
+        "alpha, c_unit, expected",
+        [
+            (0.7, 1.7, 2),  # 1 + 0.7 is 1.7 exactly, not above it: the log ratio alone gives 1
+            (0.75, math.nextafter(1.75, 0.0), 1),  # 1 + 0.75 is one ulp above c_unit: the log ratio alone gives 2
+        ],
+    )
+    def test_partial_sum_ties_settle_against_the_sum(self, alpha, c_unit, expected):
+        c = linear_cost(0, c_unit, 1.0, 1.0)
+        assert oracles.n_alpha_partial_sums(c, alpha) == expected
+        assert N_alpha(c, alpha) == expected
+
+    def test_near_critical_index_is_finite_and_exact(self):
+        # alpha 1e-15 above alpha_star: the index is about 2.1e7, past what summing term by term reaches quickly
+        from decimal import Decimal, localcontext
+
+        c = CostModel(0.0, 1.0, HoldingCost(np.array([0.0]), np.array([-1.000000001e-06, 1.0])))
+        alpha = 0.999999
+        assert alpha > regime_constants(c)[1]
+        n = N_alpha(c, alpha)
+        assert n == 20_752_432
+        with localcontext() as ctx:
+            ctx.prec = 60
+            k_h, a = Decimal(-c.holding.slopes[0]), Decimal(alpha)
+            assert k_h * (1 - a ** (n + 1)) / (1 - a) > 1 >= k_h * (1 - a**n) / (1 - a)
+
+    def test_infinite_when_alpha_equals_alpha_star_after_rounding(self):
+        # 1 - 0.2/1 rounds to the float 0.8, so alpha is not above alpha_star, though k_h/(1 - alpha) rounds above c_unit
+        c = linear_cost(0, 1.0, 0.2, 1.0)
+        assert regime_constants(c)[1] == 0.8
+        assert N_alpha(c, 0.8) == INFINITE
 
 
 class TestFarLeftSlopeProbe:
