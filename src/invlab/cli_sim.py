@@ -572,7 +572,7 @@ def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
     g_seq = [policy_structure.g_function(mdp, sols[t].values, alpha, config.cost) for t in range(N)]
     ps = policy_structure.classify_regime(config.cost, alpha)
     plan = policy_structure.predict_finite_horizon(ps, N)
-    report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K)
+    report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K, alpha)
     rows = [(t, x, a, ";".join(_cell(v) for v in s)) for t, x, a, s in report.violations]
     write_csv(out / "violations.csv", ["t", "x", "predicted_action", "argmin_set"], list(zip(*rows)))
     print((out / "violations.csv").read_text(), end="")
@@ -711,6 +711,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array too large for this machine
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # an artifact that cannot be written
         print(f"error: output: cannot write {exc.filename or 'an artifact'}: {exc.strerror or exc}", file=sys.stderr)

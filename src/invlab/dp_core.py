@@ -43,7 +43,9 @@ class GridMDP:
     on the post-order level ``_y_of[i, j] = i + j``, which moves to
     ``_y_next[level, k]`` with probability ``shock_probs[k]``; off-grid
     successors are clamped onto the edges, the clamped mass kept per pair in
-    ``mass_loss``.  ``P`` is a dense view built on request.
+    ``mass_loss``.  ``cost`` is the only stored (state, action) array; the
+    rest are read-only views of one value per level (``_on_pairs``).  ``P``
+    is a dense view built on request.
     """
 
     grid: np.ndarray
@@ -54,7 +56,7 @@ class GridMDP:
     shock_probs: np.ndarray
     dynamics: Dynamics
     _y_next: np.ndarray  # (levels, n_atoms) clamped successor of each level
-    _y_of: np.ndarray    # (n, n_a) level of each (state, action) pair
+    _y_of: np.ndarray    # (n, n_a) level of each (state, action) pair, a view of the level numbers
 
     @property
     def shift_kernel(self) -> bool:
@@ -91,8 +93,8 @@ class GridMDP:
         return self.cost[rows, phi_idx], self._y_next[self._y_of[rows, phi_idx]]
 
     def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """``E v(next)`` for every (state, action) pair: one sum per level, gathered onto the pairs."""
-        return (v[self._y_next] @ self.shock_probs)[self._y_of]
+        """``E v(next)`` for every (state, action) pair: one sum per level, viewed onto the pairs."""
+        return _on_pairs(v[self._y_next] @ self.shock_probs, self.n_actions)
 
     def policy_backup(self, phi_idx: np.ndarray, v: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         """``T_phi v = c(x, phi(x)) + alpha E v(next)`` at every state, for the action indices ``phi_idx``."""
@@ -108,6 +110,14 @@ class ValueSolution:
     optimal: np.ndarray | None  # (n, n_a) bool
     residual: float
     iterations: int
+
+
+def _on_pairs(per_level: np.ndarray, n_a: int) -> np.ndarray:
+    """Read-only ``(levels - n_a + 1, n_a)`` view of a 1-D per-level array: pair ``(i, j)`` reads level ``i + j``."""
+    s = per_level.strides[0]
+    pairs = np.ndarray((per_level.shape[0] - n_a + 1, n_a), per_level.dtype, per_level, 0, (s, s))
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _indices_on(points: np.ndarray, x, step: float, message: str):
@@ -172,7 +182,6 @@ def build_mdp(
         if zero_idx < 0:
             raise ValueError("lost-sales dynamics needs 0 on the grid")
         y_raw = np.maximum(y_raw, zero_idx)
-    y_of = np.arange(n)[:, None] + np.arange(n_a)[None, :]
     clamped = (y_raw < 0) | (y_raw > n - 1)
 
     cost = np.asarray(cost, dtype=float)
@@ -185,12 +194,11 @@ def build_mdp(
         bad = int(np.nonzero(~finite.any(axis=1))[0][0])
         raise InvLabError("NO_FINITE_ACTION", f"state {grid[bad]} has no finite-cost action")
 
-    mass_loss = (clamped * demand.probs).sum(axis=1)[y_of]
     too_narrow = clamped & (demand.probs > mass_tol)
-    offending = too_narrow.any(axis=1)[y_of] & finite
+    offending = _on_pairs(too_narrow.any(axis=1), n_a) & finite
     if offending.any():
         i, j = np.argwhere(offending)[0]
-        k = int(np.argmax(too_narrow[y_of[i, j]]))
+        k = int(np.argmax(too_narrow[i + j]))
         raise InvLabError(
             "GRID_TOO_NARROW",
             f"shock atom {demand.values[k]} (p={demand.probs[k]}) clamps at the grid edge "
@@ -202,11 +210,11 @@ def build_mdp(
         step=step,
         actions=actions,
         cost=cost,
-        mass_loss=mass_loss,
+        mass_loss=_on_pairs((clamped * demand.probs).sum(axis=1), n_a),
         shock_probs=demand.probs,
         dynamics=dynamics,
         _y_next=np.clip(y_raw, 0, n - 1),
-        _y_of=y_of,
+        _y_of=_on_pairs(np.arange(n + n_a - 1), n_a),
     )
 
 
@@ -236,7 +244,7 @@ def make_inventory_mdp(
     eh = expected_holding(cost_model.holding, grid, demand)  # E h(y - D) for every post-order level y
     eh = np.concatenate([eh, np.full(actions.size - 1, math.inf)])  # levels above the grid top are infeasible
     order = np.where(np.arange(actions.size) > 0, cost_model.K, 0.0) + cost_model.c_unit * actions
-    cost = order[None, :] + eh[np.arange(grid.size)[:, None] + np.arange(actions.size)[None, :]]
+    cost = order[None, :] + _on_pairs(eh, actions.size)
     return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost, mass_tol=mass_tol)
 
 
@@ -246,14 +254,16 @@ def _optimal_mask(q: np.ndarray, bound) -> np.ndarray:
 
 
 def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
-    diff = np.abs(a - b)
-    both_inf = np.isinf(a) & np.isinf(b)
-    diff = np.where(both_inf, 0.0, diff)
-    return float(np.max(diff))
+    """Sup-norm distance, 0 where both entries are infinite."""
+    return float(np.max(np.where(np.isinf(a) & np.isinf(b), 0.0, np.abs(a - b))))
 
 
 def _backup(mdp: GridMDP, v: np.ndarray, alpha: float):
-    q = mdp.cost + alpha * mdp.expected_next(v) if alpha != 0.0 else mdp.cost
+    """``(Q, min Q)`` with ``Q = cost + alpha E v(next)``, the one new pair-sized array (``cost`` itself at ``alpha = 0``)."""
+    if alpha == 0.0:
+        return mdp.cost, mdp.cost.min(axis=1)
+    q = np.multiply(mdp.expected_next(v), alpha)
+    q += mdp.cost
     return q, q.min(axis=1)
 
 
@@ -261,8 +271,9 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) 
     """Backward induction for ``N`` steps from the terminal values.
 
     Entry ``t`` of the result holds the optimal cost with ``t`` periods to
-    go; its mask marks the optimal first actions at that depth (absent at
-    ``t = 0``, where no decision is taken).
+    go.  Only entry ``N`` carries a mask (its optimal first actions), so one
+    Q at a time is live; the mask at any depth ``t`` is one backup away,
+    ``_optimal_mask(*_backup(mdp, result[t - 1].values, alpha))``.
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
@@ -277,7 +288,9 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) 
     v = terminal
     for t in range(1, N + 1):
         q, vnew = _backup(mdp, v, alpha)
-        sols.append(ValueSolution(vnew, _optimal_mask(q, vnew), _sup_diff(vnew, v), t))
+        optimal = _optimal_mask(q, vnew) if t == N else None
+        del q  # before the next backup allocates its own
+        sols.append(ValueSolution(vnew, optimal, _sup_diff(vnew, v), t))
         v = vnew
     return sols
 
@@ -329,13 +342,14 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
         q, vmin = _backup(mdp, v, alpha)
         iterations += 1
         improve = q[rows, phi] > vmin + TIE_TOL
+        phi = np.where(improve, q.argmin(axis=1), phi)
+        del q  # before the next evaluation's n x n matrix
         if not improve.any():
             break
-        phi = np.where(improve, q.argmin(axis=1), phi)
     delta = math.inf
     max_iter = None
     while delta > threshold:
-        _, vnew = _backup(mdp, v, alpha)
+        vnew = _backup(mdp, v, alpha)[1]  # Q is dropped before the next sweep
         delta = float(np.max(np.abs(vnew - v)))
         v = vnew
         iterations += 1

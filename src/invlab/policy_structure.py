@@ -6,7 +6,7 @@ and s is the leftmost point whose cost is within the setup cost K of the
 minimum.  The regime classifier decides, from the cost constants alone,
 whether thresholds exist at every step, never, or only sufficiently far from
 the end of the horizon; ``verify_structure`` then checks those predictions
-against the solver's optimal-action masks, one step at a time.
+against the optimal-action masks, rebuilt one step at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
 from .demand import _lattice_index
-from .dp_core import TIE_TOL, GridMDP, ValueSolution, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
+from .dp_core import TIE_TOL, GridMDP, ValueSolution, _backup, _optimal_mask, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
 from .errors import InvLabError
 
 
@@ -87,11 +87,7 @@ def predict_finite_horizon(ps: PolicyStructure, N: int) -> list:
         raise ValueError(f"horizon must be nonnegative, got {N}")
     if ps.regime is Regime.NEVER_ORDER:
         return [None] * N
-    plan = []
-    for t in range(N):
-        g_idx = N - t - 1
-        plan.append(g_idx if g_idx >= ps.n_alpha else None)
-    return plan
+    return [g_idx if g_idx >= ps.n_alpha else None for g_idx in range(N - 1, -1, -1)]
 
 
 @dataclass
@@ -112,13 +108,15 @@ def verify_structure(
     g_sequence: list[np.ndarray],
     mdp: GridMDP,
     K: float,
+    alpha: float,
 ) -> StructureReport:
     """Check the predicted action at every (step, state) against the DP optimal-action masks.
 
     The prediction is threshold-shaped: order up to S below s, order nothing
     otherwise.  Membership in the optimal set is the right notion of
     agreement because several actions can be optimal at once; a prediction
-    past the action cap is a violation.
+    past the action cap is a violation.  ``solutions`` is ``finite_horizon_vi``'s
+    stack at discount ``alpha``; each step's mask but the last is rebuilt, one at a time.
     """
     N = len(prediction)
     if len(solutions) < N + 1:
@@ -128,6 +126,8 @@ def verify_structure(
     rows = np.arange(mdp.n_states)
     for t, entry in enumerate(prediction):
         optimal = solutions[N - t].optimal
+        if optimal is None:  # rebuilt from the values one step shallower
+            optimal = _optimal_mask(*_backup(mdp, solutions[N - t - 1].values, alpha))
         # no thresholds: s = -inf, so every state orders nothing
         s_t, S_t = (-math.inf, -math.inf) if entry is None else extract_sS(g_sequence[entry], mdp.grid, K)
         thresholds.append(None if entry is None else (s_t, S_t))

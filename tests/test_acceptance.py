@@ -24,6 +24,8 @@ from invlab.costs import CostModel, HoldingCost, N_alpha, regime_constants
 from invlab.demand import from_atoms
 from invlab.dp_core import (
     GridMDP,
+    _backup,
+    _optimal_mask,
     check_stationary_optimality,
     finite_horizon_vi,
     infinite_horizon_vi,
@@ -164,7 +166,7 @@ def test_criterion_1_structural_optimality_under_growth(gb_suite):
                     assert res.ok, (alpha, t, res.violation, res.slack)
                 plan = predict_finite_horizon(classify_regime(cost, alpha), N)
                 assert all(entry is not None for entry in plan)
-                report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+                report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
                 assert report.ok, (alpha, report.violations[:3])
                 checked += 1
         elapsed = time.time() - start
@@ -183,11 +185,12 @@ def test_criterion_2_regime_table_reproduction():
 
         # (a) below the critical discount factor: never ordering is optimal
         sols_low = finite_horizon_vi(mdp, N, 0.3, np.zeros(mdp.n_states))
-        for sol in sols_low[1:]:
-            assert sol.optimal[:, 0].all()  # actions[0] == 0
+        for depth in range(1, N + 1):
+            optimal = _optimal_mask(*_backup(mdp, sols_low[depth - 1].values, 0.3))
+            assert optimal[:, 0].all()  # actions[0] == 0
         plan_low = predict_finite_horizon(classify_regime(cost, 0.3), N)
         assert plan_low == [None] * N
-        report_low = verify_structure(plan_low, sols_low, [None] * N, mdp, cost.K)
+        report_low = verify_structure(plan_low, sols_low, [None] * N, mdp, cost.K, 0.3)
         assert report_low.ok
 
         # (b) above it: N_alpha = 2 by the geometric-sum rule ...
@@ -208,11 +211,12 @@ def test_criterion_2_regime_table_reproduction():
         ps = classify_regime(cost, alpha)
         plan = predict_finite_horizon(ps, N)
         assert plan == [5, 4, 3, 2, None, None]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
         assert report.ok, report.violations[:5]
         # never-order at the last two steps holds argmin membership of 0 everywhere
         for depth in (1, 2):
-            assert sols[depth].optimal[:, 0].all()  # actions[0] == 0
+            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, alpha))
+            assert optimal[:, 0].all()  # actions[0] == 0
 
 
 def test_criterion_3_bellman_certificates(gb_suite, avg_suite):

@@ -324,6 +324,17 @@ class TestMainExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["pomdp-solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    def test_out_of_memory_is_3_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def no_room(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array with shape (40001, 40001) and data type float64")
+
+        monkeypatch.setattr(cli_sim, "infinite_horizon_vi", no_room)
+        path = write_config(tmp_path, base_config())
+        assert main(["solve-discounted", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver error: out of memory: Unable to allocate 11.9 GiB for an array with shape (40001, 40001) and data type float64\n"
+        assert "Traceback" not in err
+
     def test_out_of_range_seed_is_2(self, tmp_path, capsys):
         for seed in (-1, 2**64):
             path = write_config(tmp_path, base_config(seed=seed))
@@ -630,6 +641,38 @@ class TestReplicationBlocks:
             tracemalloc.stop()
         # one block of about 4 MiB of draws and its shock counts; all the draws at once would take 32 MB
         assert peak < 8 * 2**20
+
+
+# a growth-condition backorder instance on 401 states and 401 actions, 9 demand atoms, K = 20
+WIDE_BACKORDER = {
+    "demand": {"step": 1.0, "atoms": [
+        [0.0, 0.019070738391398376], [1.0, 0.19171519815227975], [2.0, 0.14049652283785],
+        [3.0, 0.09093262794908288], [5.0, 0.20001873257925096], [7.0, 0.0846216955973152],
+        [9.0, 0.1203663719680347], [11.0, 0.04439414497778516], [12.0, 0.10838396754700305],
+    ]},
+    "cost": {"K": 20.0, "c_unit": 0.8051828610142244,
+             "holding": {"breakpoints": [0.0], "slopes": [-1.5839868659375924, 1.1754740744190684]}},
+    "solver": {"alpha": 0.9, "eps": 1e-06, "horizon": 30},
+    "seed": 1,
+    "grid": {"lo": -200.0, "hi": 200.0, "step": 1.0},
+    "dynamics": "backorder",
+}
+
+
+class TestPeakMemory:
+    """A command holds at most one pair-sized float array beside the cost table (plus, when discounted, the n x n evaluation matrix)."""
+
+    @pytest.mark.parametrize("command, tables", [("solve-finite", 3), ("verify-structure", 3), ("solve-discounted", 4)])
+    def test_traced_peak_in_cost_tables(self, tmp_path, capsys, command, tables):
+        path = write_config(tmp_path, WIDE_BACKORDER)
+        cost_bytes = load_config(path).build_mdp().cost.nbytes
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * cost_bytes, peak / cost_bytes
 
 
 SHAPE_FIELDS = [

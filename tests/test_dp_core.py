@@ -14,7 +14,9 @@ from invlab.dp_core import (
     MAX_PAIRS,
     TIE_TOL,
     Dynamics,
+    _backup,
     _lattice,
+    _optimal_mask,
     build_mdp,
     check_stationary_optimality,
     finite_horizon_vi,
@@ -240,12 +242,21 @@ class TestFiniteHorizon:
         for a, b in zip(s1, s2):
             assert np.all(a.values <= b.values + 1e-12)
 
+    @pytest.mark.parametrize("N", [0, 1, 4])
+    def test_only_the_last_entry_carries_a_mask(self, N):
+        d = from_atoms([(0, 0.25), (2, 0.75)], step=1)
+        m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
+        sols = finite_horizon_vi(m, N, 0.5, np.zeros(m.n_states))
+        assert [sol.optimal is None for sol in sols] == [True] * N + [N == 0]
+        if N:
+            assert np.array_equal(sols[N].optimal, _optimal_mask(*_backup(m, sols[N - 1].values, 0.5)))
+
     def test_argmin_sets_nonempty_everywhere(self):
         d = from_atoms([(0, 0.25), (2, 0.75)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
         sols = finite_horizon_vi(m, 6, 0.5, np.zeros(m.n_states))
-        for sol in sols[1:]:
-            assert sol.optimal.any(axis=1).all()
+        for t in range(1, len(sols)):
+            assert _optimal_mask(*_backup(m, sols[t - 1].values, 0.5)).any(axis=1).all()
 
 
 class TestInfiniteHorizon:
@@ -575,15 +586,20 @@ class TestOptimalMask:
         for t in range(1, len(sols)):
             q = m.cost + alpha * m.expected_next(sols[t - 1].values) if alpha else m.cost
             vmin = sols[t].values
-            assert sols[t].optimal.shape == (m.n_states, m.n_actions)
+            optimal = _optimal_mask(*_backup(m, sols[t - 1].values, alpha))
+            if t == len(sols) - 1:
+                assert np.array_equal(sols[t].optimal, optimal)
+            assert optimal.shape == (m.n_states, m.n_actions)
             for i in range(m.n_states):
-                assert np.array_equal(sols[t].optimal[i], q[i] <= vmin[i] + TIE_TOL)
+                assert np.array_equal(optimal[i], q[i] <= vmin[i] + TIE_TOL)
 
     def test_near_ties_split_at_the_tolerance(self):
         gaps = np.array([0.0, 0.7 * TIE_TOL, 1.5 * TIE_TOL])  # above the cheapest action
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.tile(1.0 + gaps, (7, 1)), mass_tol=1.0)
-        for sol in finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))[1:] + [infinite_horizon_vi(m, 0.5, 1e-9)]:
-            assert np.array_equal(sol.optimal, np.tile([True, True, False], (m.n_states, 1)))
+        sols = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
+        masks = [_optimal_mask(*_backup(m, sols[0].values, 0.5)), sols[2].optimal, infinite_horizon_vi(m, 0.5, 1e-9).optimal]
+        for optimal in masks:
+            assert np.array_equal(optimal, np.tile([True, True, False], (m.n_states, 1)))
 
     def test_ties_kept_and_smallest_action_chosen(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
@@ -592,3 +608,52 @@ class TestOptimalMask:
         assert np.array_equal(min_action_policy(m, sols[2]), np.zeros(m.n_states))
         with pytest.raises(ValueError, match="no optimal actions"):
             min_action_policy(m, sols[0])
+
+
+# (dynamics, lo, hi, a_max): a_max None is the whole span; the others stop below it
+PAIR_CASES = [
+    (Dynamics.BACKORDER, -8, 8, None),
+    (Dynamics.BACKORDER, -8, 8, 3),
+    (Dynamics.LOST_SALES, 0, 12, None),
+    (Dynamics.LOST_SALES, 0, 12, 4),
+]
+PAIR_DEMAND = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+PAIR_COST = CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0))
+
+
+def pair_levels(m):
+    """Explicit ``(n, n_a)`` level index ``i + j`` of every (state, action) pair."""
+    return np.arange(m.n_states)[:, None] + np.arange(m.n_actions)[None, :]
+
+
+class TestPairViews:
+    """``_y_of``, ``mass_loss`` and ``expected_next(v)`` are read-only views of one value per level."""
+
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_views_share_a_per_level_array(self, case):
+        dynamics, lo, hi, a_max = case
+        m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
+        v = np.random.default_rng(1).normal(size=m.n_states)
+        per_level = v[m._y_next] @ m.shock_probs
+        levels = m.n_states + m.n_actions - 1
+        for pairs, want in [
+            (m._y_of, pair_levels(m)),
+            (m.mass_loss, m.mass_loss.base[pair_levels(m)]),
+            (m.expected_next(v), per_level[pair_levels(m)]),
+        ]:
+            assert pairs.shape == (m.n_states, m.n_actions)
+            assert pairs.base.shape == (levels,)
+            assert np.shares_memory(pairs, pairs.base)
+            assert not pairs.flags.writeable
+            assert np.array_equal(pairs, want)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_backup_is_bitwise_the_gathered_sum(self, case, alpha):
+        dynamics, lo, hi, a_max = case
+        m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
+        v = np.random.default_rng(2).normal(size=m.n_states)
+        want = m.cost + alpha * (v[m._y_next] @ m.shock_probs)[pair_levels(m)]
+        q, q_min = _backup(m, v, alpha)
+        assert np.array_equal(q, want)
+        assert np.array_equal(q_min, want.min(axis=1))

@@ -10,6 +10,8 @@ from invlab.demand import from_atoms
 from invlab.dp_core import (
     TIE_TOL,
     Dynamics,
+    _backup,
+    _optimal_mask,
     build_mdp,
     check_stationary_optimality,
     finite_horizon_vi,
@@ -191,7 +193,7 @@ def solve_and_verify(cost, demand, alpha, N, lo, hi):
     g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
     ps = classify_regime(cost, alpha)
     plan = predict_finite_horizon(ps, N)
-    report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+    report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
     return mdp, sols, g_seq, report
 
 
@@ -203,8 +205,9 @@ class TestVerifyStructure:
     def test_hybrid_short_horizon_never_order_is_optimal(self):
         mdp, sols, g_seq, report = solve_and_verify(hybrid_cost(), MIXED, 0.9, 2, -30, 12)
         assert report.ok, report.violations[:5]
-        for sol in sols[1:]:
-            assert sol.optimal[:, 0].all()  # actions[0] == 0
+        for depth in range(1, len(sols)):
+            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, 0.9))
+            assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_swapped_thresholds_reported(self):
         cost = gb_cost()
@@ -221,7 +224,7 @@ class TestVerifyStructure:
         i_s = mdp.state_index(true_s)
         g0[i_s] = g0[i_s] + 1e6
         g0[i_s + 1] = g0[i_s + 1] + 1e6
-        bad = verify_structure(plan, sols, bad_g, mdp, cost.K)
+        bad = verify_structure(plan, sols, bad_g, mdp, cost.K, 0.9)
         assert not bad.ok
         states = {x for (_, x, _, _) in bad.violations}
         assert true_s in states or true_s + 1 in states
@@ -298,7 +301,7 @@ class TestVerifyStructureOracle:
             plan = [N - 1] * N
         elif alter is not None:
             g_seq = [shift_right(g, alter) for g in g_seq]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
         violations, thresholds = reference_verify(plan, sols, g_seq, mdp, cost.K, alpha)
         assert report.thresholds == thresholds
         assert report.violations == violations
@@ -403,7 +406,8 @@ class TestStructureInvariants:
         n_alpha = 2
         # last n_alpha steps = shallow depths 1..n_alpha
         for depth in range(1, n_alpha + 1):
-            assert sols[depth].optimal[:, 0].all()  # actions[0] == 0
+            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, alpha))
+            assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_infinite_horizon_threshold_policy_certified(self):
         cost = gb_cost()
@@ -427,6 +431,6 @@ class TestStructureInvariants:
         sols = finite_horizon_vi(mdp, N, alpha, v0)
         g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
         plan = [N - t - 1 for t in range(N)]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K)
+        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
         assert report.ok, report.violations[:5]
         assert all(t is not None for t in report.thresholds)
