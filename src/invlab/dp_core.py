@@ -1,4 +1,4 @@
-"""Grid MDPs of periodic-review inventory dynamics, plus value iteration.
+"""Grid MDPs of periodic-review inventory dynamics, backward induction and policy iteration.
 
 States live on a contiguous lattice, actions on ``{0, step, ..., a_max}``.
 The next state is the post-order inventory ``x + a`` less the demand, kept
@@ -27,7 +27,7 @@ from .errors import InvLabError
 
 TIE_TOL = 1e-9  # an action is optimal when its backup is within TIE_TOL of the minimum
 MAX_PAIRS = 2**22  # (state, action) pairs a lattice may have
-PI_MAX_STEPS = 50  # policy-improvement steps before value iteration takes over
+PI_MAX_STEPS = 50  # policy-improvement steps before the solve stops with PI_NOT_CONVERGED
 
 
 class Dynamics(enum.Enum):
@@ -313,16 +313,17 @@ def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray
 
 
 def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution:
-    """Value iteration from a policy-iteration start until the contraction bound certifies ``eps``.
+    """Howard policy iteration from the myopic policy, certified to ``eps`` by one backup.
 
-    The start is the exact value of the policy that Howard policy iteration
-    reaches from the myopic policy within ``PI_MAX_STEPS`` improvements
-    (each keeps the current action unless another beats it by more than
-    ``TIE_TOL``).  Sweeps then stop once the sup-norm successive difference
-    drops to ``eps (1 - alpha) / (2 alpha)``, which bounds the distance to
-    the fixed point by ``eps / 2`` from any start.  ``iterations`` counts the
-    improvement backups plus the sweeps.  ``alpha = 0`` is a single exact
-    minimization.
+    Each step evaluates the policy exactly and keeps its action unless
+    another beats it by more than ``min(TIE_TOL, threshold)``, where
+    ``threshold = eps (1 - alpha) / (2 alpha)``.  At the stop ``T v_phi`` is
+    within ``threshold`` of ``v_phi`` in exact arithmetic, so within
+    ``eps / 2`` of the fixed point; ``residual`` is the computed distance.
+    Values and mask are the backup of ``T v_phi``; ``iterations`` counts the
+    steps plus one.  ``alpha = 0`` is a single exact minimization.  Raises
+    InvLabError ``NOT_CERTIFIED`` when rounding leaves ``residual`` above
+    ``threshold`` and ``PI_NOT_CONVERGED`` after ``PI_MAX_STEPS`` steps.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -336,29 +337,23 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
     threshold = eps * (1.0 - alpha) / (2.0 * alpha)
     rows = np.arange(mdp.n_states)
     phi = mdp.cost.argmin(axis=1)
-    iterations = 0
-    for _ in range(PI_MAX_STEPS):
+    for steps in range(1, PI_MAX_STEPS + 1):
         v = policy_values(mdp, phi, alpha)
         q, vmin = _backup(mdp, v, alpha)
-        iterations += 1
-        improve = q[rows, phi] > vmin + TIE_TOL
+        improve = q[rows, phi] > vmin + min(TIE_TOL, threshold)
         phi = np.where(improve, q.argmin(axis=1), phi)
         del q  # before the next evaluation's n x n matrix
         if not improve.any():
             break
-    delta = math.inf
-    max_iter = None
-    while delta > threshold:
-        vnew = _backup(mdp, v, alpha)[1]  # Q is dropped before the next sweep
-        delta = float(np.max(np.abs(vnew - v)))
-        v = vnew
-        iterations += 1
-        if max_iter is None and delta > 0:
-            max_iter = iterations + int(math.log(max(delta / threshold, 1.0)) / -math.log(alpha)) + 16
-        if max_iter is not None and iterations > max_iter:
-            raise RuntimeError(f"value iteration failed to contract after {iterations} sweeps")
-    q, v_final = _backup(mdp, v, alpha)
-    return ValueSolution(v_final, _optimal_mask(q, v_final), delta, iterations)
+    else:
+        raise InvLabError("PI_NOT_CONVERGED", f"policy iteration still improving at the step cap PI_MAX_STEPS = {PI_MAX_STEPS}")
+    v_next = _backup(mdp, v, alpha)[1]
+    residual = _sup_diff(v_next, v)
+    if residual > threshold:
+        certified = 2.0 * alpha * residual / (1.0 - alpha)
+        raise InvLabError("NOT_CERTIFIED", f"Bellman residual {residual:.3g} exceeds {threshold:.3g}: the values certify eps {certified:.3g}, not {eps}")
+    q, v_final = _backup(mdp, v_next, alpha)
+    return ValueSolution(v_final, _optimal_mask(q, v_final), residual, steps + 1)
 
 
 def min_action_policy(mdp: GridMDP, sol: ValueSolution) -> np.ndarray:

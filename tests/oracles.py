@@ -11,6 +11,7 @@ growth and order-up-to diagnostic of a discount ladder, and the
 transition law and Bayes filter of the belief MDP, one belief at a time.
 ``successors`` and ``dense_rows`` build the transition law from the dynamics
 alone and read no table of a ``GridMDP``, so they check its level table too;
+``exact_policy_values`` solves a policy's evaluation equation in ``Fraction``s;
 ``cost_table`` tabulates a per-pair cost for ``build_mdp``;
 ``partition_labels`` labels the states of a container partition one at a
 time, and ``tree_walk`` replays a solved belief tree by dict lookups.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -301,6 +303,24 @@ def dense_rows(grid: np.ndarray, actions: np.ndarray, demand: DemandDistribution
     for (i, j, k), y in np.ndenumerate(successors(grid, actions, demand, dynamics)):
         law[i, j, y] += demand.probs[k]
     return law
+
+
+def exact_policy_values(rows: np.ndarray, cost: np.ndarray, phi_idx, alpha: float) -> list[Fraction]:
+    """Value of the stationary policy ``phi_idx``: ``(I - alpha P_phi) v = c_phi`` solved by Gauss-Jordan elimination in ``Fraction``s.
+
+    ``rows`` is the dense ``(n, n_a, n)`` law and ``cost`` the ``(n, n_a)``
+    table; every float in them and ``alpha`` is taken at its exact value.
+    """
+    n, a = cost.shape[0], Fraction(alpha)
+    A = [[int(i == j) - a * Fraction(rows[i, phi_idx[i], j]) for j in range(n)] + [Fraction(cost[i, phi_idx[i]])] for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return [A[i][n] / A[i][i] for i in range(n)]
 
 
 def cost_table(fn, lo: float, hi: float, a_max: float, step: float = 1.0) -> np.ndarray:

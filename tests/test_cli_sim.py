@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invlab import cli_sim
+from invlab import cli_sim, dp_core
 from invlab.cli_sim import load_config, main, run, simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
@@ -323,6 +323,24 @@ class TestMainExitCodes:
         cfg["pomdp"]["prior"] = [[-3.0, 0.5], [1.0, 0.5]]
         path = write_config(tmp_path, cfg)
         assert main(["pomdp-solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_uncertifiable_solve_is_3(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["solver"]["alpha"] = 0.99999  # threshold 5e-12, below the rounding in the values
+        path = write_config(tmp_path, cfg)
+        assert main(["solve-discounted", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: NOT_CERTIFIED: Bellman residual ")
+        assert "the values certify eps " in err
+        assert not (tmp_path / "out" / "values.csv").exists()
+
+    def test_policy_iteration_step_cap_is_3(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, base_config())
+        assert main(["solve-discounted", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["outputs"]["iterations"] >= 3  # two or more steps
+        monkeypatch.setattr(dp_core, "PI_MAX_STEPS", 1)
+        assert main(["solve-discounted", "--config", str(path), "--out", str(tmp_path / "capped")]) == 3
+        assert capsys.readouterr().err == "solver error: PI_NOT_CONVERGED: policy iteration still improving at the step cap PI_MAX_STEPS = 1\n"
 
     def test_out_of_memory_is_3_without_a_traceback(self, tmp_path, capsys, monkeypatch):
         def no_room(*args, **kwargs):

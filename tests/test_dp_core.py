@@ -1,7 +1,8 @@
-"""Grid MDP construction and value iteration against hand and brute-force oracles."""
+"""Grid MDP construction, backward induction and policy iteration against hand and brute-force oracles."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from invlab.dp_core import (
 )
 from invlab.errors import InvLabError
 from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import cost_table, dense_rows
+from oracles import cost_table, dense_rows, exact_policy_values
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 ABS = CostModel(0.0, 1.0, HoldingCost.linear(1.0, 1.0))
@@ -428,6 +429,25 @@ class TestPolicyIterationStart:
         assert np.max(np.abs(sol.values - best)) <= eps
         phi_idx = m.action_index(min_action_policy(m, sol))
         assert np.max(np.abs(evaluate_stationary(m, rows, phi_idx, alpha) - best)) <= eps
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # cost gaps of 1e-12 to 1e-10 between the two actions
+            [[1.0, 0.9999999999977304], [0.9999999999602052, 0.9999999999770633], [1.0, 1.0], [0.9999999999137852, 1.0], [0.999999999917055, 0.9999999999277834]],
+            # cost gaps of 1e-11 to 1e-9, up to TIE_TOL
+            [[1.0, 1.000000000597511], [1.0, 1.000000000174117], [1.0, 1.0000000000627052], [1.0, 1.0], [0.9999999991862227, 0.9999999995283642]],
+        ],
+    )
+    def test_near_ties_match_exact_enumeration(self, table):
+        d = from_atoms([(0, 0.5), (1, 0.5)], step=1)
+        m = build_mdp(Dynamics.BACKORDER, d, 0, 4, 1, table, mass_tol=1.0)
+        alpha = 0.9999
+        sol = infinite_horizon_vi(m, alpha, 1e-6)
+        rows = law(m, d)
+        values = [exact_policy_values(rows, m.cost, combo, alpha) for combo in itertools.product(range(2), repeat=m.n_states)]
+        best = [min(column) for column in zip(*values)]
+        assert max(abs(float(v - b)) for v, b in zip(map(Fraction, sol.values), best)) <= 1e-8
 
     def test_every_action_tied_terminates(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
