@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .dp_core import TIE_TOL, GridMDP, _backup, _optimal_mask, infinite_horizon_vi
+from .dp_core import GridMDP, _backup, _optimal_mask, infinite_horizon_vi
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
 SLACK_TOL = 1e-6  # margin of the relative-value growth and bound tests
@@ -43,7 +43,7 @@ class DiscountLadder:
     @property
     def minimizers(self) -> np.ndarray:
         """(k, n) mask of the states within ``TIE_TOL`` of their rung's minimum."""
-        return self.values <= self.m[:, None] + TIE_TOL
+        return _optimal_mask(self.values, self.m)
 
     def rates(self) -> np.ndarray:
         """(k,) normalized cost rates ``(1 - alpha) m_alpha``."""

@@ -25,7 +25,9 @@ from .demand import DemandDistribution, _lattice_index, _lattice_offsets, from_a
 from .dp_core import (
     Dynamics,
     GridMDP,
+    _backup,
     _lattice,
+    _optimal_mask,
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
@@ -497,14 +499,14 @@ def _thresholds(config: RunConfig, mdp: GridMDP, v: np.ndarray, alpha: float):
 # A handler takes (config, mdp, out, seed) and returns (outputs, warnings); run() puts the MDP's warnings first.
 def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
-    sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    final = sols[-1]
-    write_csv(out / "values.csv", ["x", "v"], [mdp.grid, final.values])
-    _write_policy(out, mdp, final.optimal)
-    rows = [(t, *_thresholds(config, mdp, sol.values, alpha)[:2]) for t, sol in enumerate(sols[:-1])]
+    values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+    optimal = _optimal_mask(*_backup(mdp, values[N - 1], alpha)) if N > 0 else None
+    write_csv(out / "values.csv", ["x", "v"], [mdp.grid, values[N]])
+    _write_policy(out, mdp, optimal)
+    rows = [(t, *_thresholds(config, mdp, v, alpha)[:2]) for t, v in enumerate(values[:-1])]
     write_csv(out / "thresholds.csv", ["t", "s", "S"], list(zip(*rows)))
-    outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(final.values[0])}
-    return outputs, _cap_warnings(mdp, final.optimal) if final.optimal is not None else []
+    outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(values[N, 0])}
+    return outputs, _cap_warnings(mdp, optimal) if optimal is not None else []
 
 
 def _run_solve_discounted(config: RunConfig, mdp: GridMDP, out: Path, seed):
@@ -568,11 +570,11 @@ def _run_classify(config: RunConfig, mdp: None, out: Path, seed):
 
 def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
-    sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    g_seq = [policy_structure.g_function(mdp, sols[t].values, alpha, config.cost) for t in range(N)]
+    values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+    g_seq = [policy_structure.g_function(mdp, values[t], alpha, config.cost) for t in range(N)]
     ps = policy_structure.classify_regime(config.cost, alpha)
     plan = policy_structure.predict_finite_horizon(ps, N)
-    report = policy_structure.verify_structure(plan, sols, g_seq, mdp, config.cost.K, alpha)
+    report = policy_structure.verify_structure(plan, values, g_seq, mdp, config.cost.K, alpha)
     rows = [(t, x, a, ";".join(_cell(v) for v in s)) for t, x, a, s in report.violations]
     write_csv(out / "violations.csv", ["t", "x", "predicted_action", "argmin_set"], list(zip(*rows)))
     print((out / "violations.csv").read_text(), end="")

@@ -57,15 +57,9 @@ class HoldingCost:
             raise ValueError("slopes must be strictly increasing piece to piece (convexity)")
         if not (sl[0] < 0 < sl[-1]):
             raise ValueError("leftmost slope must be negative and rightmost positive")
-        # Values at the breakpoints, anchored so that h(0) = 0.
-        rel = np.zeros(bp.size)
-        for j in range(1, bp.size):
-            rel[j] = rel[j - 1] + sl[j] * (bp[j] - bp[j - 1])
-        piece0 = int(np.searchsorted(bp, 0.0, side="right"))
-        ref = bp[piece0 - 1] if piece0 >= 1 else bp[0]
-        refval = rel[piece0 - 1] if piece0 >= 1 else rel[0]
-        h0 = refval + sl[piece0] * (0.0 - ref) if piece0 >= 1 else refval + sl[0] * (0.0 - ref)
-        object.__setattr__(self, "_bp_values", rel - h0)
+        # Values at the breakpoints, then anchored so that h(0) = 0.
+        object.__setattr__(self, "_bp_values", np.cumsum(np.concatenate(([0.0], sl[1:-1] * np.diff(bp)))))
+        object.__setattr__(self, "_bp_values", self._bp_values - self(0.0))
         if np.any(self._bp_values < -INEQ_TOL):
             raise ValueError("holding cost dips below zero; check breakpoints/slopes")
 

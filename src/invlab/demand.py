@@ -114,12 +114,9 @@ class DemandDistribution:
 
 
 def _from_offset_masses(offsets: np.ndarray, masses: np.ndarray, step: float) -> DemandDistribution:
-    order = np.argsort(offsets, kind="stable")
-    offsets = offsets[order]
-    masses = masses[order]
     uniq, inverse = np.unique(offsets, return_inverse=True)
     merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, masses)
+    np.add.at(merged, inverse, masses)  # unbuffered: equal offsets add up in input order
     keep = merged > 0
     return DemandDistribution(uniq[keep] * step, merged[keep], step)
 

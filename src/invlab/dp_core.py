@@ -104,10 +104,10 @@ class GridMDP:
 
 @dataclass
 class ValueSolution:
-    """Values plus the optimal-action mask of the final backup: ``optimal[i, j]`` when action ``j`` is optimal at state ``i``."""
+    """The discounted solver's result: values, certificate and ``optimal[i, j]``, action ``j`` optimal at state ``i``."""
 
     values: np.ndarray
-    optimal: np.ndarray | None  # (n, n_a) bool
+    optimal: np.ndarray  # (n, n_a) bool
     residual: float
     iterations: int
 
@@ -249,7 +249,10 @@ def make_inventory_mdp(
 
 
 def _optimal_mask(q: np.ndarray, bound) -> np.ndarray:
-    """``q <= bound + TIE_TOL``, one bound per row of ``q``: the actions optimal against ``bound``."""
+    """``q <= bound + TIE_TOL``, one bound per row of ``q`` (one number for a 1-D ``q``): the entries optimal against ``bound``.
+
+    The package's one tie rule: optimal actions, ladder minimizers and both (s, S) masks read it.
+    """
     return q <= np.asarray(bound)[..., None] + TIE_TOL
 
 
@@ -267,13 +270,13 @@ def _backup(mdp: GridMDP, v: np.ndarray, alpha: float):
     return q, q.min(axis=1)
 
 
-def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) -> list[ValueSolution]:
+def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) -> np.ndarray:
     """Backward induction for ``N`` steps from the terminal values.
 
-    Entry ``t`` of the result holds the optimal cost with ``t`` periods to
-    go.  Only entry ``N`` carries a mask (its optimal first actions), so one
-    Q at a time is live; the mask at any depth ``t`` is one backup away,
-    ``_optimal_mask(*_backup(mdp, result[t - 1].values, alpha))``.
+    Row ``t`` of the ``(N + 1, n)`` result is the optimal cost with ``t``
+    periods to go.  No mask is kept: the optimal first actions at depth
+    ``t`` are one backup of row ``t - 1``,
+    ``_optimal_mask(*_backup(mdp, values[t - 1], alpha))``.
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
@@ -284,15 +287,11 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) 
         raise ValueError("terminal values must be given on the full grid")
     if np.any(np.isneginf(terminal)) or np.any(np.isnan(terminal)):
         raise ValueError("terminal values must be bounded below")
-    sols = [ValueSolution(terminal.copy(), None, 0.0, 0)]
-    v = terminal
+    values = np.empty((N + 1, mdp.n_states))
+    values[0] = terminal
     for t in range(1, N + 1):
-        q, vnew = _backup(mdp, v, alpha)
-        optimal = _optimal_mask(q, vnew) if t == N else None
-        del q  # before the next backup allocates its own
-        sols.append(ValueSolution(vnew, optimal, _sup_diff(vnew, v), t))
-        v = vnew
-    return sols
+        values[t] = _backup(mdp, values[t - 1], alpha)[1]
+    return values
 
 
 def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray:
@@ -319,11 +318,12 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
     another beats it by more than ``min(TIE_TOL, threshold)``, where
     ``threshold = eps (1 - alpha) / (2 alpha)``.  At the stop ``T v_phi`` is
     within ``threshold`` of ``v_phi`` in exact arithmetic, so within
-    ``eps / 2`` of the fixed point; ``residual`` is the computed distance.
-    Values and mask are the backup of ``T v_phi``; ``iterations`` counts the
-    steps plus one.  ``alpha = 0`` is a single exact minimization.  Raises
-    InvLabError ``NOT_CERTIFIED`` when rounding leaves ``residual`` above
-    ``threshold`` and ``PI_NOT_CONVERGED`` after ``PI_MAX_STEPS`` steps.
+    ``eps / 2`` of the fixed point; ``residual`` is the computed distance,
+    read off the last step's own backup ``T v_phi``.  Values and mask are
+    the backup of ``T v_phi``; ``iterations`` counts the steps.  ``alpha =
+    0`` is a single exact minimization.  Raises InvLabError
+    ``NOT_CERTIFIED`` when rounding leaves ``residual`` above ``threshold``
+    and ``PI_NOT_CONVERGED`` after ``PI_MAX_STEPS`` steps.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -347,19 +347,16 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
             break
     else:
         raise InvLabError("PI_NOT_CONVERGED", f"policy iteration still improving at the step cap PI_MAX_STEPS = {PI_MAX_STEPS}")
-    v_next = _backup(mdp, v, alpha)[1]
-    residual = _sup_diff(v_next, v)
+    residual = _sup_diff(vmin, v)  # vmin is T v_phi
     if residual > threshold:
         certified = 2.0 * alpha * residual / (1.0 - alpha)
         raise InvLabError("NOT_CERTIFIED", f"Bellman residual {residual:.3g} exceeds {threshold:.3g}: the values certify eps {certified:.3g}, not {eps}")
-    q, v_final = _backup(mdp, v_next, alpha)
-    return ValueSolution(v_final, _optimal_mask(q, v_final), residual, steps + 1)
+    q, v_final = _backup(mdp, vmin, alpha)
+    return ValueSolution(v_final, _optimal_mask(q, v_final), residual, steps)
 
 
 def min_action_policy(mdp: GridMDP, sol: ValueSolution) -> np.ndarray:
     """Smallest optimal action at each state (deterministic tie-break)."""
-    if sol.optimal is None:
-        raise ValueError("solution carries no optimal actions")
     return mdp.actions[sol.optimal.argmax(axis=1)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
 from .demand import _lattice_index
-from .dp_core import TIE_TOL, GridMDP, ValueSolution, _backup, _optimal_mask, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
+from .dp_core import GridMDP, _backup, _optimal_mask, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
 from .errors import InvLabError
 
 
@@ -53,10 +53,10 @@ def extract_sS(g: np.ndarray, grid: np.ndarray, K: float) -> tuple[float, float]
     if not np.all(np.isfinite(g)):
         raise ValueError("thresholds need finite values over the whole window")
     gmin = float(g.min())
-    argmin_mask = g <= gmin + TIE_TOL
+    argmin_mask = _optimal_mask(g, gmin)
     if argmin_mask[0] or argmin_mask[-1]:
         raise InvLabError("GRID_TOO_NARROW", "argmin of the order-up-to objective touches the grid edge")
-    s_idx_candidates = np.nonzero(g <= K + gmin + TIE_TOL)[0]
+    s_idx_candidates = np.nonzero(_optimal_mask(g, K + gmin))[0]
     S_idx = int(np.nonzero(argmin_mask)[0][0])
     s_idx = int(s_idx_candidates[0])  # leftmost, necessarily <= S_idx
     return float(grid[s_idx]), float(grid[S_idx])
@@ -104,7 +104,7 @@ class StructureReport:
 
 def verify_structure(
     prediction: list,
-    solutions: list[ValueSolution],
+    values: np.ndarray,
     g_sequence: list[np.ndarray],
     mdp: GridMDP,
     K: float,
@@ -115,19 +115,18 @@ def verify_structure(
     The prediction is threshold-shaped: order up to S below s, order nothing
     otherwise.  Membership in the optimal set is the right notion of
     agreement because several actions can be optimal at once; a prediction
-    past the action cap is a violation.  ``solutions`` is ``finite_horizon_vi``'s
-    stack at discount ``alpha``; each step's mask but the last is rebuilt, one at a time.
+    past the action cap is a violation.  ``values`` is ``finite_horizon_vi``'s
+    table at discount ``alpha``; each step's mask is rebuilt from the row one
+    step shallower, one at a time.
     """
     N = len(prediction)
-    if len(solutions) < N + 1:
-        raise ValueError("need the full backward-induction stack for the horizon")
+    if len(values) < N + 1:
+        raise ValueError("need the full backward-induction table for the horizon")
     violations = []
     thresholds: list = []
     rows = np.arange(mdp.n_states)
     for t, entry in enumerate(prediction):
-        optimal = solutions[N - t].optimal
-        if optimal is None:  # rebuilt from the values one step shallower
-            optimal = _optimal_mask(*_backup(mdp, solutions[N - t - 1].values, alpha))
+        optimal = _optimal_mask(*_backup(mdp, values[N - t - 1], alpha))
         # no thresholds: s = -inf, so every state orders nothing
         s_t, S_t = (-math.inf, -math.inf) if entry is None else extract_sS(g_sequence[entry], mdp.grid, K)
         thresholds.append(None if entry is None else (s_t, S_t))

@@ -159,14 +159,14 @@ def test_criterion_1_structural_optimality_under_growth(gb_suite):
             depth = int(round(demand.max_value / demand.step))
             for alpha in (0.0, 0.5, 0.9):
                 N = 10
-                sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-                g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
+                values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+                g_seq = [g_function(mdp, values[t], alpha, cost) for t in range(N)]
                 for t, g in enumerate(g_seq):
                     res = is_K_convex(g[depth:], cost.K)
                     assert res.ok, (alpha, t, res.violation, res.slack)
                 plan = predict_finite_horizon(classify_regime(cost, alpha), N)
                 assert all(entry is not None for entry in plan)
-                report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
+                report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
                 assert report.ok, (alpha, report.violations[:3])
                 checked += 1
         elapsed = time.time() - start
@@ -184,13 +184,13 @@ def test_criterion_2_regime_table_reproduction():
         N = 6
 
         # (a) below the critical discount factor: never ordering is optimal
-        sols_low = finite_horizon_vi(mdp, N, 0.3, np.zeros(mdp.n_states))
+        values_low = finite_horizon_vi(mdp, N, 0.3, np.zeros(mdp.n_states))
         for depth in range(1, N + 1):
-            optimal = _optimal_mask(*_backup(mdp, sols_low[depth - 1].values, 0.3))
+            optimal = _optimal_mask(*_backup(mdp, values_low[depth - 1], 0.3))
             assert optimal[:, 0].all()  # actions[0] == 0
         plan_low = predict_finite_horizon(classify_regime(cost, 0.3), N)
         assert plan_low == [None] * N
-        report_low = verify_structure(plan_low, sols_low, [None] * N, mdp, cost.K, 0.3)
+        report_low = verify_structure(plan_low, values_low, [None] * N, mdp, cost.K, 0.3)
         assert report_low.ok
 
         # (b) above it: N_alpha = 2 by the geometric-sum rule ...
@@ -206,16 +206,16 @@ def test_criterion_2_regime_table_reproduction():
                 break
         assert probed == 2
 
-        sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        g_seq = [g_function(mdp, values[t], alpha, cost) for t in range(N)]
         ps = classify_regime(cost, alpha)
         plan = predict_finite_horizon(ps, N)
         assert plan == [5, 4, 3, 2, None, None]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
+        report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
         assert report.ok, report.violations[:5]
         # never-order at the last two steps holds argmin membership of 0 everywhere
         for depth in (1, 2):
-            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, alpha))
+            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], alpha))
             assert optimal[:, 0].all()  # actions[0] == 0
 
 
@@ -275,10 +275,10 @@ def test_criterion_6_threshold_convergence(avg_suite):
             mdp, cost, demand = inst["mdp"], inst["cost"], inst["demand"]
             # finite-horizon thresholds at a fixed discount factor
             alpha = 0.99
-            sols = finite_horizon_vi(mdp, 30, alpha, np.zeros(mdp.n_states))
+            table = finite_horizon_vi(mdp, 30, alpha, np.zeros(mdp.n_states))
             pairs = []
             for t in range(30):
-                g = g_function(mdp, sols[t].values, alpha, cost)
+                g = g_function(mdp, table[t], alpha, cost)
                 pairs.append(extract_sS(g, mdp.grid, cost.K))
             tail = pairs[-10:]
             assert all(p == tail[0] for p in tail), tail
@@ -330,11 +330,11 @@ def test_criterion_7_pomdp_reduction_sanity():
 
         # (b) fully transparent partition reproduces the grid solver
         clear = ContainerPartition([Container(-3.0, 5.0, True)], mdp.grid, mdp.step)
-        sols = finite_horizon_vi(mdp, 4, alpha, np.zeros(mdp.n_states))
+        values = finite_horizon_vi(mdp, 4, alpha, np.zeros(mdp.n_states))
         for x in (-2.0, 0.0, 3.0):
             prior = make_belief([(x, 1.0)], mdp.grid)
             tree = belief_value_iteration(mdp, clear, prior, 4, alpha)
-            assert abs(tree.value - sols[4].values[mdp.state_index(x)]) <= 1e-9
+            assert abs(tree.value - values[4, mdp.state_index(x)]) <= 1e-9
 
         # (c) brute-force expectation over all (state, demand) paths
         N = 4

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab import dp_core
+from invlab.average_cost import DiscountLadder
 from invlab.costs import CostModel, HoldingCost, expected_holding
 from invlab.demand import from_atoms
 from invlab.dp_core import (
@@ -27,6 +29,7 @@ from invlab.dp_core import (
     policy_values,
 )
 from invlab.errors import InvLabError
+from invlab.policy_structure import extract_sS
 from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
 from oracles import cost_table, dense_rows, exact_policy_values
 
@@ -208,31 +211,31 @@ class TestFiniteHorizon:
     def test_zero_horizon_returns_terminal(self):
         m = make_inventory_mdp(ABS, UNIT, -2, 2)
         terminal = np.linspace(0, 1, m.n_states)
-        sols = finite_horizon_vi(m, 0, 0.9, terminal)
-        assert len(sols) == 1
-        assert np.array_equal(sols[0].values, terminal)
+        values = finite_horizon_vi(m, 0, 0.9, terminal)
+        assert values.shape == (1, m.n_states)
+        assert np.array_equal(values[0], terminal)
 
     def test_one_step_hand_enumeration(self):
         m = make_inventory_mdp(ABS, UNIT, -1, 1)
-        sols = finite_horizon_vi(m, 1, 0.9, np.zeros(m.n_states))
-        v1 = sols[1].values
+        values = finite_horizon_vi(m, 1, 0.9, np.zeros(m.n_states))
+        v1 = values[1]
         assert v1[m.state_index(0)] == pytest.approx(1.0)
         assert v1[m.state_index(1)] == pytest.approx(0.0)
-        optimal = sols[1].optimal
+        optimal = _optimal_mask(*_backup(m, values[0], 0.9))
         assert sorted(m.actions[optimal[m.state_index(0)]].tolist()) == [0.0, 1.0]
         assert m.actions[optimal[m.state_index(1)]].tolist() == [0.0]
 
     def test_constant_cost_geometric_sum(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
-        sols = finite_horizon_vi(m, 3, 0.5, np.zeros(m.n_states))
-        assert np.allclose(sols[3].values, 1.75)
+        values = finite_horizon_vi(m, 3, 0.5, np.zeros(m.n_states))
+        assert np.allclose(values[3], 1.75)
 
     def test_monotone_in_horizon_with_zero_terminal(self):
         d = from_atoms([(0, 0.4), (1, 0.6)], step=1)
         m = make_inventory_mdp(CostModel(1.0, 1.0, HoldingCost.linear(2, 1)), d, -5, 5)
-        sols = finite_horizon_vi(m, 8, 0.9, np.zeros(m.n_states))
-        for a, b in itertools.pairwise(sols):
-            assert np.all(b.values >= a.values - 1e-12)
+        values = finite_horizon_vi(m, 8, 0.9, np.zeros(m.n_states))
+        for a, b in itertools.pairwise(values):
+            assert np.all(b >= a - 1e-12)
 
     def test_bellman_monotonicity_in_terminal(self):
         m = make_inventory_mdp(ABS, UNIT, -3, 3)
@@ -241,23 +244,25 @@ class TestFiniteHorizon:
         s1 = finite_horizon_vi(m, 4, 0.8, f1)
         s2 = finite_horizon_vi(m, 4, 0.8, f2)
         for a, b in zip(s1, s2):
-            assert np.all(a.values <= b.values + 1e-12)
+            assert np.all(a <= b + 1e-12)
 
     @pytest.mark.parametrize("N", [0, 1, 4])
-    def test_only_the_last_entry_carries_a_mask(self, N):
+    def test_one_table_each_row_one_backup_of_the_last(self, N):
         d = from_atoms([(0, 0.25), (2, 0.75)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
-        sols = finite_horizon_vi(m, N, 0.5, np.zeros(m.n_states))
-        assert [sol.optimal is None for sol in sols] == [True] * N + [N == 0]
-        if N:
-            assert np.array_equal(sols[N].optimal, _optimal_mask(*_backup(m, sols[N - 1].values, 0.5)))
+        terminal = np.linspace(0.0, 2.0, m.n_states)
+        values = finite_horizon_vi(m, N, 0.5, terminal)
+        assert isinstance(values, np.ndarray) and values.shape == (N + 1, m.n_states)
+        assert np.array_equal(values[0], terminal)
+        for t in range(1, N + 1):
+            assert np.array_equal(values[t], _backup(m, values[t - 1], 0.5)[0].min(axis=1))
 
     def test_argmin_sets_nonempty_everywhere(self):
         d = from_atoms([(0, 0.25), (2, 0.75)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
-        sols = finite_horizon_vi(m, 6, 0.5, np.zeros(m.n_states))
-        for t in range(1, len(sols)):
-            assert _optimal_mask(*_backup(m, sols[t - 1].values, 0.5)).any(axis=1).all()
+        values = finite_horizon_vi(m, 6, 0.5, np.zeros(m.n_states))
+        for t in range(1, len(values)):
+            assert _optimal_mask(*_backup(m, values[t - 1], 0.5)).any(axis=1).all()
 
 
 class TestInfiniteHorizon:
@@ -449,6 +454,28 @@ class TestPolicyIterationStart:
         best = [min(column) for column in zip(*values)]
         assert max(abs(float(v - b)) for v, b in zip(map(Fraction, sol.values), best)) <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.9999])
+    def test_certifies_with_the_last_steps_own_backup(self, monkeypatch, alpha):
+        calls = {"policy_values": 0, "_backup": 0}
+
+        def counted(name):
+            fn = getattr(dp_core, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dp_core, name, counted(name))
+        d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+        m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -6, 8)
+        sol = infinite_horizon_vi(m, alpha, 1e-6)
+        # one backup per step, then the backup of T v_phi that gives values and mask
+        assert calls["_backup"] == calls["policy_values"] + 1 == sol.iterations + 1
+        assert sol.iterations >= 2
+
     def test_every_action_tied_terminates(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
         alpha = 0.9999
@@ -595,20 +622,17 @@ class TestIndexLookups:
 
 
 class TestOptimalMask:
-    """``ValueSolution.optimal`` is the tie rule ``q <= min + TIE_TOL`` on every row."""
+    """Every optimal-action mask is the tie rule ``q <= min + TIE_TOL`` on every row."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
     def test_finite_horizon_masks_are_the_tie_rule(self, alpha):
         d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -8, 8, a_max=6)
-        sols = finite_horizon_vi(m, 6, alpha, np.linspace(0.0, 3.0, m.n_states))
-        assert sols[0].optimal is None
-        for t in range(1, len(sols)):
-            q = m.cost + alpha * m.expected_next(sols[t - 1].values) if alpha else m.cost
-            vmin = sols[t].values
-            optimal = _optimal_mask(*_backup(m, sols[t - 1].values, alpha))
-            if t == len(sols) - 1:
-                assert np.array_equal(sols[t].optimal, optimal)
+        values = finite_horizon_vi(m, 6, alpha, np.linspace(0.0, 3.0, m.n_states))
+        for t in range(1, len(values)):
+            q = m.cost + alpha * m.expected_next(values[t - 1]) if alpha else m.cost
+            vmin = values[t]
+            optimal = _optimal_mask(*_backup(m, values[t - 1], alpha))
             assert optimal.shape == (m.n_states, m.n_actions)
             for i in range(m.n_states):
                 assert np.array_equal(optimal[i], q[i] <= vmin[i] + TIE_TOL)
@@ -616,18 +640,27 @@ class TestOptimalMask:
     def test_near_ties_split_at_the_tolerance(self):
         gaps = np.array([0.0, 0.7 * TIE_TOL, 1.5 * TIE_TOL])  # above the cheapest action
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.tile(1.0 + gaps, (7, 1)), mass_tol=1.0)
-        sols = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
-        masks = [_optimal_mask(*_backup(m, sols[0].values, 0.5)), sols[2].optimal, infinite_horizon_vi(m, 0.5, 1e-9).optimal]
+        values = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
+        masks = [_optimal_mask(*_backup(m, values[t - 1], 0.5)) for t in (1, 2)] + [infinite_horizon_vi(m, 0.5, 1e-9).optimal]
         for optimal in masks:
             assert np.array_equal(optimal, np.tile([True, True, False], (m.n_states, 1)))
 
     def test_ties_kept_and_smallest_action_chosen(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
-        sols = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
-        assert sols[2].optimal.all()
-        assert np.array_equal(min_action_policy(m, sols[2]), np.zeros(m.n_states))
-        with pytest.raises(ValueError, match="no optimal actions"):
-            min_action_policy(m, sols[0])
+        values = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
+        assert _optimal_mask(*_backup(m, values[1], 0.5)).all()
+        sol = infinite_horizon_vi(m, 0.5, 1e-9)
+        assert sol.optimal.all()
+        assert np.array_equal(min_action_policy(m, sol), np.zeros(m.n_states))
+
+    def test_one_tie_tolerance_serves_ladder_and_thresholds(self, monkeypatch):
+        ladder = DiscountLadder(np.array([0.5]), np.array([[3.0, 1.0, 1.0 + 1e-4, 2.0]]), np.arange(4.0))
+        g, grid, K = np.array([9.0, 4.0 + 1e-4, 1.0 + 1e-4, 1.0, 4.0, 9.0]), np.arange(6.0), 3.0
+        assert ladder.minimizers.tolist() == [[False, True, False, False]]
+        assert extract_sS(g, grid, K) == (2.0, 3.0)
+        monkeypatch.setattr(dp_core, "TIE_TOL", 1e-3)
+        assert ladder.minimizers.tolist() == [[False, True, True, False]]
+        assert extract_sS(g, grid, K) == (1.0, 2.0)
 
 
 # (dynamics, lo, hi, a_max): a_max None is the whole span; the others stop below it

@@ -189,12 +189,12 @@ class TestPredictFiniteHorizon:
 
 def solve_and_verify(cost, demand, alpha, N, lo, hi):
     mdp = make_inventory_mdp(cost, demand, lo, hi)
-    sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
+    values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+    g_seq = [g_function(mdp, values[t], alpha, cost) for t in range(N)]
     ps = classify_regime(cost, alpha)
     plan = predict_finite_horizon(ps, N)
-    report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
-    return mdp, sols, g_seq, report
+    report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
+    return mdp, values, g_seq, report
 
 
 class TestVerifyStructure:
@@ -203,15 +203,15 @@ class TestVerifyStructure:
         assert report.ok, report.violations[:5]
 
     def test_hybrid_short_horizon_never_order_is_optimal(self):
-        mdp, sols, g_seq, report = solve_and_verify(hybrid_cost(), MIXED, 0.9, 2, -30, 12)
+        mdp, values, g_seq, report = solve_and_verify(hybrid_cost(), MIXED, 0.9, 2, -30, 12)
         assert report.ok, report.violations[:5]
-        for depth in range(1, len(sols)):
-            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, 0.9))
+        for depth in range(1, len(values)):
+            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], 0.9))
             assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_swapped_thresholds_reported(self):
         cost = gb_cost()
-        mdp, sols, g_seq, report = solve_and_verify(cost, MIXED, 0.9, 4, -25, 12)
+        mdp, values, g_seq, report = solve_and_verify(cost, MIXED, 0.9, 4, -25, 12)
         assert report.ok
         # negative control: raise s two lattice steps above the true trigger
         N = 4
@@ -224,17 +224,17 @@ class TestVerifyStructure:
         i_s = mdp.state_index(true_s)
         g0[i_s] = g0[i_s] + 1e6
         g0[i_s + 1] = g0[i_s + 1] + 1e6
-        bad = verify_structure(plan, sols, bad_g, mdp, cost.K, 0.9)
+        bad = verify_structure(plan, values, bad_g, mdp, cost.K, 0.9)
         assert not bad.ok
         states = {x for (_, x, _, _) in bad.violations}
         assert true_s in states or true_s + 1 in states
 
 
-def reference_verify(prediction, solutions, g_sequence, mdp, K, alpha):
+def reference_verify(prediction, values, g_sequence, mdp, K, alpha):
     """Per-(step, state) reference for ``verify_structure``: its earlier loop over argmin sets.
 
-    The sets are rebuilt from the solved values with the backup's own
-    arithmetic, so the reference does not read the solver's mask.
+    The sets are rebuilt from the solved table with the backup's own
+    arithmetic and the tie rule written out, not through ``_optimal_mask``.
     """
     N = len(prediction)
     violations = []
@@ -242,8 +242,8 @@ def reference_verify(prediction, solutions, g_sequence, mdp, K, alpha):
     a_max = float(mdp.actions[-1])
     for t, entry in enumerate(prediction):
         depth = N - t
-        q = mdp.cost + alpha * mdp.expected_next(solutions[depth - 1].values) if alpha else mdp.cost
-        vmin = solutions[depth].values
+        q = mdp.cost + alpha * mdp.expected_next(values[depth - 1]) if alpha else mdp.cost
+        vmin = values[depth]
         sets = [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
         if entry is None:
             s_t = S_t = None
@@ -290,8 +290,8 @@ class TestVerifyStructureOracle:
     def test_matches_per_state_reference(self, name):
         cost, demand, alpha, N, lo, hi, a_max, alter = ORACLE_CASES[name]
         mdp = make_inventory_mdp(cost, demand, lo, hi, a_max)
-        sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        g_seq = [g_function(mdp, values[t], alpha, cost) for t in range(N)]
         plan = predict_finite_horizon(classify_regime(cost, alpha), N)
         if alter == "reverse":
             plan = plan[::-1]
@@ -301,8 +301,8 @@ class TestVerifyStructureOracle:
             plan = [N - 1] * N
         elif alter is not None:
             g_seq = [shift_right(g, alter) for g in g_seq]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
-        violations, thresholds = reference_verify(plan, sols, g_seq, mdp, cost.K, alpha)
+        report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
+        violations, thresholds = reference_verify(plan, values, g_seq, mdp, cost.K, alpha)
         assert report.thresholds == thresholds
         assert report.violations == violations
         assert report.ok == (name in ("growth", "hybrid", "alpha-zero"))
@@ -342,8 +342,8 @@ class TestThresholdLimits:
         assert threshold_limits([(-0.5, 1.5)] * 6).candidates == [(-0.5, 1.5)]
         cost = gb_cost()
         mdp = make_inventory_mdp(cost, MIXED, -25.5, 11.5)
-        sols = finite_horizon_vi(mdp, 30, 0.9, np.zeros(mdp.n_states))
-        pairs = [extract_sS(g_function(mdp, sols[t].values, 0.9, cost), mdp.grid, cost.K) for t in range(30)]
+        values = finite_horizon_vi(mdp, 30, 0.9, np.zeros(mdp.n_states))
+        pairs = [extract_sS(g_function(mdp, values[t], 0.9, cost), mdp.grid, cost.K) for t in range(30)]
         candidates = threshold_limits(pairs).candidates
         assert candidates == [pairs[-1]]
         assert all(s in mdp.grid and S in mdp.grid for s, S in candidates)
@@ -353,10 +353,10 @@ class TestThresholdLimits:
         alpha, eps = 0.9, 1e-6
         mdp = make_inventory_mdp(cost, MIXED, -25, 12)
         N = 30
-        sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
         pairs = []
         for t in range(N):
-            g = g_function(mdp, sols[t].values, alpha, cost)
+            g = g_function(mdp, values[t], alpha, cost)
             pairs.append(extract_sS(g, mdp.grid, cost.K))
         report = threshold_limits(pairs)
         assert len(report.candidates) == 1
@@ -384,10 +384,10 @@ class TestStructureInvariants:
         demand = MIXED
         mdp = make_inventory_mdp(cost, demand, -25, 12)
         for alpha in (0.0, 0.5, 0.9):
-            sols = finite_horizon_vi(mdp, 10, alpha, np.zeros(mdp.n_states))
+            values = finite_horizon_vi(mdp, 10, alpha, np.zeros(mdp.n_states))
             inner = interior_slice(mdp, demand)
             for t in range(10):
-                g = g_function(mdp, sols[t].values, alpha, cost)
+                g = g_function(mdp, values[t], alpha, cost)
                 res = is_K_convex(g[inner], cost.K)
                 assert res.ok, (alpha, t, res.violation)
 
@@ -402,11 +402,11 @@ class TestStructureInvariants:
         cost = hybrid_cost()
         alpha, N = 0.9, 6
         mdp = make_inventory_mdp(cost, MIXED, -35, 12)
-        sols = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
         n_alpha = 2
         # last n_alpha steps = shallow depths 1..n_alpha
         for depth in range(1, n_alpha + 1):
-            optimal = _optimal_mask(*_backup(mdp, sols[depth - 1].values, alpha))
+            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], alpha))
             assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_infinite_horizon_threshold_policy_certified(self):
@@ -428,9 +428,9 @@ class TestStructureInvariants:
         mdp = make_inventory_mdp(cost, MIXED, -40, 14)
         mdp0 = make_inventory_mdp(replace(cost, K=0.0), MIXED, -40, 14)
         v0 = infinite_horizon_vi(mdp0, alpha, 1e-6).values
-        sols = finite_horizon_vi(mdp, N, alpha, v0)
-        g_seq = [g_function(mdp, sols[t].values, alpha, cost) for t in range(N)]
+        values = finite_horizon_vi(mdp, N, alpha, v0)
+        g_seq = [g_function(mdp, values[t], alpha, cost) for t in range(N)]
         plan = [N - t - 1 for t in range(N)]
-        report = verify_structure(plan, sols, g_seq, mdp, cost.K, alpha)
+        report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
         assert report.ok, report.violations[:5]
         assert all(t is not None for t in report.thresholds)

@@ -294,11 +294,11 @@ class TestBeliefValueIteration:
         m = small_mdp(demand=MIXED)
         part = transparent_partition(m)
         alpha, N = 0.9, 4
-        sols = finite_horizon_vi(m, N, alpha, np.zeros(m.n_states))
+        values = finite_horizon_vi(m, N, alpha, np.zeros(m.n_states))
         for x in (-2.0, 0.0, 3.0):
             prior = make_belief([(x, 1.0)], m.grid)
             tree = belief_value_iteration(m, part, prior, N, alpha)
-            assert tree.value == pytest.approx(sols[N].values[m.state_index(x)], abs=1e-9)
+            assert tree.value == pytest.approx(values[N, m.state_index(x)], abs=1e-9)
 
     def test_coarser_observations_cannot_help(self):
         m = small_mdp(demand=MIXED)
