@@ -28,7 +28,6 @@ from .dp_core import (
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
-    min_action_policy,
     policy_values,
 )
 from .errors import InvLabError, ValidationErrors

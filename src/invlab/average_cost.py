@@ -85,33 +85,22 @@ def relative_value(ladder: DiscountLadder) -> RelativeValue:
 
 
 def check_optimality_inequality(mdp: GridMDP, u: np.ndarray, w: float, phi: np.ndarray) -> float:
-    """Minimum slack of ``w + u(x) >= c(x, phi(x)) + E u(next)`` over the grid.
+    """Minimum slack of ``w + u(x) >= c(x, phi(x)) + E u(next)`` over the grid, for the action indices ``phi``.
 
     A slack above a small negative tolerance certifies the inequality at
     grid level, and with it the average-cost optimality of ``phi`` up to
     that tolerance.
     """
     u = np.asarray(u, dtype=float)
-    slack = w + u - mdp.policy_backup(mdp.action_index(phi), u)
-    return float(slack.min())
+    return float((w + u - mdp.policy_backup(phi, u)).min())
 
 
-@dataclass
-class GreedyPolicyResult:
-    actions: np.ndarray
-    ties: np.ndarray  # (n, n_a) bool: actions tied with the minimum
+def greedy_policy(mdp: GridMDP, u: np.ndarray) -> np.ndarray:
+    """Undiscounted one-step lookahead against the relative values, as an ``(n, n_a)`` mask.
 
-
-def greedy_policy(mdp: GridMDP, u: np.ndarray) -> GreedyPolicyResult:
-    """Undiscounted one-step lookahead against the relative values.
-
-    Returns the smallest minimizer per state and the mask of actions tied
-    within ``TIE_TOL``.
+    It marks the actions within ``TIE_TOL`` of each state's minimum; the greedy policy is ``mask.argmax(axis=1)``.
     """
-    u = np.asarray(u, dtype=float)
-    q, q_min = _backup(mdp, u, 1.0)
-    ties = _optimal_mask(q, q_min)
-    return GreedyPolicyResult(mdp.actions[ties.argmax(axis=1)], ties)
+    return _optimal_mask(*_backup(mdp, np.asarray(u, dtype=float), 1.0))
 
 
 @dataclass

@@ -31,7 +31,6 @@ from .dp_core import (
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
-    min_action_policy,
 )
 from .errors import InvLabError, ValidationErrors
 from .pomdp import (
@@ -75,6 +74,14 @@ FIELDS = {
     ("sim", "horizon"): (int, None, lambda v: v >= 0, "be nonnegative"),
 }
 
+# The keys each JSON object of a config may hold: the top level (""), each section, cost.holding and a pomdp container.
+KEYS = {
+    "": "demand cost grid actions dynamics solver sim pomdp mass_tol seed output",
+    "demand": "step atoms cdf", "cost": "K c_unit holding", "holding": "breakpoints slopes", "grid": "lo hi step",
+    "actions": "a_max", "solver": "alpha eps horizon ladder", "sim": "x0 reps horizon",
+    "pomdp": "containers prior horizon max_nodes", "container": "lo hi transparent rep",
+}
+
 
 def _number(errors: list[str], label: str, value, kind):
     """The JSON number ``value`` as ``kind`` (``int`` or ``float``), or None with an error listed under ``label``."""
@@ -109,12 +116,18 @@ def _build(errors: list[str], label: str, build, *args):
         return None
 
 
+def _closed(errors: list[str], label: str, obj: dict, keys: str, path: str = "") -> None:
+    """List each key of ``obj`` outside ``KEYS[keys]`` as "<label>: unknown key '<path><key>'"."""
+    errors.extend(f"{label}: unknown key {path + k!r}" for k in obj if k not in KEYS[keys].split())
+
+
 def _section(errors: list[str], raw: dict, name: str, *, required: bool = False) -> dict | None:
     """Section ``name`` of the config, ``{}`` when an optional one is absent, or None with an error listed."""
-    sec = raw.get(name)
-    if isinstance(sec, dict) or (sec is None and not required):
-        return sec or {}
-    errors.append(f"{name}: section missing" if sec is None else f"{name}: must be a JSON object, got {sec!r}")
+    sec = raw.get(name, REQUIRED if required else {})
+    if isinstance(sec, dict):
+        _closed(errors, name, sec, name)
+        return sec
+    errors.append(f"{name}: section missing" if sec is REQUIRED else f"{name}: must be a JSON object, got {sec!r}")
     return None
 
 
@@ -138,9 +151,9 @@ def _pair(errors: list[str], label: str, first: str, atom) -> tuple | None:
 
 
 def _demand(errors: list[str], sec: dict) -> DemandDistribution | None:
-    kind = "atoms" if "atoms" in sec else "cdf" if "cdf" in sec else None
-    if kind is None or sec.get("step") is None:
-        raise ValueError("needs a step and an 'atoms' or 'cdf' array")
+    kind = "atoms" if "atoms" in sec else "cdf"
+    if sec.get("step") is None or ("atoms" in sec) == ("cdf" in sec):
+        raise ValueError("needs a step and one of an 'atoms' or a 'cdf' array")
     step = _number(errors, "demand: step", sec["step"], float)
     if not isinstance(sec[kind], list):
         errors.append(f"demand: {kind} must be a list of [value, prob] pairs, got {sec[kind]!r}")
@@ -157,6 +170,7 @@ def _cost(errors: list[str], sec: dict) -> CostModel | None:
     if not isinstance(h, dict):
         errors.append("cost: holding missing" if h is REQUIRED else f"cost: holding must be a JSON object, got {h!r}")
         return None
+    _closed(errors, "cost", h, "holding", "holding.")
     breakpoints, slopes = (_numbers(errors, f"cost: holding.{key}", h.get(key, REQUIRED)) for key in ("breakpoints", "slopes"))
     if None in (K, c_unit, breakpoints, slopes):
         return None
@@ -166,6 +180,8 @@ def _cost(errors: list[str], sec: dict) -> CostModel | None:
 def _container(errors: list[str], i: int, entry) -> Container | None:
     """Container ``i`` of the pomdp section, or None with its errors listed."""
     label = f"pomdp: containers[{i}]"
+    if isinstance(entry, dict):
+        _closed(errors, "pomdp", entry, "container", f"containers[{i}].")
     if not (isinstance(entry, dict) and {"lo", "hi", "transparent"} <= entry.keys()):
         errors.append(f"{label} must be an object with lo, hi and transparent, got {entry!r}")
         return None
@@ -251,6 +267,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationErrors([f"config: must be a JSON object, got {raw!r}"])
     errors: list[str] = []
+    _closed(errors, "config", raw, "")
     sec = {"": raw}
     for name in ("demand", "cost", "grid", "actions", "solver", "sim", "pomdp"):
         sec[name] = _section(errors, raw, name, required=name in ("demand", "cost"))
@@ -296,7 +313,7 @@ def load_config(path) -> RunConfig:
             ladder = _build(errors, "solver", average_cost.check_ladder, ladder)
 
     partition = prior = None
-    if raw.get("pomdp") is not None and sec["pomdp"] is not None:
+    if "pomdp" in raw and sec["pomdp"] is not None:
         entries, atoms = sec["pomdp"].get("containers"), sec["pomdp"].get("prior")
         if not (isinstance(entries, list) and entries):
             errors.append("pomdp: needs a containers list")
@@ -312,7 +329,7 @@ def load_config(path) -> RunConfig:
                 prior = _build(errors, "pomdp", make_belief, pairs, grid)
 
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
+    if "output" in raw and not isinstance(output, str):
         errors.append(f"output: must be a directory path, got {output!r}")
 
     if errors:
@@ -423,10 +440,10 @@ def _mdp_warnings(mdp: GridMDP) -> list:
     return warnings
 
 
-def _write_policy(out: Path, mdp: GridMDP, optimal: np.ndarray | None) -> None:
-    """``policy.csv``: each state's optimal-action set from the mask; header only when there is none."""
-    sets = [] if optimal is None else [mdp.actions[row] for row in optimal]
-    columns = [mdp.grid[:len(sets)], [s[0] for s in sets], [";".join(map(_cell, s)) for s in sets]]
+def _write_policy(out: Path, mdp: GridMDP, optimal: np.ndarray) -> None:
+    """``policy.csv``: each state's smallest optimal action and optimal-action set, one row per row of the mask."""
+    sets = [";".join(map(_cell, mdp.actions[row])) for row in optimal]
+    columns = [mdp.grid[:len(sets)], mdp.actions[optimal.argmax(axis=1)], sets]
     write_csv(out / "policy.csv", ["x", "action", "argmin_set"], columns)
 
 
@@ -440,7 +457,7 @@ def _cap_warnings(mdp: GridMDP, optimal: np.ndarray) -> list:
 # policy simulation
 
 def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: float, reps: int, seed: int):
-    """Roll out a stationary policy; returns (discounted, running-average) summaries.
+    """Roll out the stationary policy with action indices ``phi``; returns (discounted, running-average) summaries.
 
     Replication ``r`` consumes ``N`` uniform draws from a counter-based
     stream keyed by ``(seed, r)``; shocks are realized by inverse transform
@@ -451,7 +468,7 @@ def simulate_policy(mdp: GridMDP, phi: np.ndarray, x0: float, N: int, alpha: flo
     one block (draws, and one-byte shock counts up to 255 atoms, twice) plus
     O(reps); the per-replication streams make the result independent of that layout.
     """
-    cost_phi, succ_phi = mdp.policy_rows(mdp.action_index(phi))
+    cost_phi, succ_phi = mdp.policy_rows(phi)
     n_atoms = mdp.shock_probs.size
     cum = np.cumsum(mdp.shock_probs)
     if N == 0:
@@ -500,13 +517,13 @@ def _thresholds(config: RunConfig, mdp: GridMDP, v: np.ndarray, alpha: float):
 def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    optimal = _optimal_mask(*_backup(mdp, values[N - 1], alpha)) if N > 0 else None
+    optimal = _optimal_mask(*_backup(mdp, values[N - 1], alpha)) if N > 0 else np.zeros((0, mdp.n_actions), dtype=bool)
     write_csv(out / "values.csv", ["x", "v"], [mdp.grid, values[N]])
     _write_policy(out, mdp, optimal)
     rows = [(t, *_thresholds(config, mdp, v, alpha)[:2]) for t, v in enumerate(values[:-1])]
     write_csv(out / "thresholds.csv", ["t", "s", "S"], list(zip(*rows)))
     outputs = {"horizon": N, "alpha": alpha, "v_at_grid_min": float(values[N, 0])}
-    return outputs, _cap_warnings(mdp, optimal) if optimal is not None else []
+    return outputs, _cap_warnings(mdp, optimal)
 
 
 def _run_solve_discounted(config: RunConfig, mdp: GridMDP, out: Path, seed):
@@ -535,10 +552,11 @@ def _run_solve_average(config: RunConfig, mdp: GridMDP, out: Path, seed):
     header = ["alpha", "m_alpha", "one_minus_alpha_m", "X_alpha_lo", "X_alpha_hi"]
     write_csv(out / "ladder.csv", header, [ladder.alphas, ladder.m, rates, x_lo, x_hi])
     rv = average_cost.relative_value(ladder)
-    greedy = average_cost.greedy_policy(mdp, rv.u)
-    slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
-    slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
-    _write_policy(out, mdp, greedy.ties)
+    ties = average_cost.greedy_policy(mdp, rv.u)
+    phi = ties.argmax(axis=1)
+    slack_lower = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_lower, phi)
+    slack_upper = average_cost.check_optimality_inequality(mdp, rv.u, rv.w_upper, phi)
+    _write_policy(out, mdp, ties)
     diag = average_cost.assumption_B_diagnostic(ladder, config.cost)
     outputs = {
         "w_lower": rv.w_lower,
@@ -591,14 +609,13 @@ def _run_verify_structure(config: RunConfig, mdp: GridMDP, out: Path, seed):
 def _run_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
-    phi = min_action_policy(mdp, sol)
     x0, reps, N = config.sim_x0, config.sim_reps, config.sim_horizon
     max_cost = float(mdp.cost[np.isfinite(mdp.cost)].max())
     if N is None and (alpha == 0.0 or max_cost == 0.0):
         N = 1
     elif N is None:  # truncate once the geometric tail is below eps
         N = max(1, int(math.ceil(math.log(eps * (1 - alpha) / max_cost) / math.log(alpha))))
-    disc, avg = simulate_policy(mdp, phi, x0, N, alpha, reps, seed)
+    disc, avg = simulate_policy(mdp, sol.optimal.argmax(axis=1), x0, N, alpha, reps, seed)
     write_csv(out / "samples.csv", ["rep", "discounted", "running_average"], [np.arange(reps), disc.samples, avg.samples])
     truncation = max_cost * alpha**N / (1 - alpha) if alpha > 0 else 0.0
     outputs = {
@@ -625,7 +642,7 @@ def _run_pomdp_solve(config: RunConfig, mdp: GridMDP, out: Path, seed):
     sol = _solve_pomdp(config, mdp)
     outputs = {
         "value": sol.value,
-        "root_actions": sol.root_actions.tolist(),
+        "root_actions": mdp.actions[sol.optimal[sol.root]].tolist(),
         "horizon": sol.horizon,
         "nodes": sol.node_count,
     }

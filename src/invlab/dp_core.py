@@ -355,16 +355,11 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
     return ValueSolution(v_final, _optimal_mask(q, v_final), residual, steps)
 
 
-def min_action_policy(mdp: GridMDP, sol: ValueSolution) -> np.ndarray:
-    """Smallest optimal action at each state (deterministic tie-break)."""
-    return mdp.actions[sol.optimal.argmax(axis=1)]
-
-
 def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float) -> float:
-    """Max Bellman residual of a stationary policy against candidate values.
+    """Max Bellman residual of a stationary policy, given as action values ``phi``, against candidate values.
 
-    A small residual certifies that ``phi`` attains the minimum in the
-    optimality equation when ``v`` is (close to) the fixed point.
+    ``phi`` is the ``action`` column of a written ``policy.csv``; a small residual certifies that
+    it attains the minimum in the optimality equation when ``v`` is (close to) the fixed point.
     """
     rhs = mdp.policy_backup(mdp.action_index(phi), v, alpha)
     return float(np.max(np.abs(np.asarray(v) - rhs)))

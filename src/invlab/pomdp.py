@@ -205,7 +205,6 @@ class BeliefSolution:
     """A solved belief tree as arrays over node ids, numbered in the order nodes finish, so children come first."""
 
     value: float
-    root_actions: np.ndarray
     horizon: int
     root: int  # node id of the prior at the full horizon
     node_count: int
@@ -276,8 +275,7 @@ def belief_value_iteration(
 
     n = mdp.n_states
     root = solve(p0, _belief_keys(np.arange(n), p0, np.array([0, n]))[0], N)
-    optimal = np.array(masks)
-    return BeliefSolution(values[root], mdp.actions[optimal[root]], N, root, len(values), np.array(values), optimal, np.concatenate(rows))
+    return BeliefSolution(values[root], N, root, len(values), np.array(values), np.array(masks), np.concatenate(rows))
 
 
 @dataclass

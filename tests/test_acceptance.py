@@ -30,7 +30,6 @@ from invlab.dp_core import (
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
-    min_action_policy,
 )
 from invlab.policy_structure import (
     classify_regime,
@@ -226,7 +225,7 @@ def test_criterion_3_bellman_certificates(gb_suite, avg_suite):
             mdp = make_inventory_mdp(cost, demand, lo, hi)
             for alpha in (0.0, 0.5, 0.9):
                 sol = infinite_horizon_vi(mdp, alpha, EPS)
-                phi = min_action_policy(mdp, sol)
+                phi = mdp.actions[sol.optimal.argmax(axis=1)]
                 residual = check_stationary_optimality(mdp, phi, sol.values, alpha)
                 assert residual <= 2 * EPS, (alpha, residual)
                 solves += 1
@@ -260,12 +259,12 @@ def test_criterion_5_average_cost_optimality_inequality(avg_suite):
         for inst in avg_suite:
             mdp = inst["mdp"]
             rv = relative_value(inst["deep"])
-            greedy = greedy_policy(mdp, rv.u)
-            slack_upper = check_optimality_inequality(mdp, rv.u, rv.w_upper, greedy.actions)
-            slack_lower = check_optimality_inequality(mdp, rv.u, rv.w_lower, greedy.actions)
+            phi = greedy_policy(mdp, rv.u).argmax(axis=1)
+            slack_upper = check_optimality_inequality(mdp, rv.u, rv.w_upper, phi)
+            slack_lower = check_optimality_inequality(mdp, rv.u, rv.w_lower, phi)
             assert slack_upper >= -1e-5, slack_upper
             assert slack_lower >= -1e-5, slack_lower
-            avg = long_run_average(mdp, greedy.actions, 2000)
+            avg = long_run_average(mdp, mdp.actions[phi], 2000)
             assert np.max(np.abs(avg - rv.w_upper)) <= 0.05 * rv.w_upper
 
 
@@ -299,7 +298,7 @@ def test_criterion_6_threshold_convergence(avg_suite):
             s_a, S_a = limit_report.candidates[-1]
             rv = relative_value(inst["deep"])
             phi_pair = threshold_policy(mdp, s_a, S_a)
-            slack = check_optimality_inequality(mdp, rv.u, rv.w_upper, phi_pair)
+            slack = check_optimality_inequality(mdp, rv.u, rv.w_upper, mdp.action_index(phi_pair))
             assert slack >= -1e-5, slack
 
 
@@ -371,7 +370,7 @@ def test_criterion_8_monte_carlo_consistency(gb_suite):
         for idx, (cost, demand, lo, hi) in enumerate(gb_suite[:5]):
             mdp = make_inventory_mdp(cost, demand, lo, hi)
             sol = infinite_horizon_vi(mdp, alpha, EPS)
-            phi = min_action_policy(mdp, sol)
+            phi = sol.optimal.argmax(axis=1)
             x0 = 0.0
             cmax = float(mdp.cost[np.isfinite(mdp.cost)].max())
             allowance = EPS + cmax * alpha**N / (1 - alpha)

@@ -106,15 +106,14 @@ class TestOptimalityInequality:
     def test_constant_cost_exact_equality(self):
         m = constant_mdp()
         u = np.zeros(m.n_states)
-        slack = check_optimality_inequality(m, u, 1.0, np.zeros(m.n_states))
+        slack = check_optimality_inequality(m, u, 1.0, np.zeros(m.n_states, dtype=int))
         assert slack == pytest.approx(0.0, abs=1e-12)
 
     def test_greedy_policy_nearly_feasible(self):
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder)
-        greedy = greedy_policy(m, rv.u)
-        slack = check_optimality_inequality(m, rv.u, rv.w_upper, greedy.actions)
+        slack = check_optimality_inequality(m, rv.u, rv.w_upper, greedy_policy(m, rv.u).argmax(axis=1))
         # surrogate truncation error scales with the tail's shallowest rung
         # (1 - 0.99) times the relative-value span of this unit-scale instance
         assert slack >= -0.5
@@ -126,34 +125,32 @@ class TestOptimalityInequality:
         rv = relative_value(ladder)
         cap = float(m.actions[-1])
         phi = np.minimum(np.full(m.n_states, cap), m.grid[-1] - m.grid)
-        slack = check_optimality_inequality(m, rv.u, rv.w_upper, phi)
+        slack = check_optimality_inequality(m, rv.u, rv.w_upper, m.action_index(phi))
         assert slack < -0.5
 
 
 class TestGreedyPolicy:
     def test_u_zero_is_myopic(self):
         m, _ = gb_mdp()
-        res = greedy_policy(m, np.zeros(m.n_states))
-        myopic = m.actions[np.argmin(m.cost, axis=1)]
-        assert np.allclose(res.actions, myopic)
+        phi = greedy_policy(m, np.zeros(m.n_states)).argmax(axis=1)
+        assert np.array_equal(phi, np.argmin(m.cost, axis=1))
 
     def test_constant_cost_everything_ties(self):
         m = constant_mdp()
-        res = greedy_policy(m, np.zeros(m.n_states))
-        assert res.ties.all()
+        assert greedy_policy(m, np.zeros(m.n_states)).all()
 
     def test_greedy_is_threshold_shaped_on_growth_instance(self):
         m, cost = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.99, 0.999], 1e-6)
         rv = relative_value(ladder)
-        res = greedy_policy(m, rv.u)
-        ordering = res.actions > 0
+        actions = m.actions[greedy_policy(m, rv.u).argmax(axis=1)]
+        ordering = actions > 0
         if ordering.any():
             # contiguous ordering block at the bottom, constant order-up-to level
             edge = int(np.nonzero(ordering)[0][-1])
             assert np.all(ordering[: edge + 1])
             assert np.all(~ordering[edge + 1 :])
-            up_to = m.grid[: edge + 1] + res.actions[: edge + 1]
+            up_to = m.grid[: edge + 1] + actions[: edge + 1]
             assert np.allclose(up_to, up_to[0])
 
     def test_greedy_thresholds_match_discount_limit_pair(self):
@@ -163,12 +160,12 @@ class TestGreedyPolicy:
         m = make_inventory_mdp(cost, MIXED, -12, 10)
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder)
-        res = greedy_policy(m, rv.u)
-        ordering = res.actions > 0
+        actions = m.actions[greedy_policy(m, rv.u).argmax(axis=1)]
+        ordering = actions > 0
         assert ordering.any()
         edge = int(np.nonzero(ordering)[0][-1])
         s_greedy = float(m.grid[edge]) + m.step  # first no-order state
-        S_greedy = float(m.grid[edge] + res.actions[edge])
+        S_greedy = float(m.grid[edge] + actions[edge])
         pairs = []
         for alpha, values in zip(ladder.alphas, ladder.values):
             g = g_function(m, values, alpha, cost)
@@ -244,6 +241,5 @@ class TestLongRunAverage:
         m, _ = gb_mdp()
         ladder = solve_ladder(m, [0.9, 0.95, 0.99, 0.995, 0.999], 1e-6)
         rv = relative_value(ladder)
-        res = greedy_policy(m, rv.u)
-        avg = long_run_average(m, res.actions, 2000)
+        avg = long_run_average(m, m.actions[greedy_policy(m, rv.u).argmax(axis=1)], 2000)
         assert np.max(np.abs(avg - rv.w_upper)) <= 0.05 * rv.w_upper

@@ -19,7 +19,7 @@ from invlab import cli_sim, dp_core
 from invlab.cli_sim import load_config, main, run, simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
-from invlab.dp_core import Dynamics, infinite_horizon_vi, make_inventory_mdp, min_action_policy
+from invlab.dp_core import Dynamics, infinite_horizon_vi, make_inventory_mdp
 from invlab.errors import InvLabError, ValidationErrors
 from invlab.pomdp import Container, ContainerPartition, replication_uniforms
 from oracles import demand_mean, successors
@@ -111,7 +111,7 @@ class TestSimulatePolicy:
         self.mdp = make_inventory_mdp(self.cost, self.demand, -12, 8)
         self.alpha = 0.9
         self.sol = infinite_horizon_vi(self.mdp, self.alpha, 1e-6)
-        self.phi = min_action_policy(self.mdp, self.sol)
+        self.phi = self.sol.optimal.argmax(axis=1)
 
     def test_zero_horizon_is_free(self):
         disc, avg = simulate_policy(self.mdp, self.phi, 0.0, 0, self.alpha, 20, seed=1)
@@ -121,7 +121,7 @@ class TestSimulatePolicy:
     def test_deterministic_chain_zero_variance(self):
         d = from_atoms([(1, 1.0)], step=1)
         m = make_inventory_mdp(CostModel(0.0, 1.0, HoldingCost.linear(1, 1)), d, -3, 3)
-        phi = np.clip(1.0 - m.grid, 0.0, None)  # hold the post-order level at one unit
+        phi = m.action_index(np.clip(1.0 - m.grid, 0.0, None))  # hold the post-order level at one unit
         N, alpha = 40, 0.8
         disc, avg = simulate_policy(m, phi, 0.0, N, alpha, 25, seed=3)
         hand = sum(alpha**t * 1.0 for t in range(N))
@@ -244,7 +244,7 @@ class TestRunCommands:
         config = load_config(write_config(tmp_path, base_config(sim={"x0": -2.0, "reps": reps, "horizon": 5})))
         run(config, "simulate", out_dir=tmp_path / "out")
         mdp = config.build_mdp()
-        phi = min_action_policy(mdp, infinite_horizon_vi(mdp, config.solver.alpha, config.solver.eps))
+        phi = infinite_horizon_vi(mdp, config.solver.alpha, config.solver.eps).optimal.argmax(axis=1)
         disc, avg = simulate_policy(mdp, phi, -2.0, 5, config.solver.alpha, reps, config.seed)
         cells = "".join(",".join(map(cli_sim._cell, row)) + "\n" for row in zip(range(reps), disc.samples, avg.samples))
         assert (tmp_path / "out" / "samples.csv").read_text() == "rep,discounted,running_average\n" + cells
@@ -569,17 +569,16 @@ INVERSION_LAWS = [
 
 
 def searchsorted_rollout(mdp, demand, phi, alpha, u):
-    """Discounted and total cost of ``phi`` from state 0 on the draws ``u`` (reps x N), shocks by ``searchsorted``:
-    every replication's draws held at once, stepped in lockstep."""
+    """Discounted and total cost of the action indices ``phi`` from state 0 on the draws ``u`` (reps x N), shocks by
+    ``searchsorted``: every replication's draws held at once, stepped in lockstep."""
     k, N = u.shape
-    phi_idx = mdp.action_index(phi)
     succ = successors(mdp.grid, mdp.actions, demand, mdp.dynamics)
     cum = np.cumsum(mdp.shock_probs)
     shocks = np.searchsorted(cum, u * cum[-1]).clip(0, cum.size - 1)
     x = np.full(k, mdp.state_index(0.0))
     ref_disc, ref_total, power = np.zeros(k), np.zeros(k), 1.0
     for t in range(N):
-        a = phi_idx[x]
+        a = phi[x]
         ref_disc += power * mdp.cost[x, a]
         ref_total += mdp.cost[x, a]
         x = succ[x, a, shocks[:, t]]
@@ -592,7 +591,7 @@ class TestReplicationBlocks:
         self.demand = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
         self.mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), self.demand, -12, 8)
         self.alpha = 0.9
-        self.phi = min_action_policy(self.mdp, infinite_horizon_vi(self.mdp, self.alpha, 1e-6))
+        self.phi = infinite_horizon_vi(self.mdp, self.alpha, 1e-6).optimal.argmax(axis=1)
 
     @pytest.mark.parametrize("seed", [0, 20240601, 2**64 - 1])
     def test_rows_are_the_keyed_philox_streams(self, seed):
@@ -634,7 +633,7 @@ class TestReplicationBlocks:
         lo, hi = (0.0, (n_atoms + 8) * step) if dynamics is Dynamics.LOST_SALES else (-(n_atoms + 8) * step, 8 * step)
         mdp = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), demand, lo, hi, dynamics=dynamics)
         assert mdp.shock_probs.size == n_atoms
-        phi = min_action_policy(mdp, infinite_horizon_vi(mdp, self.alpha, 1e-6))
+        phi = infinite_horizon_vi(mdp, self.alpha, 1e-6).optimal.argmax(axis=1)
         reps, N = 97, 40
         if draws == "philox":
             u = replication_uniforms(5, reps, N)
@@ -920,6 +919,17 @@ LOAD_TIME_FAULTS = [
         1e15,
         "grid: 21 states x 1000000000000001 actions make 21000000000000021 (state, action) pairs, above the cap of 4194304",
     ),
+    # a misspelled key would otherwise run on the default it was meant to replace
+    (("solver", "alpah"), 0.5, "solver: unknown key 'alpah'"),
+    (("dynamcs",), "lost_sales", "config: unknown key 'dynamcs'"),
+    (("actions", "amax"), 3.0, "actions: unknown key 'amax'"),
+    (("demand", "cdf"), [[0.0, 0.3], [1.0, 0.7], [2.0, 1.0]], "demand: needs a step and one of an 'atoms' or a 'cdf' array"),
+    # only an absent section takes its defaults
+    (("solver",), None, "solver: must be a JSON object, got None"),
+    (("sim",), None, "sim: must be a JSON object, got None"),
+    (("actions",), None, "actions: must be a JSON object, got None"),
+    (("pomdp",), None, "pomdp: must be a JSON object, got None"),
+    (("output",), None, "output: must be a directory path, got None"),
 ]
 
 
@@ -966,6 +976,26 @@ class TestLoadTimeFaults:
 
 def no_build(*args, **kwargs):
     raise AssertionError("a faulty config reached the MDP build")
+
+
+class TestClosedSchema:
+    @pytest.mark.parametrize(
+        "path", [p for p in README_POMDP_PATHS if isinstance(p[-1], str)], ids=lambda p: ".".join(map(str, p)),
+    )
+    def test_renamed_key_is_2_naming_it(self, tmp_path, capsys, monkeypatch, path):
+        monkeypatch.setattr(cli_sim, "make_inventory_mdp", no_build)
+        cfg = base_config(pomdp=pomdp_section())
+        parent = get_field(cfg, path[:-1])
+        parent[path[-1] + "_"] = parent.pop(path[-1])
+        out = tmp_path / "out"
+        assert main(["pomdp-solve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        # named by its section and its path below it: "pomdp: unknown key 'containers[0].lo_'"
+        below = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[1:]).lstrip(".")
+        section, key = ("config", path[0]) if len(path) == 1 else (path[0], below)
+        err = capsys.readouterr().err
+        assert f"error: {section}: unknown key '{key}_'" in err.splitlines()
+        assert "solver error" not in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestLatticeSizes:
@@ -1032,6 +1062,18 @@ class TestPolicyArtifacts:
         holding_cap = [float(x) for x, _, argmin_set in rows if "2.0" in argmin_set.split(";")]
         assert [w["state"] for w in binding] == holding_cap
         assert len(holding_cap) == 13
+
+    @pytest.mark.parametrize("command", ["solve-finite", "solve-discounted", "solve-average"])
+    def test_action_is_the_first_entry_of_its_argmin_set(self, tmp_path, command):
+        # K = 0 and a backlog slope equal to c_unit: at one period to go, ordering ties at 12 states
+        cfg = base_config(cost={"K": 0.0, "c_unit": 1.0, "holding": {"breakpoints": [0.0], "slopes": [-1.0, 1.0]}})
+        cfg["solver"]["horizon"] = 1
+        out = tmp_path / "out"
+        run(load_config(write_config(tmp_path, cfg)), command, out_dir=out)
+        rows = [line.split(",") for line in (out / "policy.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 21
+        assert [action for _, action, _ in rows] == [argmin_set.split(";")[0] for _, _, argmin_set in rows]
+        assert sum(";" in argmin_set for _, _, argmin_set in rows) == (12 if command == "solve-finite" else 0)
 
     def test_zero_horizon_solve_finite_writes_header_only_tables(self, tmp_path):
         cfg = base_config()
@@ -1204,12 +1246,14 @@ def nested_config(tmp_path, depth):
 
 class TestNesting:
     @pytest.mark.parametrize("depth", [4, cli_sim.MAX_NESTING])
-    def test_config_at_the_limit_runs(self, tmp_path, capsys, depth):
-        assert main(["classify", "--config", str(nested_config(tmp_path, depth)), "--out", str(tmp_path / "out")]) == 0
-        note = json.loads((tmp_path / "out" / "report.json").read_text())["inputs"]["note"]
-        for _ in range(depth - 2):
-            (note,) = note
-        assert note == []
+    def test_config_at_the_limit_passes_the_guard(self, tmp_path, capsys, depth):
+        # a valid config nests 4 levels and runs; a note at the limit gets past the guard to the key check
+        assert cli_sim._nesting(base_config(pomdp=pomdp_section())) == 4
+        assert main(["classify", "--config", str(write_config(tmp_path, base_config())), "--out", str(tmp_path / "ok")]) == 0
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(nested_config(tmp_path, depth)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config: unknown key 'note'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("depth", [cli_sim.MAX_NESTING + 1, 500, 900])
     def test_config_past_the_limit_is_2_before_any_build(self, tmp_path, capsys, monkeypatch, depth):

@@ -25,7 +25,6 @@ from invlab.dp_core import (
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
-    min_action_policy,
     policy_values,
 )
 from invlab.errors import InvLabError
@@ -72,7 +71,7 @@ class TestBuildMdp:
         m = make_inventory_mdp(cost, d, -2, 10, dynamics=Dynamics.LOST_SALES)
         alpha, eps = 0.9, 1e-6
         sol = infinite_horizon_vi(m, alpha, eps)
-        phi = min_action_policy(m, sol)
+        phi = m.actions[sol.optimal.argmax(axis=1)]
         assert check_stationary_optimality(m, phi, sol.values, alpha) <= 2 * eps
         rows = law(m, d)
         # negative states are unreachable from nonnegative starts
@@ -127,7 +126,7 @@ class TestBuildMdp:
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3, 1)), UNIT, -6, 4)
         alpha = 0.9
         sol = infinite_horizon_vi(m, alpha, 1e-6)
-        phi = min_action_policy(m, sol)
+        phi = m.actions[sol.optimal.argmax(axis=1)]
         check_stationary_optimality(m, phi, sol.values, alpha)
         part = ContainerPartition([Container(-6, 0, False), Container(0, 4, True)], m.grid, m.step)
         prior = make_belief([(0.0, 1.0)], m.grid)
@@ -306,7 +305,7 @@ class TestInfiniteHorizon:
         for alpha in (0.5, 0.9):
             eps = 1e-6
             sol = infinite_horizon_vi(m, alpha, eps)
-            phi = min_action_policy(m, sol)
+            phi = m.actions[sol.optimal.argmax(axis=1)]
             assert check_stationary_optimality(m, phi, sol.values, alpha) <= 2 * eps
 
 
@@ -322,7 +321,7 @@ class TestStationaryCheck:
         m = make_inventory_mdp(ABS, UNIT, -2, 2)
         alpha = 0.5
         sol = infinite_horizon_vi(m, alpha, 1e-8)
-        phi = min_action_policy(m, sol)
+        phi = m.actions[sol.optimal.argmax(axis=1)]
         base = check_stationary_optimality(m, phi, sol.values, alpha)
         worse = phi.copy()
         i = m.state_index(1)  # optimal action is 0 there; force an order of 1
@@ -432,7 +431,7 @@ class TestPolicyIterationStart:
         values = [evaluate_stationary(m, rows, np.array(combo), alpha) for combo in itertools.product(*feasible)]
         best = np.min(values, axis=0)
         assert np.max(np.abs(sol.values - best)) <= eps
-        phi_idx = m.action_index(min_action_policy(m, sol))
+        phi_idx = sol.optimal.argmax(axis=1)
         assert np.max(np.abs(evaluate_stationary(m, rows, phi_idx, alpha) - best)) <= eps
 
     @pytest.mark.parametrize(
@@ -651,7 +650,7 @@ class TestOptimalMask:
         assert _optimal_mask(*_backup(m, values[1], 0.5)).all()
         sol = infinite_horizon_vi(m, 0.5, 1e-9)
         assert sol.optimal.all()
-        assert np.array_equal(min_action_policy(m, sol), np.zeros(m.n_states))
+        assert np.array_equal(sol.optimal.argmax(axis=1), np.zeros(m.n_states, dtype=int))
 
     def test_one_tie_tolerance_serves_ladder_and_thresholds(self, monkeypatch):
         ladder = DiscountLadder(np.array([0.5]), np.array([[3.0, 1.0, 1.0 + 1e-4, 2.0]]), np.arange(4.0))
