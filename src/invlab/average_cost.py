@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .dp_core import GridMDP, _backup, _optimal_mask, infinite_horizon_vi
+from .dp_core import GridMDP, _backup_mask, _optimal_mask, infinite_horizon_vi
 
 DEFAULT_LADDER = (0.9, 0.95, 0.99, 0.995, 0.999)
 SLACK_TOL = 1e-6  # margin of the relative-value growth and bound tests
@@ -100,7 +100,7 @@ def greedy_policy(mdp: GridMDP, u: np.ndarray) -> np.ndarray:
 
     It marks the actions within ``TIE_TOL`` of each state's minimum; the greedy policy is ``mask.argmax(axis=1)``.
     """
-    return _optimal_mask(*_backup(mdp, np.asarray(u, dtype=float), 1.0))
+    return _backup_mask(mdp, np.asarray(u, dtype=float), 1.0)[1]
 
 
 @dataclass

@@ -11,6 +11,7 @@ and column order is fixed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,9 +26,9 @@ from .demand import DemandDistribution, _lattice_index, _lattice_offsets, from_a
 from .dp_core import (
     Dynamics,
     GridMDP,
-    _backup,
+    _backup_mask,
     _lattice,
-    _optimal_mask,
+    _window_min,
     finite_horizon_vi,
     infinite_horizon_vi,
     make_inventory_mdp,
@@ -424,7 +425,7 @@ class RunReport:
 def _mdp_warnings(mdp: GridMDP) -> list:
     warnings = []
     # clamping matters only where the pair is actually usable
-    usable = (mdp.mass_loss > 0) & np.isfinite(mdp.cost)
+    usable = (mdp.mass_loss > 0) & mdp.finite_pairs()
     lost = np.argwhere(usable)
     if lost.size:
         i, j = lost[0]
@@ -442,7 +443,9 @@ def _mdp_warnings(mdp: GridMDP) -> list:
 
 def _write_policy(out: Path, mdp: GridMDP, optimal: np.ndarray) -> None:
     """``policy.csv``: each state's smallest optimal action and optimal-action set, one row per row of the mask."""
-    sets = [";".join(map(_cell, mdp.actions[row])) for row in optimal]
+    names = list(_cells(mdp.actions))
+    entries = map(names.__getitem__, np.nonzero(optimal)[1].tolist())  # row by row
+    sets = [";".join(itertools.islice(entries, k)) for k in optimal.sum(axis=1).tolist()]
     columns = [mdp.grid[:len(sets)], mdp.actions[optimal.argmax(axis=1)], sets]
     write_csv(out / "policy.csv", ["x", "action", "argmin_set"], columns)
 
@@ -517,7 +520,7 @@ def _thresholds(config: RunConfig, mdp: GridMDP, v: np.ndarray, alpha: float):
 def _run_solve_finite(config: RunConfig, mdp: GridMDP, out: Path, seed):
     alpha, N = config.solver.alpha, config.solver.horizon
     values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
-    optimal = _optimal_mask(*_backup(mdp, values[N - 1], alpha)) if N > 0 else np.zeros((0, mdp.n_actions), dtype=bool)
+    optimal = _backup_mask(mdp, values[N - 1], alpha)[1] if N > 0 else np.zeros((0, mdp.n_actions), dtype=bool)
     write_csv(out / "values.csv", ["x", "v"], [mdp.grid, values[N]])
     _write_policy(out, mdp, optimal)
     rows = [(t, *_thresholds(config, mdp, v, alpha)[:2]) for t, v in enumerate(values[:-1])]
@@ -610,7 +613,8 @@ def _run_simulate(config: RunConfig, mdp: GridMDP, out: Path, seed: int):
     alpha, eps = config.solver.alpha, config.solver.eps
     sol = infinite_horizon_vi(mdp, alpha, eps)
     x0, reps, N = config.sim_x0, config.sim_reps, config.sim_horizon
-    max_cost = float(mdp.cost[np.isfinite(mdp.cost)].max())
+    # the largest finite one-step cost: per action, its order cost plus the largest finite L of the levels it reaches
+    max_cost = float(np.max(mdp._order - _window_min(np.where(np.isfinite(mdp.L), -mdp.L, np.inf), mdp.n_states)))
     if N is None and (alpha == 0.0 or max_cost == 0.0):
         N = 1
     elif N is None:  # truncate once the geometric tail is below eps

@@ -7,9 +7,15 @@ falls off the grid.  Clamped mass is recorded per ``(state, action)`` so
 truncation stays auditable; builds reject configurations where clamping is
 material for a finite-cost action.
 
-Infeasible pairs are modeled as ``+inf`` cost rather than restricted action
-sets, so every state keeps the full action lattice and solvers simply never
-pick the infinite entries.
+The one-step cost is separable, ``K 1{a>0} + c_unit a + L(x + a)``, with
+one ``L`` value per post-order level; the successor law, too, depends only
+on the level.  So every solver works on per-level arrays: a backup is
+Scarf's order-up-to form ``T v(x) = min(F(x), K - c_unit x + min G(y))``
+over the levels ``x < y <= x + a_max``, where ``F = L + alpha E v(next)``
+and ``G(y) = c_unit y + F(y)``, and the inner minimum is a sliding-window
+minimum.  Infeasible levels carry ``+inf`` cost rather than restricted
+action sets, so every state keeps the full action lattice and solvers simply
+never pick the infinite entries.
 """
 
 from __future__ import annotations
@@ -37,26 +43,33 @@ class Dynamics(enum.Enum):
 
 @dataclass
 class GridMDP:
-    """Finite MDP on a state lattice.
+    """Finite MDP on a state lattice with the cost ``K 1{a>0} + c_unit a + L(x + a)``.
 
     Transitions are a level table plus the demand law: pair ``(i, j)`` sits
     on the post-order level ``_y_of[i, j] = i + j``, which moves to
     ``_y_next[level, k]`` with probability ``shock_probs[k]``; off-grid
     successors are clamped onto the edges, the clamped mass kept per pair in
-    ``mass_loss``.  ``cost`` is the only stored (state, action) array; the
-    rest are read-only views of one value per level (``_on_pairs``).  ``P``
-    is a dense view built on request.
+    ``mass_loss``.  ``L`` holds one cost per level, ``grid[0] + step * l``
+    for ``l < n + n_a - 1``; ``_y_of`` and ``mass_loss`` are read-only views
+    of one value per level (``_on_pairs``).  No (state, action) array is
+    stored: the ``cost`` table and the dense ``P`` are built on request.
     """
 
     grid: np.ndarray
     step: float
     actions: np.ndarray
-    cost: np.ndarray
+    K: float
+    c_unit: float
+    L: np.ndarray  # (levels,) cost of each post-order level, +inf where infeasible
     mass_loss: np.ndarray
     shock_probs: np.ndarray
     dynamics: Dynamics
     _y_next: np.ndarray  # (levels, n_atoms) clamped successor of each level
     _y_of: np.ndarray    # (n, n_a) level of each (state, action) pair, a view of the level numbers
+    _order: np.ndarray         # (n_a,) order costs K 1{a>0} + c_unit a
+    _setup_less_x: np.ndarray  # (n,) K - c_unit x: an order from x costs this plus c_unit y of the level y it reaches
+    _cy: np.ndarray            # (levels,) c_unit y at every level
+    _one_block: bool           # every order window reaches past the last finite level
 
     @property
     def shift_kernel(self) -> bool:
@@ -72,12 +85,27 @@ class GridMDP:
         return self.actions.size
 
     @functools.cached_property
+    def cost(self) -> np.ndarray:
+        """The ``(n, n_a)`` one-step cost table ``order[j] + L[i + j]``, built on first access for the readers that want one."""
+        return self._order[None, :] + _on_pairs(self.L, self.n_actions)
+
+    @functools.cached_property
+    def _myopic(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(min_a c(x, a), phi)``: the ``alpha = 0`` backup and its greedy action indices, policy iteration's start."""
+        F, G, W, tv = _backup(self, np.zeros(self.n_states), 0.0)
+        return tv, _greedy(self, F, G, W, tv)
+
+    @functools.cached_property
     def P(self) -> np.ndarray:
         """Dense ``(n, n_a, n)`` transition rows, built from the level table on first access."""
         levels = self._y_next.shape[0]
         rows = np.zeros((levels, self.n_states))
         np.add.at(rows, (np.arange(levels)[:, None], self._y_next), self.shock_probs)
         return rows[self._y_of]
+
+    def finite_pairs(self) -> np.ndarray:
+        """Read-only ``(n, n_a)`` bool view: the pairs of finite cost."""
+        return _on_pairs(np.isfinite(self.L), self.n_actions)
 
     def state_index(self, x):
         """Grid index of the state ``x``, a number or an array."""
@@ -89,12 +117,12 @@ class GridMDP:
 
     def policy_rows(self, phi_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cost ``(n,)`` and successor rows ``(n, n_atoms)`` of the stationary policy with action indices ``phi_idx``."""
-        rows = np.arange(self.n_states)
-        return self.cost[rows, phi_idx], self._y_next[self._y_of[rows, phi_idx]]
+        level = np.arange(self.n_states) + phi_idx
+        return self._order[phi_idx] + self.L[level], self._y_next[level]
 
     def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """``E v(next)`` for every (state, action) pair: one sum per level, viewed onto the pairs."""
-        return _on_pairs(v[self._y_next] @ self.shock_probs, self.n_actions)
+        """``E v(next)`` at every post-order level, ``(levels,)``: one sum per level, which pair ``(i, j)`` reads at ``i + j``."""
+        return v[self._y_next] @ self.shock_probs
 
     def policy_backup(self, phi_idx: np.ndarray, v: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         """``T_phi v = c(x, phi(x)) + alpha E v(next)`` at every state, for the action indices ``phi_idx``."""
@@ -157,18 +185,21 @@ def build_mdp(
     grid_lo: float,
     grid_hi: float,
     a_max: float,
-    cost,
+    K: float,
+    c_unit: float,
+    L,
     *,
     mass_tol: float = 1e-6,
 ) -> GridMDP:
-    """Assemble a GridMDP from the dynamics, the demand law and an ``(n, n_a)`` cost table.
+    """Assemble a GridMDP from the dynamics, the demand law and the cost ``K 1{a>0} + c_unit a + L(x + a)``.
 
-    The table is indexed by (state, action) and may hold ``+inf`` to mark
-    infeasible pairs.  Raises ValueError for a table of another shape, for a
-    NaN or ``-inf`` cost and past ``MAX_PAIRS`` (state, action) pairs,
-    ``GRID_TOO_NARROW`` when a demand atom with probability above
-    ``mass_tol`` would clamp at a grid edge under a finite-cost action, and
-    ``NO_FINITE_ACTION`` when some state has no finite-cost action.
+    ``L`` holds one cost per post-order level ``grid_lo + step * l``, ``l <
+    n + n_a - 1``, and may hold ``+inf`` to mark infeasible levels.  Raises
+    ValueError for an ``L`` of another shape, for a ``K`` or ``c_unit`` that
+    is not finite, for a NaN or ``-inf`` cost and past ``MAX_PAIRS`` (state,
+    action) pairs, ``GRID_TOO_NARROW`` when a demand atom with probability
+    above ``mass_tol`` would clamp at a grid edge under a finite-cost action,
+    and ``NO_FINITE_ACTION`` when some state has no finite-cost action.
     """
     step = demand.step
     grid, actions = _lattice(grid_lo, grid_hi, step, a_max)
@@ -184,18 +215,21 @@ def build_mdp(
         y_raw = np.maximum(y_raw, zero_idx)
     clamped = (y_raw < 0) | (y_raw > n - 1)
 
-    cost = np.asarray(cost, dtype=float)
-    if cost.shape != (n, n_a):
-        raise ValueError(f"cost table has shape {cost.shape}, expected ({n}, {n_a})")
-    if np.any(np.isnan(cost)) or np.any(cost == -np.inf):
+    L = np.asarray(L, dtype=float)
+    if L.shape != (n + n_a - 1,):
+        raise ValueError(f"level costs have shape {L.shape}, expected ({n + n_a - 1},)")
+    if not (math.isfinite(K) and math.isfinite(c_unit)):
+        raise ValueError(f"K and c_unit must be finite, got {K} and {c_unit}")
+    if np.any(np.isnan(L)) or np.any(L == -np.inf):
         raise ValueError("costs must be finite or +inf")
-    finite = np.isfinite(cost)
-    if not finite.any(axis=1).all():
-        bad = int(np.nonzero(~finite.any(axis=1))[0][0])
+    finite = np.isfinite(L)
+    some_finite = _on_pairs(finite, n_a).any(axis=1)
+    if not some_finite.all():
+        bad = int(np.argmin(some_finite))
         raise InvLabError("NO_FINITE_ACTION", f"state {grid[bad]} has no finite-cost action")
 
     too_narrow = clamped & (demand.probs > mass_tol)
-    offending = _on_pairs(too_narrow.any(axis=1), n_a) & finite
+    offending = _on_pairs(too_narrow.any(axis=1) & finite, n_a)
     if offending.any():
         i, j = np.argwhere(offending)[0]
         k = int(np.argmax(too_narrow[i + j]))
@@ -205,16 +239,24 @@ def build_mdp(
             f"from state {grid[i]} under action {actions[j]}",
         )
 
+    K, c_unit = float(K), float(c_unit)
+    cy = c_unit * (grid_lo + step * np.arange(n + n_a - 1, dtype=float))  # its first n levels are c_unit * grid, bitwise
     return GridMDP(
         grid=grid,
         step=step,
         actions=actions,
-        cost=cost,
+        K=K,
+        c_unit=c_unit,
+        L=L,
         mass_loss=_on_pairs((clamped * demand.probs).sum(axis=1), n_a),
         shock_probs=demand.probs,
         dynamics=dynamics,
         _y_next=np.clip(y_raw, 0, n - 1),
         _y_of=_on_pairs(np.arange(n + n_a - 1), n_a),
+        _order=np.where(np.arange(n_a) > 0, K, 0.0) + c_unit * actions,
+        _setup_less_x=K - cy[:n],
+        _cy=cy,
+        _one_block=n_a > 1 and np.nonzero(finite)[0][-1] <= min(n, n_a - 1),
     )
 
 
@@ -230,22 +272,19 @@ def make_inventory_mdp(
 ) -> GridMDP:
     """Periodic-review instance: cost ``K 1{a>0} + c_unit a + E h(x + a - D)``.
 
-    The cost table is tabulated in one broadcast from ``E h(y - D)`` at every
-    grid level ``y``: pair ``(i, j)`` reads level ``i + j``.  Orders that
-    would land above the grid top are infeasible (+inf cost), so the action
-    set is effectively ``{0, ..., hi - x}``.  Demand falling off the bottom
-    edge clamps there; that is unavoidable on a truncated backorder grid, so
-    the default ``mass_tol`` accepts it and leaves the audit trail in
+    ``L`` is ``E h(y - D)`` at every grid level ``y``.  Orders that would
+    land above the grid top are infeasible (+inf cost), so the action set is
+    effectively ``{0, ..., hi - x}``.  Demand falling off the bottom edge
+    clamps there; that is unavoidable on a truncated backorder grid, so the
+    default ``mass_tol`` accepts it and leaves the audit trail in
     ``mass_loss``.
     """
     if a_max is None:
         a_max = grid_hi - grid_lo
     grid, actions = _lattice(grid_lo, grid_hi, demand.step, a_max)
     eh = expected_holding(cost_model.holding, grid, demand)  # E h(y - D) for every post-order level y
-    eh = np.concatenate([eh, np.full(actions.size - 1, math.inf)])  # levels above the grid top are infeasible
-    order = np.where(np.arange(actions.size) > 0, cost_model.K, 0.0) + cost_model.c_unit * actions
-    cost = order[None, :] + _on_pairs(eh, actions.size)
-    return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost, mass_tol=mass_tol)
+    L = np.concatenate([eh, np.full(actions.size - 1, math.inf)])  # levels above the grid top are infeasible
+    return build_mdp(dynamics, demand, grid_lo, grid_hi, a_max, cost_model.K, cost_model.c_unit, L, mass_tol=mass_tol)
 
 
 def _optimal_mask(q: np.ndarray, bound) -> np.ndarray:
@@ -261,22 +300,83 @@ def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.where(np.isinf(a) & np.isinf(b), 0.0, np.abs(a - b))))
 
 
+def _window_min(g: np.ndarray, w: int) -> np.ndarray:
+    """``min(g[k : k + w])`` for every ``k <= g.size - w``, in O(g.size): the van Herk / Gil-Werman block scans.
+
+    ``g`` is cut into blocks of ``w`` entries, the last padded with +inf, and
+    each block is scanned for running minima from its left and from its
+    right end; window ``k`` is the right scan of its block at ``k`` and the
+    left scan of the next block at ``k + w - 1``.  ``w = g.size`` is one block.
+    """
+    pad = -g.size % w
+    padded = np.concatenate([g, np.full(pad, np.inf)]) if pad else g
+    left = np.minimum.accumulate(padded.reshape(-1, w), axis=1).ravel()
+    right = np.minimum.accumulate(padded[::-1].reshape(-1, w), axis=1).ravel()[::-1]
+    return np.minimum(right[:g.size - w + 1], left[w - 1:g.size])
+
+
 def _backup(mdp: GridMDP, v: np.ndarray, alpha: float):
-    """``(Q, min Q)`` with ``Q = cost + alpha E v(next)``, the one new pair-sized array (``cost`` itself at ``alpha = 0``)."""
-    if alpha == 0.0:
-        return mdp.cost, mdp.cost.min(axis=1)
-    q = np.multiply(mdp.expected_next(v), alpha)
-    q += mdp.cost
-    return q, q.min(axis=1)
+    """``(F, G, W, T v)``: one Bellman backup through the order-up-to objective, all on per-level arrays.
+
+    ``F = L + alpha E v(next)`` is the cost of ordering nothing from each
+    level and ``G = c_unit y + F``, both ``(levels,)``; ``W[i]`` is the
+    minimum of ``G`` over the order window ``[i + 1, i + n_a - 1]`` (``+inf``
+    when ``n_a = 1``), and ``T v = min(F[i], (K - c_unit x_i) + W[i])``.  At
+    ``alpha = 0`` ``F`` is ``L`` itself and ``E v`` is not formed.  When
+    every window reaches past the last finite level, as when ``a_max`` spans
+    an inventory grid, the windows are one block: ``W[i]`` is the suffix
+    minimum of ``G`` from level ``i + 1``.
+    """
+    n, n_a = mdp.n_states, mdp.n_actions
+    F = mdp.L if alpha == 0.0 else mdp.L + alpha * mdp.expected_next(v)
+    G = mdp._cy + F
+    if n_a == 1:
+        W = np.full(n, np.inf)
+    elif mdp._one_block:  # the levels past the last finite one, up to n, are +inf
+        W = np.minimum.accumulate(G[n:0:-1])[::-1]
+    else:
+        W = _window_min(G[1:], n_a - 1)
+    return F, G, W, np.minimum(F[:n], mdp._setup_less_x + W)
+
+
+def _pair_q(mdp: GridMDP, F: np.ndarray, G: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The backup's ``Q(i, j)`` on ``rows``, one float per pair: ``F[i]`` at ``j = 0``, ``(K - c_unit x_i) + G[i + j]`` above.
+
+    Rounding ``(K - c_unit x_i) + g`` is monotone in ``g``, so each row's
+    minimum is bitwise the backup's ``T v``; the ``j = 0`` column is bitwise
+    ``cost[i, 0] + alpha E v``.
+    """
+    base = mdp._setup_less_x[rows]
+    q = np.empty((base.size, mdp.n_actions))
+    q[:, 0] = F[:mdp.n_states][rows]
+    np.add(base[:, None], _on_pairs(G[1:], mdp.n_actions - 1)[rows], out=q[:, 1:])
+    return q
+
+
+def _greedy(mdp: GridMDP, F: np.ndarray, G: np.ndarray, W: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """An optimal action index per state: 0 where ordering nothing attains ``T v``, else the first level of the order window at ``W``.
+
+    The window's levels are compared with ``W`` on the pair view, one byte per pair.
+    """
+    if mdp.n_actions == 1:
+        return np.zeros(mdp.n_states, dtype=np.intp)
+    first = (_on_pairs(G[1:], mdp.n_actions - 1) == W[:, None]).argmax(axis=1)
+    return np.where(F[:mdp.n_states] == tv, 0, 1 + first)
+
+
+def _backup_mask(mdp: GridMDP, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(T v, mask)``: one backup of ``v`` and its optimal-action mask, read off the one pair Q built for it."""
+    F, G, _, tv = _backup(mdp, v, alpha)
+    return tv, _optimal_mask(_pair_q(mdp, F, G), tv)
 
 
 def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) -> np.ndarray:
     """Backward induction for ``N`` steps from the terminal values.
 
     Row ``t`` of the ``(N + 1, n)`` result is the optimal cost with ``t``
-    periods to go.  No mask is kept: the optimal first actions at depth
-    ``t`` are one backup of row ``t - 1``,
-    ``_optimal_mask(*_backup(mdp, values[t - 1], alpha))``.
+    periods to go, one ``_backup`` of row ``t - 1``; no (state, action)
+    array is formed.  No mask is kept: the optimal first actions at depth
+    ``t`` are ``_backup_mask(mdp, values[t - 1], alpha)``.
     """
     if N < 0:
         raise ValueError(f"horizon must be nonnegative, got {N}")
@@ -290,7 +390,7 @@ def finite_horizon_vi(mdp: GridMDP, N: int, alpha: float, terminal: np.ndarray) 
     values = np.empty((N + 1, mdp.n_states))
     values[0] = terminal
     for t in range(1, N + 1):
-        values[t] = _backup(mdp, values[t - 1], alpha)[1]
+        values[t] = _backup(mdp, values[t - 1], alpha)[3]
     return values
 
 
@@ -311,17 +411,32 @@ def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray
     return np.linalg.solve(A, cost_phi)
 
 
+def _improve(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float, tol: float):
+    """``(T v, phi', improved)``: one policy improvement of the action indices ``phi`` against ``v``.
+
+    A state keeps its action unless the backup's ``Q(i, phi_i)``, read in
+    O(n), exceeds ``T v`` by more than ``tol``; an improved state takes
+    ``_greedy``'s action.
+    """
+    F, G, W, tv = _backup(mdp, v, alpha)
+    level = np.arange(mdp.n_states) + phi
+    improve = np.where(phi > 0, mdp._setup_less_x + G[level], F[level]) > tv + tol
+    if not improve.any():
+        return tv, phi, False
+    return tv, np.where(improve, _greedy(mdp, F, G, W, tv), phi), True
+
+
 def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution:
     """Howard policy iteration from the myopic policy, certified to ``eps`` by one backup.
 
     Each step evaluates the policy exactly and keeps its action unless
     another beats it by more than ``min(TIE_TOL, threshold)``, where
-    ``threshold = eps (1 - alpha) / (2 alpha)``.  At the stop ``T v_phi`` is
-    within ``threshold`` of ``v_phi`` in exact arithmetic, so within
-    ``eps / 2`` of the fixed point; ``residual`` is the computed distance,
-    read off the last step's own backup ``T v_phi``.  Values and mask are
-    the backup of ``T v_phi``; ``iterations`` counts the steps.  ``alpha =
-    0`` is a single exact minimization.  Raises InvLabError
+    ``threshold = eps (1 - alpha) / (2 alpha)`` (``_improve``).  At the stop
+    ``T v_phi`` is within ``threshold`` of ``v_phi`` in exact arithmetic, so
+    within ``eps / 2`` of the fixed point; ``residual`` is the computed
+    distance, read off the last step's own backup ``T v_phi``.  Values and
+    mask are the backup of ``T v_phi``; ``iterations`` counts the steps.
+    ``alpha = 0`` is a single exact minimization.  Raises InvLabError
     ``NOT_CERTIFIED`` when rounding leaves ``residual`` above ``threshold``
     and ``PI_NOT_CONVERGED`` after ``PI_MAX_STEPS`` steps.
     """
@@ -329,30 +444,24 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    if not np.isfinite(mdp.cost).any(axis=1).all():
+    c_min, phi = mdp._myopic
+    if not np.isfinite(c_min).all():
         raise InvLabError("NO_FINITE_ACTION", "some state has no finite-cost action")
     if alpha == 0.0:
-        q, v = _backup(mdp, np.zeros(mdp.n_states), 0.0)
-        return ValueSolution(v, _optimal_mask(q, v), 0.0, 1)
+        return ValueSolution(*_backup_mask(mdp, np.zeros(mdp.n_states), 0.0), 0.0, 1)
     threshold = eps * (1.0 - alpha) / (2.0 * alpha)
-    rows = np.arange(mdp.n_states)
-    phi = mdp.cost.argmin(axis=1)
     for steps in range(1, PI_MAX_STEPS + 1):
         v = policy_values(mdp, phi, alpha)
-        q, vmin = _backup(mdp, v, alpha)
-        improve = q[rows, phi] > vmin + min(TIE_TOL, threshold)
-        phi = np.where(improve, q.argmin(axis=1), phi)
-        del q  # before the next evaluation's n x n matrix
-        if not improve.any():
+        tv, phi, improved = _improve(mdp, phi, v, alpha, min(TIE_TOL, threshold))
+        if not improved:
             break
     else:
         raise InvLabError("PI_NOT_CONVERGED", f"policy iteration still improving at the step cap PI_MAX_STEPS = {PI_MAX_STEPS}")
-    residual = _sup_diff(vmin, v)  # vmin is T v_phi
+    residual = _sup_diff(tv, v)  # tv is T v_phi
     if residual > threshold:
         certified = 2.0 * alpha * residual / (1.0 - alpha)
         raise InvLabError("NOT_CERTIFIED", f"Bellman residual {residual:.3g} exceeds {threshold:.3g}: the values certify eps {certified:.3g}, not {eps}")
-    q, v_final = _backup(mdp, vmin, alpha)
-    return ValueSolution(v_final, _optimal_mask(q, v_final), residual, steps)
+    return ValueSolution(*_backup_mask(mdp, tv, alpha), residual, steps)
 
 
 def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float) -> float:

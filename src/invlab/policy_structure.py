@@ -6,7 +6,7 @@ and s is the leftmost point whose cost is within the setup cost K of the
 minimum.  The regime classifier decides, from the cost constants alone,
 whether thresholds exist at every step, never, or only sufficiently far from
 the end of the horizon; ``verify_structure`` then checks those predictions
-against the optimal-action masks, rebuilt one step at a time.
+against the DP's optimal actions, one step at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
 from .demand import _lattice_index
-from .dp_core import GridMDP, _backup, _optimal_mask, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
+from .dp_core import GridMDP, _backup, _optimal_mask, _pair_q, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
 from .errors import InvLabError
 
 
@@ -110,29 +110,34 @@ def verify_structure(
     K: float,
     alpha: float,
 ) -> StructureReport:
-    """Check the predicted action at every (step, state) against the DP optimal-action masks.
+    """Check the predicted action at every (step, state) against the DP's optimal actions.
 
     The prediction is threshold-shaped: order up to S below s, order nothing
     otherwise.  Membership in the optimal set is the right notion of
     agreement because several actions can be optimal at once; a prediction
     past the action cap is a violation.  ``values`` is ``finite_horizon_vi``'s
-    table at discount ``alpha``; each step's mask is rebuilt from the row one
-    step shallower, one at a time.
+    table at discount ``alpha``.  Each step tests the predicted policy alone:
+    its ``policy_backup`` of the row one step shallower against the next row
+    under the tie rule, in O(n).  Only a step with violations makes a
+    backup, to list the violating states' optimal-action sets from their Q
+    rows.
     """
     N = len(prediction)
     if len(values) < N + 1:
         raise ValueError("need the full backward-induction table for the horizon")
     violations = []
     thresholds: list = []
-    rows = np.arange(mdp.n_states)
     for t, entry in enumerate(prediction):
-        optimal = _optimal_mask(*_backup(mdp, values[N - t - 1], alpha))
+        v, tv = values[N - t - 1], values[N - t]
         # no thresholds: s = -inf, so every state orders nothing
         s_t, S_t = (-math.inf, -math.inf) if entry is None else extract_sS(g_sequence[entry], mdp.grid, K)
         thresholds.append(None if entry is None else (s_t, S_t))
         predicted = np.where(mdp.grid >= s_t - 1e-9, 0.0, S_t - mdp.grid)
         j = _lattice_index(mdp.actions, predicted, mdp.step)  # -1 past the action cap
-        good = (j >= 0) & optimal[rows, j]
-        for i in np.nonzero(~good)[0]:
-            violations.append((t, float(mdp.grid[i]), float(predicted[i]), mdp.actions[optimal[i]].tolist()))
+        member = _optimal_mask(mdp.policy_backup(np.maximum(j, 0), v, alpha)[:, None], tv)[:, 0]
+        bad = np.nonzero((j < 0) | ~member)[0]
+        if bad.size:
+            F, G = _backup(mdp, v, alpha)[:2]
+            for i, optimal in zip(bad, _optimal_mask(_pair_q(mdp, F, G, bad), tv[bad])):
+                violations.append((t, float(mdp.grid[i]), float(predicted[i]), mdp.actions[optimal].tolist()))
     return StructureReport(violations, thresholds, N, mdp.n_states)

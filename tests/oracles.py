@@ -12,7 +12,9 @@ transition law and Bayes filter of the belief MDP, one belief at a time.
 ``successors`` and ``dense_rows`` build the transition law from the dynamics
 alone and read no table of a ``GridMDP``, so they check its level table too;
 ``exact_policy_values`` solves a policy's evaluation equation in ``Fraction``s;
-``cost_table`` tabulates a per-pair cost for ``build_mdp``;
+``cost_table`` tabulates a per-pair cost, and ``pair_q`` the (state,
+action) Q of a backup in the table's own arithmetic, from which
+``verify_reference`` rechecks a threshold prediction one state at a time;
 ``partition_labels`` labels the states of a container partition one at a
 time, and ``tree_walk`` replays a solved belief tree by dict lookups.
 Test modules import them with ``from oracles import ...``.
@@ -31,6 +33,7 @@ from invlab.costs import INEQ_TOL, CostModel, expected_holding
 from invlab.demand import LATTICE_TOL, DemandDistribution, _lattice_index, _lattice_offsets
 from invlab.dp_core import TIE_TOL, Dynamics, GridMDP
 from invlab.errors import InvLabError
+from invlab.policy_structure import extract_sS
 from invlab.pomdp import ContainerPartition, validate_belief
 
 
@@ -328,6 +331,47 @@ def cost_table(fn, lo: float, hi: float, a_max: float, step: float = 1.0) -> np.
     grid = lo + step * np.arange(round((hi - lo) / step) + 1)
     actions = step * np.arange(round(a_max / step) + 1)
     return np.array([[fn(float(x), float(a)) for a in actions] for x in grid], dtype=float)
+
+
+def pair_q(mdp: GridMDP, v: np.ndarray, alpha: float) -> np.ndarray:
+    """``Q = cost + alpha E v(next)`` as an ``(n, n_a)`` table: the cost table plus the expectation of each pair's level."""
+    if alpha == 0.0:
+        return mdp.cost
+    ev = np.asarray(v, dtype=float)[mdp._y_next] @ mdp.shock_probs
+    return mdp.cost + alpha * ev[np.arange(mdp.n_states)[:, None] + np.arange(mdp.n_actions)[None, :]]
+
+
+def verify_reference(prediction, values, g_sequence, mdp, K, alpha):
+    """Per-(step, state) reference for ``verify_structure``: a loop over every state's argmin set.
+
+    The sets are rebuilt from the solved table with a whole (state, action)
+    Q per step in the cost table's arithmetic (``pair_q``), and the tie rule
+    written out, not through ``_optimal_mask``.
+    """
+    N = len(prediction)
+    violations = []
+    thresholds = []
+    a_max = float(mdp.actions[-1])
+    for t, entry in enumerate(prediction):
+        depth = N - t
+        q = pair_q(mdp, values[depth - 1], alpha)
+        vmin = values[depth]
+        sets = [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
+        if entry is None:
+            s_t = S_t = None
+            thresholds.append(None)
+        else:
+            s_t, S_t = extract_sS(g_sequence[entry], mdp.grid, K)
+            thresholds.append((s_t, S_t))
+        for i, x in enumerate(mdp.grid):
+            if entry is None or x >= s_t - 1e-9:
+                predicted = 0.0
+            else:
+                predicted = S_t - x
+            good = predicted <= a_max + 1e-9 and np.any(np.abs(sets[i] - predicted) <= 1e-9 * max(1.0, mdp.step))
+            if not good:
+                violations.append((t, float(x), float(predicted), sets[i].tolist()))
+    return violations, thresholds
 
 
 def partition_labels(part: ContainerPartition) -> tuple[list[int], list[int], list[float]]:

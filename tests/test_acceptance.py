@@ -24,8 +24,7 @@ from invlab.costs import CostModel, HoldingCost, N_alpha, regime_constants
 from invlab.demand import from_atoms
 from invlab.dp_core import (
     GridMDP,
-    _backup,
-    _optimal_mask,
+    _backup_mask,
     check_stationary_optimality,
     finite_horizon_vi,
     infinite_horizon_vi,
@@ -39,7 +38,7 @@ from invlab.policy_structure import (
     verify_structure,
 )
 from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import bayes_filter, dense_rows, f_t_alpha, is_K_convex, long_run_average, observation_marginal, successors, threshold_limits, tree_walk
+from oracles import bayes_filter, dense_rows, f_t_alpha, is_K_convex, long_run_average, observation_marginal, pair_q, successors, threshold_limits, tree_walk
 
 EPS = 1e-6
 DEFAULT_LADDER = [0.9, 0.95, 0.99, 0.995, 0.999]
@@ -134,7 +133,7 @@ def avg_suite():
 
 
 def greedy_from_values(mdp, values, alpha):
-    q = mdp.cost + alpha * mdp.expected_next(values)
+    q = pair_q(mdp, values, alpha)
     return mdp.actions[np.argmin(q, axis=1)]
 
 
@@ -185,7 +184,7 @@ def test_criterion_2_regime_table_reproduction():
         # (a) below the critical discount factor: never ordering is optimal
         values_low = finite_horizon_vi(mdp, N, 0.3, np.zeros(mdp.n_states))
         for depth in range(1, N + 1):
-            optimal = _optimal_mask(*_backup(mdp, values_low[depth - 1], 0.3))
+            optimal = _backup_mask(mdp, values_low[depth - 1], 0.3)[1]
             assert optimal[:, 0].all()  # actions[0] == 0
         plan_low = predict_finite_horizon(classify_regime(cost, 0.3), N)
         assert plan_low == [None] * N
@@ -214,7 +213,7 @@ def test_criterion_2_regime_table_reproduction():
         assert report.ok, report.violations[:5]
         # never-order at the last two steps holds argmin membership of 0 everywhere
         for depth in (1, 2):
-            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], alpha))
+            optimal = _backup_mask(mdp, values[depth - 1], alpha)[1]
             assert optimal[:, 0].all()  # actions[0] == 0
 
 

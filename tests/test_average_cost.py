@@ -21,7 +21,7 @@ LADDER = [0.9, 0.95, 0.99]
 
 
 def constant_mdp():
-    return build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+    return build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
 
 
 def gb_mdp(K=2.0, c_unit=1.0, k_h=3.0, h_plus=1.0, lo=-12, hi=10):

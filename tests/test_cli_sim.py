@@ -1,6 +1,7 @@
 """Config ingestion, command dispatch, determinism, and Monte Carlo consistency."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -19,10 +20,11 @@ from invlab import cli_sim, dp_core
 from invlab.cli_sim import load_config, main, run, simulate_policy
 from invlab.costs import CostModel, HoldingCost
 from invlab.demand import from_atoms
-from invlab.dp_core import Dynamics, infinite_horizon_vi, make_inventory_mdp
+from invlab.dp_core import Dynamics, finite_horizon_vi, infinite_horizon_vi, make_inventory_mdp
 from invlab.errors import InvLabError, ValidationErrors
+from invlab.policy_structure import classify_regime, g_function, predict_finite_horizon
 from invlab.pomdp import Container, ContainerPartition, replication_uniforms
-from oracles import demand_mean, successors
+from oracles import demand_mean, successors, verify_reference
 
 
 def base_config(**overrides):
@@ -677,9 +679,10 @@ WIDE_BACKORDER = {
 
 
 class TestPeakMemory:
-    """A command holds at most one pair-sized float array beside the cost table (plus, when discounted, the n x n evaluation matrix)."""
+    """No cost table is stored; solve-finite and solve-discounted hold one pair-sized float array, the Q of the mask they write
+    (solve-discounted, at other times, the n x n evaluation matrix, here of the same size), and verify-structure none."""
 
-    @pytest.mark.parametrize("command, tables", [("solve-finite", 3), ("verify-structure", 3), ("solve-discounted", 4)])
+    @pytest.mark.parametrize("command, tables", [("solve-finite", 1.5), ("verify-structure", 0.5), ("solve-discounted", 1.5)])
     def test_traced_peak_in_cost_tables(self, tmp_path, capsys, command, tables):
         path = write_config(tmp_path, WIDE_BACKORDER)
         cost_bytes = load_config(path).build_mdp().cost.nbytes
@@ -690,6 +693,31 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= tables * cost_bytes, peak / cost_bytes
+
+
+# the README config on 4,001 states with a_max 30: order windows of many blocks
+WIDE_README = base_config(grid={"lo": -2000.0, "hi": 2000.0, "step": 1.0}, actions={"a_max": 30.0})
+
+
+class TestWideVerifyStructure:
+    def test_violations_match_the_pair_q_reference(self, tmp_path, capsys):
+        path = write_config(tmp_path, WIDE_README)
+        assert main(["verify-structure", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        config = load_config(path)
+        mdp, alpha, N = config.build_mdp(), config.solver.alpha, config.solver.horizon
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        g_seq = [g_function(mdp, values[t], alpha, config.cost) for t in range(N)]
+        plan = predict_finite_horizon(classify_regime(config.cost, alpha), N)
+        want, thresholds = verify_reference(plan, values, g_seq, mdp, config.cost.K, alpha)
+        with open(tmp_path / "out" / "violations.csv", newline="") as fh:
+            got = [
+                (int(r["t"]), float(r["x"]), float(r["predicted_action"]), [float(a) for a in r["argmin_set"].split(";")])
+                for r in csv.DictReader(fh)
+            ]
+        assert len(got) == 9859
+        assert got == want
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["outputs"]["thresholds"] == [list(t) for t in thresholds]
 
 
 SHAPE_FIELDS = [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,13 @@ from invlab.dp_core import (
     TIE_TOL,
     Dynamics,
     _backup,
+    _backup_mask,
+    _greedy,
+    _improve,
     _lattice,
-    _optimal_mask,
+    _on_pairs,
+    _pair_q,
+    _window_min,
     build_mdp,
     check_stationary_optimality,
     finite_horizon_vi,
@@ -30,7 +36,7 @@ from invlab.dp_core import (
 from invlab.errors import InvLabError
 from invlab.policy_structure import extract_sS
 from invlab.pomdp import Container, ContainerPartition, belief_value_iteration, make_belief, pomdp_simulate
-from oracles import cost_table, dense_rows, exact_policy_values
+from oracles import cost_table, dense_rows, exact_policy_values, pair_q
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 ABS = CostModel(0.0, 1.0, HoldingCost.linear(1.0, 1.0))
@@ -40,7 +46,7 @@ def law(mdp, demand):
     """``oracles.dense_rows`` of ``mdp``, once ``mdp.expected_next`` is checked against it on a random vector."""
     rows = dense_rows(mdp.grid, mdp.actions, demand, mdp.dynamics)
     v = np.random.default_rng(0).normal(size=mdp.n_states)
-    assert np.allclose(mdp.expected_next(v), rows @ v, rtol=0, atol=1e-12)
+    assert np.allclose(_on_pairs(mdp.expected_next(v), mdp.n_actions), rows @ v, rtol=0, atol=1e-12)
     return rows
 
 
@@ -99,9 +105,8 @@ class TestBuildMdp:
 
     def test_narrow_grid_rejected_at_tight_tolerance(self):
         d = from_atoms([(0, 0.5), (2, 0.5)], step=1)
-        cost = cost_table(lambda x, a: a, -1, 3, 2)  # finite everywhere
-        with pytest.raises(InvLabError) as err:
-            build_mdp(Dynamics.BACKORDER, d, -1, 3, 2, cost, mass_tol=1e-6)
+        with pytest.raises(InvLabError) as err:  # cost a, finite everywhere
+            build_mdp(Dynamics.BACKORDER, d, -1, 3, 2, 0.0, 1.0, np.zeros(7), mass_tol=1e-6)
         assert err.value.code == "GRID_TOO_NARROW"
 
     def test_rows_sum_to_one_after_clamping(self):
@@ -113,13 +118,13 @@ class TestBuildMdp:
     def test_mass_loss_zero_iff_strict_build_passes(self):
         # demand never leaves the grid from any feasible (x, a): wide enough grid
         d = from_atoms([(1, 1.0)], step=1)
-        cost = cost_table(lambda x, a: np.inf if x + a > 3 or x + a < 1 else a, 0, 3, 3)
-        m = build_mdp(Dynamics.BACKORDER, d, 0, 3, 3, cost, mass_tol=0.0)
+        L = np.where((np.arange(7) > 3) | (np.arange(7) < 1), np.inf, 0.0)  # cost a on the levels 1 .. 3
+        m = build_mdp(Dynamics.BACKORDER, d, 0, 3, 3, 0.0, 1.0, L, mass_tol=0.0)
         assert np.all(m.mass_loss[np.isfinite(m.cost)] == 0.0)
 
     def test_no_finite_action_rejected(self):
         with pytest.raises(InvLabError) as err:
-            build_mdp(Dynamics.BACKORDER, UNIT, 0, 3, 1, np.full((4, 2), np.inf), mass_tol=1.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, 0, 3, 1, 0.0, 0.0, np.full(5, np.inf), mass_tol=1.0)
         assert err.value.code == "NO_FINITE_ACTION"
 
     def test_dense_rows_built_only_on_request(self):
@@ -159,17 +164,17 @@ def per_pair_reference(grid, actions, demand, next_fn, cost_fn, mass_tol):
     return mass_loss, message
 
 
-# (dynamics, grid lo, grid hi, a_max, next state, cost): some finite-cost pair
-# clamps at each edge the dynamics can reach; the top edge from a level above
-# hi under zero demand
+# (dynamics, grid lo, grid hi, a_max, next state, level cost L(y)) under the
+# cost a + L(x + a): some finite-cost pair clamps at each edge the dynamics
+# can reach; the top edge from a level above hi under zero demand
 CLAMP_CASES = {
     "backorder": (
         Dynamics.BACKORDER, -3, 3, 2, lambda x, a, d: x + a - d,
-        lambda x, a: np.inf if x + a > 4 or x + a < -1 else a,
+        lambda y: np.inf if y > 4 or y < -1 else 0.0,
     ),
     "lost_sales": (
         Dynamics.LOST_SALES, 0, 4, 2, lambda x, a, d: max(x + a - d, 0.0),
-        lambda x, a: np.inf if x + a > 5 else a,
+        lambda y: np.inf if y > 5 else 0.0,
     ),
 }
 
@@ -179,14 +184,15 @@ class TestClampAudit:
 
     @staticmethod
     def build(name, mass_tol):
-        dynamics, lo, hi, a_max, _, cost_fn = CLAMP_CASES[name]
-        return build_mdp(dynamics, CLAMP_DEMAND, lo, hi, a_max, cost_table(cost_fn, lo, hi, a_max), mass_tol=mass_tol)
+        dynamics, lo, hi, a_max, _, level_cost = CLAMP_CASES[name]
+        L = [level_cost(float(y)) for y in np.arange(lo, hi + a_max + 1.0)]
+        return build_mdp(dynamics, CLAMP_DEMAND, lo, hi, a_max, 0.0, 1.0, L, mass_tol=mass_tol)
 
     @staticmethod
     def reference(name, mass_tol):
-        _, lo, hi, a_max, next_fn, cost_fn = CLAMP_CASES[name]
+        _, lo, hi, a_max, next_fn, level_cost = CLAMP_CASES[name]
         grid, actions = np.arange(lo, hi + 1.0), np.arange(0, a_max + 1.0)
-        return per_pair_reference(grid, actions, CLAMP_DEMAND, next_fn, cost_fn, mass_tol)
+        return per_pair_reference(grid, actions, CLAMP_DEMAND, next_fn, lambda x, a: a + level_cost(x + a), mass_tol)
 
     @pytest.mark.parametrize("name", CLAMP_CASES)
     def test_mass_loss_matches_per_pair_sum(self, name):
@@ -220,12 +226,12 @@ class TestFiniteHorizon:
         v1 = values[1]
         assert v1[m.state_index(0)] == pytest.approx(1.0)
         assert v1[m.state_index(1)] == pytest.approx(0.0)
-        optimal = _optimal_mask(*_backup(m, values[0], 0.9))
+        optimal = _backup_mask(m, values[0], 0.9)[1]
         assert sorted(m.actions[optimal[m.state_index(0)]].tolist()) == [0.0, 1.0]
         assert m.actions[optimal[m.state_index(1)]].tolist() == [0.0]
 
     def test_constant_cost_geometric_sum(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         values = finite_horizon_vi(m, 3, 0.5, np.zeros(m.n_states))
         assert np.allclose(values[3], 1.75)
 
@@ -254,14 +260,16 @@ class TestFiniteHorizon:
         assert isinstance(values, np.ndarray) and values.shape == (N + 1, m.n_states)
         assert np.array_equal(values[0], terminal)
         for t in range(1, N + 1):
-            assert np.array_equal(values[t], _backup(m, values[t - 1], 0.5)[0].min(axis=1))
+            F, G, _, tv = _backup(m, values[t - 1], 0.5)
+            assert np.array_equal(values[t], tv)
+            assert np.array_equal(values[t], _pair_q(m, F, G).min(axis=1))
 
     def test_argmin_sets_nonempty_everywhere(self):
         d = from_atoms([(0, 0.25), (2, 0.75)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 0.7, HoldingCost.linear(3, 1)), d, -6, 6)
         values = finite_horizon_vi(m, 6, 0.5, np.zeros(m.n_states))
         for t in range(1, len(values)):
-            assert _optimal_mask(*_backup(m, values[t - 1], 0.5)).any(axis=1).all()
+            assert _backup_mask(m, values[t - 1], 0.5)[1].any(axis=1).all()
 
 
 class TestInfiniteHorizon:
@@ -272,7 +280,7 @@ class TestInfiniteHorizon:
         assert sol.iterations == 1
 
     def test_constant_cost_fixed_point(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         sol = infinite_horizon_vi(m, 0.8, 1e-6)
         assert np.allclose(sol.values, 5.0, atol=1e-6)
 
@@ -311,7 +319,7 @@ class TestInfiniteHorizon:
 
 class TestStationaryCheck:
     def test_constant_cost_all_policies_equal(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, np.ones((5, 2)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, 0.0, 0.0, np.ones(6), mass_tol=1.0)
         sol = infinite_horizon_vi(m, 0.7, 1e-8)
         for a in (0.0, 1.0):
             phi = np.full(m.n_states, a)
@@ -339,7 +347,7 @@ class TestStationaryCheck:
         for m in mdps:
             oracle_law = dense_rows(m.grid, m.actions, d, m.dynamics)
             v = rng.normal(size=m.n_states)
-            fast = m.expected_next(v)
+            fast = _on_pairs(m.expected_next(v), m.n_actions)
             dense = np.einsum("ijk,k->ij", oracle_law, v)
             assert np.allclose(fast, dense, atol=1e-12)
             phi_idx = rng.integers(0, m.n_actions, size=m.n_states)
@@ -387,10 +395,10 @@ def from_zero_vi(mdp, alpha, eps):
     v = np.zeros(mdp.n_states)
     delta = np.inf
     while delta > threshold:
-        vnew = (mdp.cost + alpha * mdp.expected_next(v)).min(axis=1)
+        vnew = pair_q(mdp, v, alpha).min(axis=1)
         delta = np.max(np.abs(vnew - v))
         v = vnew
-    q = mdp.cost + alpha * mdp.expected_next(v)
+    q = pair_q(mdp, v, alpha)
     vmin = q.min(axis=1)
     return vmin, [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
 
@@ -435,17 +443,19 @@ class TestPolicyIterationStart:
         assert np.max(np.abs(evaluate_stationary(m, rows, phi_idx, alpha) - best)) <= eps
 
     @pytest.mark.parametrize(
-        "table",
+        "K, c_unit, gaps",
         [
-            # cost gaps of 1e-12 to 1e-10 between the two actions
-            [[1.0, 0.9999999999977304], [0.9999999999602052, 0.9999999999770633], [1.0, 1.0], [0.9999999999137852, 1.0], [0.999999999917055, 0.9999999999277834]],
-            # cost gaps of 1e-11 to 1e-9, up to TIE_TOL
-            [[1.0, 1.000000000597511], [1.0, 1.000000000174117], [1.0, 1.0000000000627052], [1.0, 1.0], [0.9999999991862227, 0.9999999995283642]],
+            # cost of ordering less cost of not ordering: gaps of 1e-12 to 1e-10, and an exact tie at state 4
+            (2.0**-35, 0.0, [-(2.0**-35), 2.0**-38, 2.0**-32, 2.0**-38, 0.0]),
+            # gaps of 1e-10 to 1e-9, up to TIE_TOL, of both signs
+            (2.0**-35, 2.0**-29, [2.0**-32, -(2.0**-30), 2.0**-30, -(2.0**-30), 2.0**-33]),
         ],
     )
-    def test_near_ties_match_exact_enumeration(self, table):
+    def test_near_ties_match_exact_enumeration(self, K, c_unit, gaps):
         d = from_atoms([(0, 0.5), (1, 0.5)], step=1)
-        m = build_mdp(Dynamics.BACKORDER, d, 0, 4, 1, table, mass_tol=1.0)
+        L = 1.0 + np.concatenate([[0.0], np.cumsum(np.array(gaps) - (K + c_unit))])
+        m = build_mdp(Dynamics.BACKORDER, d, 0, 4, 1, K, c_unit, L, mass_tol=1.0)
+        assert np.array_equal(m.cost[:, 1] - m.cost[:, 0], gaps)  # exact: every number here is dyadic
         alpha = 0.9999
         sol = infinite_horizon_vi(m, alpha, 1e-6)
         rows = law(m, d)
@@ -456,6 +466,9 @@ class TestPolicyIterationStart:
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.9999])
     def test_certifies_with_the_last_steps_own_backup(self, monkeypatch, alpha):
         calls = {"policy_values": 0, "_backup": 0}
+        sums = []
+        expected_next = dp_core.GridMDP.expected_next
+        monkeypatch.setattr(dp_core.GridMDP, "expected_next", lambda self, v: sums.append(1) or expected_next(self, v))
 
         def counted(name):
             fn = getattr(dp_core, name)
@@ -471,12 +484,14 @@ class TestPolicyIterationStart:
         d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -6, 8)
         sol = infinite_horizon_vi(m, alpha, 1e-6)
-        # one backup per step, then the backup of T v_phi that gives values and mask
-        assert calls["_backup"] == calls["policy_values"] + 1 == sol.iterations + 1
+        # the myopic start (the alpha = 0 backup, which sums no E v), one backup
+        # per step, then the backup of T v_phi that gives values and mask
+        assert calls["_backup"] == calls["policy_values"] + 2 == sol.iterations + 2
+        assert len(sums) == sol.iterations + 1
         assert sol.iterations >= 2
 
     def test_every_action_tied_terminates(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         alpha = 0.9999
         sol = infinite_horizon_vi(m, alpha, 1e-6)
         assert sol.iterations <= 3
@@ -491,11 +506,11 @@ class TestLatticeCap:
         with pytest.raises(ValueError, match=r"5 states x 1000000000000001 actions make 5000000000000005 \(state, action\) pairs"):
             make_inventory_mdp(ABS, UNIT, -2, 2, a_max=1e15)
         with pytest.raises(ValueError, match="above the cap of 4194304"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1e15, np.zeros((1, 1)))
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1e15, 0.0, 1.0, np.zeros(1))
 
     def test_huge_grid_refused(self):
         with pytest.raises(ValueError, match=r"2000000000000001 states x 1 actions"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -1e15, 1e15, 0, np.zeros((1, 1)))
+            build_mdp(Dynamics.BACKORDER, UNIT, -1e15, 1e15, 0, 0.0, 1.0, np.zeros(1))
         with pytest.raises(ValueError, match="above the cap of 4194304"):
             make_inventory_mdp(ABS, UNIT, -1e15, 1e15)
 
@@ -514,7 +529,7 @@ class TestLatticeCap:
         assert grid.dtype == actions.dtype == np.float64
         assert (grid.tolist(), actions.tolist()) == ([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 1.0])
         with pytest.raises(InvLabError, match=r"from state -2\.0 under action 0\.0$"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, np.zeros((5, 2)), mass_tol=0.5)
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 1, 0.0, 0.0, np.zeros(6), mass_tol=0.5)
 
 
 class TestLatticeEnds:
@@ -525,7 +540,7 @@ class TestLatticeEnds:
         with pytest.raises(ValueError, match=message):
             make_inventory_mdp(ABS, d, lo, hi, a_max=20.0)
         with pytest.raises(ValueError, match=message):
-            build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, np.zeros((1, 1)))
+            build_mdp(Dynamics.BACKORDER, d, lo, hi, 20.0, 0.0, 1.0, np.zeros(1))
 
     @pytest.mark.parametrize("a_max", [2.6, 2.4])
     def test_off_lattice_a_max_refused(self, a_max):
@@ -533,7 +548,7 @@ class TestLatticeEnds:
         with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
             make_inventory_mdp(ABS, d, -12.0, 8.0, a_max=a_max)
         with pytest.raises(ValueError, match=rf"^a_max {a_max} is not on the lattice at step 1.0$"):
-            build_mdp(Dynamics.BACKORDER, d, -12.0, 8.0, a_max, np.zeros((1, 1)))
+            build_mdp(Dynamics.BACKORDER, d, -12.0, 8.0, a_max, 0.0, 1.0, np.zeros(1))
 
     def test_negative_a_max_refused(self):
         with pytest.raises(ValueError, match=r"^a_max -2.0 is negative$"):
@@ -584,22 +599,30 @@ class TestInventoryCostTable:
         assert np.isinf(table).any()  # some orders land above the grid top
 
     def test_table_of_wrong_shape_refused(self):
-        with pytest.raises(ValueError, match=r"cost table has shape \(5, 2\), expected \(5, 3\)"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, np.zeros((5, 2)), mass_tol=1.0)
+        with pytest.raises(ValueError, match=r"level costs have shape \(5, 2\), expected \(7,\)"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, 0.0, 1.0, np.zeros((5, 2)), mass_tol=1.0)
+        with pytest.raises(ValueError, match=r"level costs have shape \(6,\), expected \(7,\)"):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, 0.0, 1.0, np.zeros(6), mass_tol=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_table_checked_like_a_callable(self, bad):
-        table = np.zeros((5, 3))
-        table[2, 1] = bad
+        L = np.zeros(7)
+        L[3] = bad
         with pytest.raises(ValueError, match="costs must be finite or \\+inf"):
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, table, mass_tol=1.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, 0.0, 1.0, L, mass_tol=1.0)
+
+    @pytest.mark.parametrize("K, c_unit", [(math.inf, 1.0), (0.0, math.nan), (0.0, -math.inf)])
+    def test_order_costs_must_be_finite(self, K, c_unit):
+        with pytest.raises(ValueError, match=r"^K and c_unit must be finite, got "):
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, K, c_unit, np.zeros(7), mass_tol=1.0)
 
     def test_table_without_a_finite_action_refused_like_a_callable(self):
-        table = np.zeros((5, 3))
-        table[3] = math.inf
+        L = np.zeros(7)
+        L[3:6] = math.inf  # every level state 3 reaches
         with pytest.raises(InvLabError) as err:
-            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, table, mass_tol=1.0)
+            build_mdp(Dynamics.BACKORDER, UNIT, -2, 2, 2, 0.0, 1.0, L, mass_tol=1.0)
         assert err.value.code == "NO_FINITE_ACTION"
+        assert err.value.message == "state 1.0 has no finite-cost action"
 
 
 class TestIndexLookups:
@@ -629,25 +652,27 @@ class TestOptimalMask:
         m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -8, 8, a_max=6)
         values = finite_horizon_vi(m, 6, alpha, np.linspace(0.0, 3.0, m.n_states))
         for t in range(1, len(values)):
-            q = m.cost + alpha * m.expected_next(values[t - 1]) if alpha else m.cost
+            F, G = _backup(m, values[t - 1], alpha)[:2]
+            q = _pair_q(m, F, G)
+            assert np.allclose(q, pair_q(m, values[t - 1], alpha), rtol=1e-14, atol=0)
             vmin = values[t]
-            optimal = _optimal_mask(*_backup(m, values[t - 1], alpha))
+            optimal = _backup_mask(m, values[t - 1], alpha)[1]
             assert optimal.shape == (m.n_states, m.n_actions)
             for i in range(m.n_states):
                 assert np.array_equal(optimal[i], q[i] <= vmin[i] + TIE_TOL)
 
     def test_near_ties_split_at_the_tolerance(self):
-        gaps = np.array([0.0, 0.7 * TIE_TOL, 1.5 * TIE_TOL])  # above the cheapest action
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.tile(1.0 + gaps, (7, 1)), mass_tol=1.0)
+        # actions 1 and 2 cost 0.7 and 1.4 TIE_TOL above the cheapest action
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.7 * TIE_TOL, np.ones(9), mass_tol=1.0)
         values = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
-        masks = [_optimal_mask(*_backup(m, values[t - 1], 0.5)) for t in (1, 2)] + [infinite_horizon_vi(m, 0.5, 1e-9).optimal]
+        masks = [_backup_mask(m, values[t - 1], 0.5)[1] for t in (1, 2)] + [infinite_horizon_vi(m, 0.5, 1e-9).optimal]
         for optimal in masks:
             assert np.array_equal(optimal, np.tile([True, True, False], (m.n_states, 1)))
 
     def test_ties_kept_and_smallest_action_chosen(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         values = finite_horizon_vi(m, 2, 0.5, np.zeros(m.n_states))
-        assert _optimal_mask(*_backup(m, values[1], 0.5)).all()
+        assert _backup_mask(m, values[1], 0.5)[1].all()
         sol = infinite_horizon_vi(m, 0.5, 1e-9)
         assert sol.optimal.all()
         assert np.array_equal(sol.optimal.argmax(axis=1), np.zeros(m.n_states, dtype=int))
@@ -679,19 +704,20 @@ def pair_levels(m):
 
 
 class TestPairViews:
-    """``_y_of``, ``mass_loss`` and ``expected_next(v)`` are read-only views of one value per level."""
+    """``_y_of``, ``mass_loss`` and ``finite_pairs()`` are read-only views of one value per level, and ``expected_next(v)`` is one value per level."""
 
     @pytest.mark.parametrize("case", PAIR_CASES)
     def test_views_share_a_per_level_array(self, case):
         dynamics, lo, hi, a_max = case
         m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
         v = np.random.default_rng(1).normal(size=m.n_states)
-        per_level = v[m._y_next] @ m.shock_probs
         levels = m.n_states + m.n_actions - 1
+        assert np.array_equal(m.expected_next(v), v[m._y_next] @ m.shock_probs)
+        assert m.expected_next(v).shape == m.L.shape == (levels,)
         for pairs, want in [
             (m._y_of, pair_levels(m)),
             (m.mass_loss, m.mass_loss.base[pair_levels(m)]),
-            (m.expected_next(v), per_level[pair_levels(m)]),
+            (m.finite_pairs(), np.isfinite(m.cost)),
         ]:
             assert pairs.shape == (m.n_states, m.n_actions)
             assert pairs.base.shape == (levels,)
@@ -701,11 +727,89 @@ class TestPairViews:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("case", PAIR_CASES)
-    def test_backup_is_bitwise_the_gathered_sum(self, case, alpha):
+    def test_backup_is_bitwise_the_separable_sum(self, case, alpha):
         dynamics, lo, hi, a_max = case
         m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
         v = np.random.default_rng(2).normal(size=m.n_states)
-        want = m.cost + alpha * (v[m._y_next] @ m.shock_probs)[pair_levels(m)]
-        q, q_min = _backup(m, v, alpha)
-        assert np.array_equal(q, want)
-        assert np.array_equal(q_min, want.min(axis=1))
+        ev = v[m._y_next] @ m.shock_probs
+        F, G, W, tv = _backup(m, v, alpha)
+        assert np.array_equal(F, m.L + alpha * ev if alpha else m.L)
+        assert np.array_equal(G, PAIR_COST.c_unit * (lo + np.arange(m.L.size)) + F)
+        q = _pair_q(m, F, G)
+        table = m.cost + alpha * ev[pair_levels(m)]
+        assert np.array_equal(q[:, 0], table[:, 0])  # ordering nothing: bitwise the cost table's entry
+        assert np.array_equal(q[:, 1:], (PAIR_COST.K - PAIR_COST.c_unit * m.grid)[:, None] + G[pair_levels(m)][:, 1:])
+        assert np.array_equal(tv, q.min(axis=1))
+        assert np.allclose(q, table, rtol=0, atol=1e-12)
+
+
+class TestWindowMin:
+    """The van Herk window minimum, and the backup's window and first argmin, against brute force over the ``_on_pairs`` view."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 24, 61])
+    def test_matches_brute_force(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            g = rng.integers(0, 4, size=size).astype(float)  # few values: exact ties in most windows
+            g[rng.random(size) < 0.3] = np.inf
+            for w in sorted({1, 2, max(1, size // 3), max(1, size - 1), size}):  # w = size is one block
+                assert np.array_equal(_window_min(g, w), _on_pairs(g, w).min(axis=1))
+
+    # 13 states: one action, order windows of 1 and 2 levels, below the state count, at it and above it
+    @pytest.mark.parametrize("a_max", [0, 1, 2, 6, 13, 17])
+    def test_backup_window_and_greedy_action(self, a_max):
+        rng = np.random.default_rng(a_max)
+        n, n_a = 13, a_max + 1
+        for k in range(12):
+            # integer level costs and values: F and G hold exact ties; +inf at random levels above
+            # the grid top, and at every level above it or one level higher, so that windows
+            # spanning the grid are one block
+            L = rng.integers(0, 6, size=n + n_a - 1).astype(float)
+            L[n:][rng.random(n_a - 1) < 0.5] = np.inf
+            if k % 3 < 2:
+                L[n + k % 3:] = np.inf
+            m = build_mdp(Dynamics.BACKORDER, UNIT, -6, 6, a_max, 1.0, 1.0, L, mass_tol=1.0)
+            assert m._one_block == (n_a > 1 and np.isfinite(L).nonzero()[0][-1] <= min(n, a_max))
+            v = rng.integers(0, 4, size=n).astype(float)
+            F, G, W, tv = _backup(m, v, 1.0)
+            order = _on_pairs(G[1:], n_a - 1)
+            assert np.array_equal(W, order.min(axis=1) if n_a > 1 else np.full(n, np.inf))
+            q = _pair_q(m, F, G)
+            assert np.array_equal(tv, q.min(axis=1))
+            phi = _greedy(m, F, G, W, tv)
+            assert np.array_equal(q[np.arange(n), phi], tv)
+            first_order = 1 + order.argmin(axis=1) if n_a > 1 else np.zeros(n, dtype=int)
+            assert np.array_equal(phi, np.where(F[:n] == tv, 0, first_order))
+
+
+class TestNoPairFloats:
+    """On 4,001 states x 31 actions, backward induction and a policy-improvement step hold no float per (state, action) pair."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        d = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
+        m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -2000, 2000, a_max=30)
+        assert (m.n_states, m.n_actions) == (4001, 31)
+        return m
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_backward_induction(self, wide):
+        values, peak = self.peak(lambda: finite_horizon_vi(wide, 5, 0.9, np.zeros(wide.n_states)))
+        pair_floats = 8 * wide.n_states * wide.n_actions
+        assert peak - values.nbytes < pair_floats, peak  # one float Q alone would reach pair_floats
+
+    def test_policy_improvement_step(self, wide):
+        v = finite_horizon_vi(wide, 5, 0.9, np.zeros(wide.n_states))[5]
+        never = np.zeros(wide.n_states, dtype=np.intp)
+        (tv, phi, improved), peak = self.peak(lambda: _improve(wide, never, v, 0.9, TIE_TOL))
+        assert improved and (phi > 0).any()  # the greedy argmin ran
+        pair_floats = 8 * wide.n_states * wide.n_actions
+        assert peak < pair_floats, peak

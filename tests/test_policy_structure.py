@@ -8,10 +8,8 @@ import pytest
 from invlab.costs import CostModel, HoldingCost, INFINITE
 from invlab.demand import from_atoms
 from invlab.dp_core import (
-    TIE_TOL,
     Dynamics,
-    _backup,
-    _optimal_mask,
+    _backup_mask,
     build_mdp,
     check_stationary_optimality,
     finite_horizon_vi,
@@ -27,7 +25,7 @@ from invlab.policy_structure import (
     predict_finite_horizon,
     verify_structure,
 )
-from oracles import check_GB, dense_rows, is_K_convex, threshold_limits
+from oracles import check_GB, dense_rows, is_K_convex, pair_q, threshold_limits, verify_reference
 
 UNIT = from_atoms([(1, 1.0)], step=1)
 MIXED = from_atoms([(0, 0.3), (1, 0.4), (2, 0.3)], step=1)
@@ -81,7 +79,7 @@ class TestGFunction:
         v = rng.uniform(0, 5, m.n_states)
         alpha = 0.9
         g = g_function(m, v, alpha, c)
-        q = m.cost + alpha * m.expected_next(v)
+        q = pair_q(m, v, alpha)
         for i in (0, 5, 12, m.n_states - 1):
             for j in (0, 3):
                 y = i + j
@@ -206,7 +204,7 @@ class TestVerifyStructure:
         mdp, values, g_seq, report = solve_and_verify(hybrid_cost(), MIXED, 0.9, 2, -30, 12)
         assert report.ok, report.violations[:5]
         for depth in range(1, len(values)):
-            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], 0.9))
+            optimal = _backup_mask(mdp, values[depth - 1], 0.9)[1]
             assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_swapped_thresholds_reported(self):
@@ -228,38 +226,6 @@ class TestVerifyStructure:
         assert not bad.ok
         states = {x for (_, x, _, _) in bad.violations}
         assert true_s in states or true_s + 1 in states
-
-
-def reference_verify(prediction, values, g_sequence, mdp, K, alpha):
-    """Per-(step, state) reference for ``verify_structure``: its earlier loop over argmin sets.
-
-    The sets are rebuilt from the solved table with the backup's own
-    arithmetic and the tie rule written out, not through ``_optimal_mask``.
-    """
-    N = len(prediction)
-    violations = []
-    thresholds = []
-    a_max = float(mdp.actions[-1])
-    for t, entry in enumerate(prediction):
-        depth = N - t
-        q = mdp.cost + alpha * mdp.expected_next(values[depth - 1]) if alpha else mdp.cost
-        vmin = values[depth]
-        sets = [mdp.actions[q[i] <= vmin[i] + TIE_TOL] for i in range(mdp.n_states)]
-        if entry is None:
-            s_t = S_t = None
-            thresholds.append(None)
-        else:
-            s_t, S_t = extract_sS(g_sequence[entry], mdp.grid, K)
-            thresholds.append((s_t, S_t))
-        for i, x in enumerate(mdp.grid):
-            if entry is None or x >= s_t - 1e-9:
-                predicted = 0.0
-            else:
-                predicted = S_t - x
-            good = predicted <= a_max + 1e-9 and np.any(np.abs(sets[i] - predicted) <= 1e-9 * max(1.0, mdp.step))
-            if not good:
-                violations.append((t, float(x), float(predicted), sets[i].tolist()))
-    return violations, thresholds
 
 
 def shift_right(g, k):
@@ -302,7 +268,7 @@ class TestVerifyStructureOracle:
         elif alter is not None:
             g_seq = [shift_right(g, alter) for g in g_seq]
         report = verify_structure(plan, values, g_seq, mdp, cost.K, alpha)
-        violations, thresholds = reference_verify(plan, values, g_seq, mdp, cost.K, alpha)
+        violations, thresholds = verify_reference(plan, values, g_seq, mdp, cost.K, alpha)
         assert report.thresholds == thresholds
         assert report.violations == violations
         assert report.ok == (name in ("growth", "hybrid", "alpha-zero"))
@@ -319,7 +285,7 @@ class TestV0Terminal:
         assert np.allclose(v0, direct)
 
     def test_constant_cost_fixed_point(self):
-        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, np.ones((7, 3)), mass_tol=1.0)
+        m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         assert np.allclose(infinite_horizon_vi(m, 0.5, 1e-9).values, 2.0, atol=1e-8)
 
     def test_relaxation_lower_bounds_true_values(self):
@@ -406,7 +372,7 @@ class TestStructureInvariants:
         n_alpha = 2
         # last n_alpha steps = shallow depths 1..n_alpha
         for depth in range(1, n_alpha + 1):
-            optimal = _optimal_mask(*_backup(mdp, values[depth - 1], alpha))
+            optimal = _backup_mask(mdp, values[depth - 1], alpha)[1]
             assert optimal[:, 0].all()  # actions[0] == 0
 
     def test_infinite_horizon_threshold_policy_certified(self):
