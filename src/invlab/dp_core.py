@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class GridMDP:
     _order: np.ndarray         # (n_a,) order costs K 1{a>0} + c_unit a
     _setup_less_x: np.ndarray  # (n,) K - c_unit x: an order from x costs this plus c_unit y of the level y it reaches
     _cy: np.ndarray            # (levels,) c_unit y at every level
-    _one_block: bool           # every order window reaches past the last finite level
 
     @property
     def shift_kernel(self) -> bool:
@@ -88,12 +87,6 @@ class GridMDP:
     def cost(self) -> np.ndarray:
         """The ``(n, n_a)`` one-step cost table ``order[j] + L[i + j]``, built on first access for the readers that want one."""
         return self._order[None, :] + _on_pairs(self.L, self.n_actions)
-
-    @functools.cached_property
-    def _myopic(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(min_a c(x, a), phi)``: the ``alpha = 0`` backup and its greedy action indices, policy iteration's start."""
-        F, G, W, tv = _backup(self, np.zeros(self.n_states), 0.0)
-        return tv, _greedy(self, F, G, W, tv)
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -122,22 +115,44 @@ class GridMDP:
 
     def expected_next(self, v: np.ndarray) -> np.ndarray:
         """``E v(next)`` at every post-order level, ``(levels,)``: one sum per level, which pair ``(i, j)`` reads at ``i + j``."""
-        return v[self._y_next] @ self.shock_probs
+        return _expect(v, self._y_next, self.shock_probs)
 
     def policy_backup(self, phi_idx: np.ndarray, v: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         """``T_phi v = c(x, phi(x)) + alpha E v(next)`` at every state, for the action indices ``phi_idx``."""
         cost_phi, succ = self.policy_rows(phi_idx)
-        return cost_phi + alpha * (np.asarray(v, dtype=float)[succ] @ self.shock_probs)
+        return cost_phi + alpha * _expect(np.asarray(v, dtype=float), succ, self.shock_probs)
 
 
 @dataclass
 class ValueSolution:
-    """The discounted solver's result: values, certificate and ``optimal[i, j]``, action ``j`` optimal at state ``i``."""
+    """The discounted solver's result: values, certificate and ``optimal[i, j]``, action ``j`` optimal at state ``i``.
+
+    ``values`` is the last backup's ``T v``; its ``F`` and ``G`` are kept so
+    that the mask is read off that backup's pair Q on first access only: a
+    discount-ladder rung reads the values alone.
+    """
 
     values: np.ndarray
-    optimal: np.ndarray  # (n, n_a) bool
     residual: float
     iterations: int
+    _mdp: GridMDP = field(repr=False)
+    _F: np.ndarray = field(repr=False)
+    _G: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def optimal(self) -> np.ndarray:
+        """``(n, n_a)`` bool: the actions within ``TIE_TOL`` of ``values`` in the last backup, one float per pair while built."""
+        return _optimal_mask(_pair_q(self._mdp, self._F, self._G), self.values)
+
+
+def _expect(v: np.ndarray, succ: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``sum_k probs[k] v[succ[..., k]]``, one sum per row of ``succ``, rounded the same whichever rows sit beside it.
+
+    einsum sums each row on its own.  BLAS's matrix-vector product, which
+    ``@`` calls, rounds a row by its place in the matrix, so a policy's
+    gathered rows would miss ``expected_next``'s sums in the last bit.
+    """
+    return np.einsum("...k,k->...", v[succ], probs)
 
 
 def _on_pairs(per_level: np.ndarray, n_a: int) -> np.ndarray:
@@ -256,7 +271,6 @@ def build_mdp(
         _order=np.where(np.arange(n_a) > 0, K, 0.0) + c_unit * actions,
         _setup_less_x=K - cy[:n],
         _cy=cy,
-        _one_block=n_a > 1 and np.nonzero(finite)[0][-1] <= min(n, n_a - 1),
     )
 
 
@@ -322,20 +336,12 @@ def _backup(mdp: GridMDP, v: np.ndarray, alpha: float):
     level and ``G = c_unit y + F``, both ``(levels,)``; ``W[i]`` is the
     minimum of ``G`` over the order window ``[i + 1, i + n_a - 1]`` (``+inf``
     when ``n_a = 1``), and ``T v = min(F[i], (K - c_unit x_i) + W[i])``.  At
-    ``alpha = 0`` ``F`` is ``L`` itself and ``E v`` is not formed.  When
-    every window reaches past the last finite level, as when ``a_max`` spans
-    an inventory grid, the windows are one block: ``W[i]`` is the suffix
-    minimum of ``G`` from level ``i + 1``.
+    ``alpha = 0`` ``F`` is ``L`` itself and ``E v`` is not formed.
     """
     n, n_a = mdp.n_states, mdp.n_actions
     F = mdp.L if alpha == 0.0 else mdp.L + alpha * mdp.expected_next(v)
     G = mdp._cy + F
-    if n_a == 1:
-        W = np.full(n, np.inf)
-    elif mdp._one_block:  # the levels past the last finite one, up to n, are +inf
-        W = np.minimum.accumulate(G[n:0:-1])[::-1]
-    else:
-        W = _window_min(G[1:], n_a - 1)
+    W = np.full(n, np.inf) if n_a == 1 else _window_min(G[1:], n_a - 1)
     return F, G, W, np.minimum(F[:n], mdp._setup_less_x + W)
 
 
@@ -351,6 +357,26 @@ def _pair_q(mdp: GridMDP, F: np.ndarray, G: np.ndarray, rows=slice(None)) -> np.
     q[:, 0] = F[:mdp.n_states][rows]
     np.add(base[:, None], _on_pairs(G[1:], mdp.n_actions - 1)[rows], out=q[:, 1:])
     return q
+
+
+def _chosen_q(mdp: GridMDP, phi_idx: np.ndarray, level: np.ndarray, F_chosen: np.ndarray) -> np.ndarray:
+    """``Q(i, phi_i)`` from ``F`` at each state's chosen level ``i + phi_i``: ``_pair_q``'s entry, bitwise, in O(n)."""
+    return np.where(phi_idx > 0, mdp._setup_less_x + (mdp._cy[level] + F_chosen), F_chosen)
+
+
+def _policy_q(mdp: GridMDP, phi_idx: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """The backup's ``Q(i, phi_i)`` for the action indices ``phi_idx``, with ``F`` formed at the chosen levels alone.
+
+    ``E v`` is summed from those levels only, so this is no backup, yet each
+    entry is bitwise ``_pair_q``'s for the same ``v`` (``_expect`` rounds a
+    level the same wherever it is summed) and is tested against ``T v``
+    with the same tie rule as a mask.
+    """
+    level = np.arange(mdp.n_states) + phi_idx
+    F_chosen = mdp.L[level]
+    if alpha != 0.0:
+        F_chosen = F_chosen + alpha * _expect(np.asarray(v, dtype=float), mdp._y_next[level], mdp.shock_probs)
+    return _chosen_q(mdp, phi_idx, level, F_chosen)
 
 
 def _greedy(mdp: GridMDP, F: np.ndarray, G: np.ndarray, W: np.ndarray, tv: np.ndarray) -> np.ndarray:
@@ -403,9 +429,8 @@ def policy_values(mdp: GridMDP, phi_idx: np.ndarray, alpha: float) -> np.ndarray
     """
     n = mdp.n_states
     cost_phi, succ = mdp.policy_rows(phi_idx)
-    flat = (np.arange(n)[:, None] * n + succ).ravel()
-    weights = np.broadcast_to(mdp.shock_probs, succ.shape).ravel()
-    A = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    flat = (succ.T + n * np.arange(n)).ravel()  # atom-major; an entry still adds its atoms in index order, so bitwise the row-major sum
+    A = np.bincount(flat, weights=np.repeat(mdp.shock_probs, n), minlength=n * n).reshape(n, n)
     A *= -alpha
     A.flat[:: n + 1] += 1.0
     return np.linalg.solve(A, cost_phi)
@@ -420,7 +445,7 @@ def _improve(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float, tol: fl
     """
     F, G, W, tv = _backup(mdp, v, alpha)
     level = np.arange(mdp.n_states) + phi
-    improve = np.where(phi > 0, mdp._setup_less_x + G[level], F[level]) > tv + tol
+    improve = _chosen_q(mdp, phi, level, F[level]) > tv + tol
     if not improve.any():
         return tv, phi, False
     return tv, np.where(improve, _greedy(mdp, F, G, W, tv), phi), True
@@ -435,7 +460,8 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
     ``T v_phi`` is within ``threshold`` of ``v_phi`` in exact arithmetic, so
     within ``eps / 2`` of the fixed point; ``residual`` is the computed
     distance, read off the last step's own backup ``T v_phi``.  Values and
-    mask are the backup of ``T v_phi``; ``iterations`` counts the steps.
+    mask are the backup of ``T v_phi``, the mask built from it when first
+    read; ``iterations`` counts the steps.
     ``alpha = 0`` is a single exact minimization.  Raises InvLabError
     ``NOT_CERTIFIED`` when rounding leaves ``residual`` above ``threshold``
     and ``PI_NOT_CONVERGED`` after ``PI_MAX_STEPS`` steps.
@@ -444,11 +470,12 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    c_min, phi = mdp._myopic
+    F, G, W, c_min = _backup(mdp, np.zeros(mdp.n_states), 0.0)
     if not np.isfinite(c_min).all():
         raise InvLabError("NO_FINITE_ACTION", "some state has no finite-cost action")
     if alpha == 0.0:
-        return ValueSolution(*_backup_mask(mdp, np.zeros(mdp.n_states), 0.0), 0.0, 1)
+        return ValueSolution(c_min, 0.0, 1, mdp, F, G)
+    phi = _greedy(mdp, F, G, W, c_min)
     threshold = eps * (1.0 - alpha) / (2.0 * alpha)
     for steps in range(1, PI_MAX_STEPS + 1):
         v = policy_values(mdp, phi, alpha)
@@ -461,7 +488,8 @@ def infinite_horizon_vi(mdp: GridMDP, alpha: float, eps: float) -> ValueSolution
     if residual > threshold:
         certified = 2.0 * alpha * residual / (1.0 - alpha)
         raise InvLabError("NOT_CERTIFIED", f"Bellman residual {residual:.3g} exceeds {threshold:.3g}: the values certify eps {certified:.3g}, not {eps}")
-    return ValueSolution(*_backup_mask(mdp, tv, alpha), residual, steps)
+    F, G, _, values = _backup(mdp, tv, alpha)
+    return ValueSolution(values, residual, steps, mdp, F, G)
 
 
 def check_stationary_optimality(mdp: GridMDP, phi: np.ndarray, v: np.ndarray, alpha: float) -> float:

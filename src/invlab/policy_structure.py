@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostModel, N_alpha, regime_constants
 from .demand import _lattice_index
-from .dp_core import GridMDP, _backup, _optimal_mask, _pair_q, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
+from .dp_core import GridMDP, _backup, _optimal_mask, _pair_q, _policy_q, infinite_horizon_vi  # noqa: F401  bench/test_bench.py checks the tracer wraps this binding
 from .errors import InvLabError
 
 
@@ -117,10 +117,11 @@ def verify_structure(
     agreement because several actions can be optimal at once; a prediction
     past the action cap is a violation.  ``values`` is ``finite_horizon_vi``'s
     table at discount ``alpha``.  Each step tests the predicted policy alone:
-    its ``policy_backup`` of the row one step shallower against the next row
-    under the tie rule, in O(n).  Only a step with violations makes a
-    backup, to list the violating states' optimal-action sets from their Q
-    rows.
+    its ``Q(i, phi_i)`` on the row one step shallower (``_policy_q``, in
+    O(n)) against the next row under the tie rule.  Only a step with
+    violations makes a backup, to list the violating states' optimal-action
+    sets from their Q rows; a predicted action's entry in such a row is
+    bitwise the one tested, so a listed set never holds it.
     """
     N = len(prediction)
     if len(values) < N + 1:
@@ -134,7 +135,7 @@ def verify_structure(
         thresholds.append(None if entry is None else (s_t, S_t))
         predicted = np.where(mdp.grid >= s_t - 1e-9, 0.0, S_t - mdp.grid)
         j = _lattice_index(mdp.actions, predicted, mdp.step)  # -1 past the action cap
-        member = _optimal_mask(mdp.policy_backup(np.maximum(j, 0), v, alpha)[:, None], tv)[:, 0]
+        member = _optimal_mask(_policy_q(mdp, np.maximum(j, 0), v, alpha)[:, None], tv)[:, 0]
         bad = np.nonzero((j < 0) | ~member)[0]
         if bad.size:
             F, G = _backup(mdp, v, alpha)[:2]

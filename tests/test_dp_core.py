@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab import dp_core
-from invlab.average_cost import DiscountLadder
+from invlab.average_cost import DiscountLadder, solve_ladder
 from invlab.costs import CostModel, HoldingCost, expected_holding
 from invlab.demand import from_atoms
 from invlab.dp_core import (
@@ -20,11 +20,13 @@ from invlab.dp_core import (
     Dynamics,
     _backup,
     _backup_mask,
+    _expect,
     _greedy,
     _improve,
     _lattice,
     _on_pairs,
     _pair_q,
+    _policy_q,
     _window_min,
     build_mdp,
     check_stationary_optimality,
@@ -490,6 +492,22 @@ class TestPolicyIterationStart:
         assert len(sums) == sol.iterations + 1
         assert sol.iterations >= 2
 
+    def test_mask_built_on_first_read(self, monkeypatch):
+        built = []
+        pair_q = dp_core._pair_q
+        monkeypatch.setattr(dp_core, "_pair_q", lambda *args: built.append(1) or pair_q(*args))
+        d = from_atoms([(0, 0.25), (1, 0.45), (3, 0.3)], step=1)
+        m = make_inventory_mdp(CostModel(2.0, 1.0, HoldingCost.linear(3.0, 1.0)), d, -6, 8)
+        solve_ladder(m, [0.5, 0.9, 0.99], 1e-6)
+        assert not built  # a ladder rung reads its values alone
+        for alpha in (0.0, 0.9):
+            sol = infinite_horizon_vi(m, alpha, 1e-6)
+            assert not built
+            mask = sol.optimal
+            assert sol.optimal is mask and len(built) == 1
+            assert np.array_equal(pair_q(m, sol._F, sol._G).min(axis=1), sol.values)  # the backup that gave the values
+            built.clear()
+
     def test_every_action_tied_terminates(self):
         m = build_mdp(Dynamics.BACKORDER, UNIT, -3, 3, 2, 0.0, 0.0, np.ones(9), mass_tol=1.0)
         alpha = 0.9999
@@ -712,7 +730,7 @@ class TestPairViews:
         m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
         v = np.random.default_rng(1).normal(size=m.n_states)
         levels = m.n_states + m.n_actions - 1
-        assert np.array_equal(m.expected_next(v), v[m._y_next] @ m.shock_probs)
+        assert np.allclose(m.expected_next(v), v[m._y_next] @ m.shock_probs, rtol=0, atol=1e-14)
         assert m.expected_next(v).shape == m.L.shape == (levels,)
         for pairs, want in [
             (m._y_of, pair_levels(m)),
@@ -731,7 +749,7 @@ class TestPairViews:
         dynamics, lo, hi, a_max = case
         m = make_inventory_mdp(PAIR_COST, PAIR_DEMAND, lo, hi, a_max, dynamics)
         v = np.random.default_rng(2).normal(size=m.n_states)
-        ev = v[m._y_next] @ m.shock_probs
+        ev = m.expected_next(v)
         F, G, W, tv = _backup(m, v, alpha)
         assert np.array_equal(F, m.L + alpha * ev if alpha else m.L)
         assert np.array_equal(G, PAIR_COST.c_unit * (lo + np.arange(m.L.size)) + F)
@@ -741,6 +759,26 @@ class TestPairViews:
         assert np.array_equal(q[:, 1:], (PAIR_COST.K - PAIR_COST.c_unit * m.grid)[:, None] + G[pair_levels(m)][:, 1:])
         assert np.array_equal(tv, q.min(axis=1))
         assert np.allclose(q, table, rtol=0, atol=1e-12)
+        # one action's Q, summed at its levels alone, is bitwise its column
+        phi = np.random.default_rng(3).integers(0, m.n_actions, size=m.n_states)
+        for j in [np.zeros_like(phi), np.full_like(phi, m.n_actions - 1), phi]:
+            assert np.array_equal(_policy_q(m, j, v, alpha), q[np.arange(m.n_states), j])
+
+    @pytest.mark.parametrize("atoms", [3, 8, 37])
+    def test_a_level_sums_the_same_wherever_it_is_gathered(self, atoms):
+        # a policy's levels are summed alone (policy_backup, _policy_q) and must match
+        # expected_next's sums there bitwise; a BLAS matrix-vector product rounds a row by
+        # its place in the matrix and misses this at 37 atoms
+        rng = np.random.default_rng(atoms)
+        d = from_atoms(list(enumerate(rng.dirichlet(np.ones(atoms)))), step=1)
+        m = make_inventory_mdp(PAIR_COST, d, -300, 60, a_max=40)
+        v = rng.normal(size=m.n_states) * 10.0 ** rng.uniform(-3, 6, size=m.n_states)
+        full = m.expected_next(v)
+        phi = rng.integers(0, m.n_actions, size=m.n_states)
+        level = np.arange(m.n_states) + phi
+        for levels in [pair_levels(m), level, np.arange(m.L.size)[::-1][:5], np.array([7])]:
+            assert np.array_equal(_expect(v, m._y_next[levels], m.shock_probs), full[levels])
+        assert np.array_equal(m.policy_backup(phi, v, 0.9), m._order[phi] + m.L[level] + 0.9 * full[level])
 
 
 class TestWindowMin:
@@ -763,13 +801,12 @@ class TestWindowMin:
         for k in range(12):
             # integer level costs and values: F and G hold exact ties; +inf at random levels above
             # the grid top, and at every level above it or one level higher, so that windows
-            # spanning the grid are one block
+            # reach past the last finite level
             L = rng.integers(0, 6, size=n + n_a - 1).astype(float)
             L[n:][rng.random(n_a - 1) < 0.5] = np.inf
             if k % 3 < 2:
                 L[n + k % 3:] = np.inf
             m = build_mdp(Dynamics.BACKORDER, UNIT, -6, 6, a_max, 1.0, 1.0, L, mass_tol=1.0)
-            assert m._one_block == (n_a > 1 and np.isfinite(L).nonzero()[0][-1] <= min(n, a_max))
             v = rng.integers(0, 4, size=n).astype(float)
             F, G, W, tv = _backup(m, v, 1.0)
             order = _on_pairs(G[1:], n_a - 1)

@@ -8,6 +8,7 @@ import pytest
 from invlab.costs import CostModel, HoldingCost, INFINITE
 from invlab.demand import from_atoms
 from invlab.dp_core import (
+    TIE_TOL,
     Dynamics,
     _backup_mask,
     build_mdp,
@@ -274,6 +275,47 @@ class TestVerifyStructureOracle:
         assert report.ok == (name in ("growth", "hybrid", "alpha-zero"))
         if a_max is not None:
             assert any(predicted > a_max for _, _, predicted, _ in report.violations)
+
+
+# growth-regime costs near 1e6 with non-dyadic parts: values reach about 1e8, whose ulp (1.5e-8)
+# is above TIE_TOL, so a pair's cost added up in another order can land across the tie line
+BIG = CostModel(2300000.1, 1100000.3, HoldingCost.linear(3700000.7, 1300000.9))
+
+
+def mask_reference(plan, values, thresholds, mdp, alpha):
+    """Violations read off ``_backup_mask``, the mask ``policy.csv`` is written from: a state by state loop."""
+    N = len(plan)
+    violations = []
+    for t, pair in enumerate(thresholds):
+        s_t, S_t = pair if pair is not None else (-np.inf, -np.inf)
+        optimal = _backup_mask(mdp, values[N - t - 1], alpha)[1]
+        for i, x in enumerate(mdp.grid):
+            predicted = 0.0 if x >= s_t - 1e-9 else S_t - x
+            argmin = mdp.actions[optimal[i]].tolist()
+            if predicted not in argmin:
+                violations.append((t, float(x), float(predicted), argmin))
+    return violations
+
+
+class TestVerifyStructureReadsTheMask:
+    @pytest.mark.parametrize("shift", [0, 2, -3])
+    def test_violations_are_the_masks(self, shift):
+        alpha, N = 0.99, 4
+        mdp = make_inventory_mdp(BIG, MIXED, -25, 12)
+        values = finite_horizon_vi(mdp, N, alpha, np.zeros(mdp.n_states))
+        g_seq = [shift_right(g, shift) for g in (g_function(mdp, values[t], alpha, BIG) for t in range(N))]
+        plan = predict_finite_horizon(classify_regime(BIG, alpha), N)
+        report = verify_structure(plan, values, g_seq, mdp, BIG.K, alpha)
+        assert report.violations == mask_reference(plan, values, report.thresholds, mdp, alpha)
+        assert report.ok == (shift == 0)
+        # the stationary-policy operator adds the same costs in another order: under it some
+        # predicted pairs of the unshifted plan fall past the tie line
+        if shift == 0:
+            past = 0
+            for t, (s_t, S_t) in enumerate(report.thresholds):
+                phi = mdp.action_index(np.where(mdp.grid >= s_t - 1e-9, 0.0, S_t - mdp.grid))
+                past += np.sum(mdp.policy_backup(phi, values[N - t - 1], alpha) > values[N - t] + TIE_TOL)
+            assert past > 0
 
 
 class TestV0Terminal:
